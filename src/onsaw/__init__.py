@@ -26,7 +26,7 @@ from .onsager import A, G, apply_auto, apply_autopoly, bracket, verify_dolan_gra
 from .quotient import QuotientO, defining_relations, u_poly, verify_sn
 from .reports import Report
 from .reps import rep_build, rep_check
-from .scalars import Indeterminate, LaurentPoly, RatFunc, Scalar, lvar, ratfunc_equal
+from .scalars import LaurentPoly, RatFunc, lvar, ratfunc_equal
 from .yangbaxter import (
     ChargeParams,
     OperatorMatrix,
@@ -51,7 +51,6 @@ __all__ = [
     "EnvElem",
     "G",
     "Gt",
-    "Indeterminate",
     "LaurentPoly",
     "Matrix",
     "OperatorMatrix",
@@ -60,7 +59,6 @@ __all__ = [
     "QuotientO",
     "RatFunc",
     "Report",
-    "Scalar",
     "Wm",
     "Wp",
     "apply_auto",

@@ -20,7 +20,7 @@ upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N).
 from fractions import Fraction
 from math import comb, factorial
 
-from .elements import ZERO, AlgElem
+from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
 from .quotient import QuotientO
 from .reports import Report
@@ -130,66 +130,60 @@ def _w_paper(n: int, coeff) -> AlgElem:
 
 def _to_alt_sym(sym: tuple) -> AlgElem:
     kind, n = sym
-    if kind == "A":
-        if n >= 1:
-            k = n - 1
-            out = ZERO
-            for p in range(k // 2 + 1):
-                out = out + _w_paper(k - 2 * p + 1, c_coeff(p, k))
-            for p in range((k - 1) // 2 + 1):
-                out = out - _w_paper(-k + 2 * p + 1, c_coeff(p, k - 1))
-            return out
-        k = -n
-        out = ZERO
-        for p in range(k // 2 + 1):
-            out = out + _w_paper(2 * p - k, c_coeff(p, k))
-        for p in range((k - 1) // 2 + 1):
-            out = out - _w_paper(k - 2 * p, c_coeff(p, k - 1))
-        return out
-    if kind == "G":
+    if kind == "A" and n >= 1:
         k = n - 1
-        out = ZERO
-        for p in range(k // 2 + 1):
-            out = out + Gt(k - 2 * p, c_coeff(p, k) * Fraction(-1, 4))
-        return out
-    raise TypeError(f"not an Onsager basis symbol: {sym}")
+        parts = [_w_paper(k - 2 * p + 1, c_coeff(p, k)) for p in range(k // 2 + 1)]
+        parts += [
+            _w_paper(-k + 2 * p + 1, -c_coeff(p, k - 1))
+            for p in range((k - 1) // 2 + 1)
+        ]
+    elif kind == "A":
+        k = -n
+        parts = [_w_paper(2 * p - k, c_coeff(p, k)) for p in range(k // 2 + 1)]
+        parts += [
+            _w_paper(k - 2 * p, -c_coeff(p, k - 1))
+            for p in range((k - 1) // 2 + 1)
+        ]
+    elif kind == "G":
+        k = n - 1
+        parts = [
+            Gt(k - 2 * p, c_coeff(p, k) * Fraction(-1, 4))
+            for p in range(k // 2 + 1)
+        ]
+    else:
+        raise TypeError(f"not an Onsager basis symbol: {sym}")
+    return _sum(parts)
 
 
 def _to_ons_sym(sym: tuple) -> AlgElem:
     kind, k = sym
     if kind == "Wm":
         scale = Fraction(1, 2**k)
-        out = ZERO
-        for p in range(k + 1):
-            out = out + A(k - 2 * p, comb(k, p) * scale)
-        return out
-    if kind == "Wp":
+        parts = [A(k - 2 * p, comb(k, p) * scale) for p in range(k + 1)]
+    elif kind == "Wp":
         scale = Fraction(1, 2**k)
-        out = ZERO
-        for p in range(k + 1):
-            out = out + A(k + 1 - 2 * p, comb(k, p) * scale)
-        return out
-    if kind == "Gt":
+        parts = [A(k + 1 - 2 * p, comb(k, p) * scale) for p in range(k + 1)]
+    elif kind == "Gt":
         scale = Fraction(2**2, 2**k)
-        out = ZERO
-        for p in range(k + 1):
-            out = out + G(2 * p - k - 1, comb(k, p) * scale)
-        return out
-    raise TypeError(f"not an alternative-presentation symbol: {sym}")
+        parts = [G(2 * p - k - 1, comb(k, p) * scale) for p in range(k + 1)]
+    else:
+        raise TypeError(f"not an alternative-presentation symbol: {sym}")
+    return _sum(parts)
+
+
+def _sum(parts) -> AlgElem:
+    out = {}
+    for part in parts:
+        accumulate(out, part.terms, None)
+    return AlgElem(out)
 
 
 def convert_to_alt(x: AlgElem) -> AlgElem:
-    out = ZERO
-    for sym, c in x.terms.items():
-        out = out + _to_alt_sym(sym) * c
-    return out
+    return linear_extension(_to_alt_sym, x)
 
 
 def convert_to_ons(y: AlgElem) -> AlgElem:
-    out = ZERO
-    for sym, c in y.terms.items():
-        out = out + _to_ons_sym(sym) * c
-    return out
+    return linear_extension(_to_ons_sym, y)
 
 
 # --- quotients ------------------------------------------------------------------
@@ -220,10 +214,7 @@ class QuotientA:
         )
 
     def reduce(self, x: AlgElem) -> AlgElem:
-        out = ZERO
-        for sym, c in x.terms.items():
-            out = out + self._reduce_sym(sym) * c
-        return out
+        return linear_extension(self._reduce_sym, x)
 
     def _reduce_sym(self, sym) -> AlgElem:
         cached = self._reduced.get(sym)
@@ -234,11 +225,11 @@ class QuotientA:
             out = AlgElem.basis(sym)
         else:
             p = m - self.N
-            combo = ZERO
+            combo = {}
             for k in range(self.N):
                 coeff = coeff_div(-self.betas[k], self.betas[self.N])
-                combo = combo + AlgElem.basis((kind, k + p)) * coeff
-            out = self.reduce(combo)
+                accumulate(combo, {(kind, k + p): Fraction(1)}, coeff)
+            out = self.reduce(AlgElem(combo))
         self._reduced[sym] = out
         return out
 
@@ -256,21 +247,21 @@ def beta_from_alpha(q: QuotientO) -> QuotientA:
     alone; its coefficients are the betas.  The companion Wp relation is
     checked to carry the same vector.
     """
-    relation_m = ZERO
-    relation_p = ZERO
+    relation_m = {}
+    relation_p = {}
     for n in range(-q.N, q.N + 1):
-        relation_m = relation_m + A(-n) * q.alpha(n)
-        relation_p = relation_p + A(n + 1) * q.alpha(n)
-    alt_m = convert_to_alt(relation_m)
-    alt_p = convert_to_alt(relation_p)
-    betas = []
-    for k in range(q.N + 1):
-        betas.append(alt_m.coeff(("Wm", k)))
-    expect_m = ZERO
-    expect_p = ZERO
+        accumulate(relation_m, A(-n).terms, q.alpha(n))
+        accumulate(relation_p, A(n + 1).terms, q.alpha(n))
+    alt_m = convert_to_alt(AlgElem(relation_m))
+    alt_p = convert_to_alt(AlgElem(relation_p))
+    betas = [alt_m.coeff(("Wm", k)) for k in range(q.N + 1)]
+    expect_m = {}
+    expect_p = {}
     for k, b in enumerate(betas):
-        expect_m = expect_m + Wm(k) * b
-        expect_p = expect_p + Wp(k) * b
+        accumulate(expect_m, Wm(k).terms, b)
+        accumulate(expect_p, Wp(k).terms, b)
+    expect_m = AlgElem(expect_m)
+    expect_p = AlgElem(expect_p)
     if alt_m != expect_m or alt_p != expect_p:
         raise ValueError(
             "converted quotient relations are not a pure beta combination"
@@ -447,13 +438,13 @@ def sprime_report(qa: QuotientA) -> Report:
     report = Report("sprime", params={"N": qa.N})
     for label, halved in (("displayed", False), ("halved", True)):
         for gen_name, gen in (("W0", Wm(0)), ("W1", Wp(0))):
-            total = ZERO
+            total = {}
             for n in range(qa.N + 1):
                 shifted = averaged_shift(gen, n)
                 if not halved:
                     shifted = shifted * Fraction(2**n)
-                total = total + shifted * qa.betas[n]
-            residual = qa.reduce(total)
+                accumulate(total, shifted.terms, qa.betas[n])
+            residual = qa.reduce(AlgElem(total))
             check_id = f"sprime:{label}:{gen_name}:N{qa.N}"
             if halved:
                 report.add(check_id, residual.is_zero(), residual)

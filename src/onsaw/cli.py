@@ -52,26 +52,6 @@ from .yangbaxter import (
     verify_reD,
 )
 
-SUITES = (
-    "cybe",
-    "dg",
-    "frt-onsager",
-    "frt-alt",
-    "frt-series",
-    "sn",
-    "charges",
-    "reD",
-    "iso",
-    "beta-alpha",
-    "quartic",
-    "aw3-fit",
-    "rep",
-    "upoly",
-    "fixtures-appendix-a",
-    "all",
-)
-
-
 class InputError(Exception):
     pass
 
@@ -100,22 +80,12 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _alpha_names(N: int) -> list:
-    if N == 1:
-        return ["alpha"]
-    if N == 2:
-        return ["alphap", "alpha"]
-    return [f"alpha{i}" for i in range(N)]
-
-
-def _quotient(N: int, params: dict, alphas=None) -> QuotientO:
+def _quotient(N: int, params: dict, alphas) -> QuotientO:
     if alphas is not None:
         if len(alphas) != N + 1:
             raise InputError(f"alpha vector must have length N+1 = {N + 1}")
         return QuotientO(alphas)
-    coeffs = []
-    for name in _alpha_names(N):
-        coeffs.append(params[name] if name in params else lvar(name))
+    coeffs = [params.get(name, lvar(name)) for name in QuotientO.alpha_names(N)]
     return QuotientO(tuple(coeffs) + (Fraction(1),))
 
 
@@ -165,10 +135,16 @@ def _ns(opts, default):
     return [opts.N] if opts.N else default
 
 
+def _quotients(opts, default):
+    """The quotient for --N (with the configured alphas, if any), or a
+    symbolic quotient for each N in `default`."""
+    for N in _ns(opts, default):
+        yield _quotient(N, opts.params, opts.alphas if opts.N else None)
+
+
 def _suite_frt_onsager(opts) -> Report:
     report = Report("frt-onsager")
-    for N in _ns(opts, [1, 2, 3]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2, 3]):
         report.extend(verify_frt(build_B_onsager(q)))
     B = build_B_onsager(QuotientO.symbolic(1))
     corrupted = B.with_entry(0, 1, -B.entries[0][1])
@@ -199,8 +175,7 @@ def _suite_frt_series(opts) -> Report:
 
 def _suite_sn(opts) -> Report:
     report = Report("sn")
-    for N in _ns(opts, [1, 2, 3, 4]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2, 3, 4]):
         report.extend(verify_sn(q))
         report.extend(implied_relations_report(q, pmax=6))
     return report
@@ -208,10 +183,9 @@ def _suite_sn(opts) -> Report:
 
 def _suite_charges(opts) -> Report:
     report = Report("charges")
-    for N in _ns(opts, [1, 2, 3, 4]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2, 3, 4]):
         report.extend(verify_commuting(q))
-        if N <= 3:
+        if q.N <= 3:
             _, expansion = expand_b(q, _charge_params(opts.params))
             report.extend(expansion)
     return report
@@ -250,8 +224,7 @@ def _suite_iso(opts) -> Report:
 
 def _suite_beta_alpha(opts) -> Report:
     report = Report("beta-alpha")
-    for N in _ns(opts, [1, 2, 3, 4]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2, 3, 4]):
         report.extend(beta_alpha_report(q))
         report.extend(reduction_diagram_report(q))
         report.extend(sprime_report(beta_from_alpha(q)))
@@ -260,8 +233,7 @@ def _suite_beta_alpha(opts) -> Report:
 
 def _suite_quartic(opts) -> Report:
     report = Report("quartic")
-    for N in _ns(opts, [1, 2]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2]):
         report.extend(verify_quartic(q))
         report.extend(pbw_lie_compat_report(q))
     q1 = QuotientO.symbolic(1)
@@ -307,8 +279,7 @@ def _suite_rep(opts) -> Report:
 
 def _suite_upoly(opts) -> Report:
     report = Report("upoly")
-    for N in _ns(opts, [1, 2, 3]):
-        q = _quotient(N, opts.params, opts.alphas if opts.N else None)
+    for q in _quotients(opts, [1, 2, 3]):
         report.extend(u_poly_report(q, pmax=10))
         report.extend(forward_reduction_report(q, pmax=8))
     return report
@@ -336,13 +307,13 @@ _SUITE_RUNNERS = {
     "fixtures-appendix-a": _suite_fixtures,
 }
 
+SUITES = tuple(_SUITE_RUNNERS) + ("all",)
+
 
 def run_suite(name: str, opts) -> Report:
     if name == "all":
         report = Report("all")
-        for sub in SUITES:
-            if sub == "all":
-                continue
+        for sub in _SUITE_RUNNERS:
             report.extend(run_suite(sub, opts))
         report.params = _report_params(opts)
         report.version = __version__

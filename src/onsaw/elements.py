@@ -7,6 +7,11 @@ ordering used for PBW words (A's by index, then G's by index).
 
 Coefficients may be int, Fraction, LaurentPoly or RatFunc; mixed coefficients
 combine through the arithmetic dunders of those types.
+
+The linear and bilinear extensions of per-symbol maps (brackets,
+automorphisms, quotient reduction, change of presentation, PBW ordering) sum
+through `accumulate`, which adds into one dict in place instead of copying a
+dict per term.
 """
 
 from fractions import Fraction
@@ -14,8 +19,41 @@ from fractions import Fraction
 Sym = tuple
 
 
-class AlgElem:
-    """A finite linear combination of basis symbols.  Immutable by convention."""
+def accumulate(acc: dict, terms: dict, k) -> dict:
+    """Add `terms` scaled by `k` (unscaled when `k` is None) into `acc`.
+
+    Each product is `term_coeff * k` and a zero product is skipped; a key
+    whose sum cancels is removed, so `acc` never holds a zero.  `acc` is
+    changed in place and returned.  It must be a dict the caller owns, never
+    the `terms` of an element: elements, quotient caches and `ZERO` share
+    theirs.
+    """
+    for key, c in terms.items():
+        if k is not None:
+            c = c * k
+            if not c:
+                continue
+        old = acc.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            acc[key] = c
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def linear_extension(f, x):
+    """The linear extension of the per-key map `f`, applied to `x`."""
+    out = {}
+    for key, c in x.terms.items():
+        accumulate(out, f(key).terms, c)
+    return type(x)(out)
+
+
+class SparseCombination:
+    """A finite combination of keys with nonzero coefficients.  Immutable by
+    convention; subclasses fix the keys and define `+` through `accumulate`."""
 
     __slots__ = ("terms",)
 
@@ -25,48 +63,25 @@ class AlgElem:
         else:
             self.terms = {}
 
-    @classmethod
-    def basis(cls, sym: Sym, coeff=Fraction(1)) -> "AlgElem":
-        return cls({sym: coeff})
-
     def __bool__(self):
         return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            c2 = out.get(s)
-            c2 = c if c2 is None else c2 + c
-            if c2:
-                out[s] = c2
-            else:
-                out.pop(s, None)
-        return AlgElem(out)
-
     def __sub__(self, other):
-        if not isinstance(other, AlgElem):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return AlgElem({s: -c for s, c in self.terms.items()})
+        return type(self)({s: -c for s, c in self.terms.items()})
 
-    def __mul__(self, coeff):
-        if isinstance(coeff, AlgElem):
-            raise TypeError(
-                "algebra elements have no associative product; use bracket()"
-            )
-        return AlgElem({s: c * coeff for s, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def scale(self, coeff):
+        return type(self)({s: c * coeff for s, c in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, AlgElem):
+        if not isinstance(other, type(self)):
             return NotImplemented
         if self.terms.keys() != other.terms.keys():
             return False
@@ -74,8 +89,32 @@ class AlgElem:
 
     __hash__ = None
 
-    def coeff(self, sym: Sym):
-        return self.terms.get(sym, Fraction(0))
+    def coeff(self, key):
+        return self.terms.get(tuple(key), Fraction(0))
+
+
+class AlgElem(SparseCombination):
+    """A finite linear combination of basis symbols."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis(cls, sym: Sym, coeff=Fraction(1)) -> "AlgElem":
+        return cls({sym: coeff})
+
+    def __add__(self, other):
+        if not isinstance(other, AlgElem):
+            return NotImplemented
+        return AlgElem(accumulate(dict(self.terms), other.terms, None))
+
+    def __mul__(self, coeff):
+        if isinstance(coeff, AlgElem):
+            raise TypeError(
+                "algebra elements have no associative product; use bracket()"
+            )
+        return self.scale(coeff)
+
+    __rmul__ = __mul__
 
     def map_coeffs(self, f) -> "AlgElem":
         return AlgElem({s: f(c) for s, c in self.terms.items()})

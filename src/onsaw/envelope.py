@@ -13,23 +13,17 @@ three-generator presentation fit of the N = 1 quotient.
 
 from fractions import Fraction
 
-from .elements import AlgElem
+from .elements import AlgElem, SparseCombination, accumulate, linear_extension
 from .onsager import A, bracket
 from .quotient import QuotientO
 from .reports import Report
 from .scalars import as_ratfunc, lvar, ratfunc_equal
 
 
-class EnvElem:
+class EnvElem(SparseCombination):
     """Sparse combination of PBW words; the empty word is the unit."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        if terms:
-            self.terms = {w: c for w, c in terms.items() if c}
-        else:
-            self.terms = {}
+    __slots__ = ()
 
     @classmethod
     def unit(cls, coeff=Fraction(1)) -> "EnvElem":
@@ -42,43 +36,10 @@ class EnvElem:
             terms[()] = const
         return cls(terms)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c2 = out.get(w)
-            c2 = c if c2 is None else c2 + c
-            if c2:
-                out[w] = c2
-            else:
-                out.pop(w, None)
-        return EnvElem(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EnvElem({w: -c for w, c in self.terms.items()})
-
-    def scale(self, coeff) -> "EnvElem":
-        return EnvElem({w: c * coeff for w, c in self.terms.items()})
-
-    def __eq__(self, other):
         if not isinstance(other, EnvElem):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[w] == c for w, c in self.terms.items())
-
-    __hash__ = None
-
-    def coeff(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
+        return EnvElem(accumulate(dict(self.terms), other.terms, None))
 
     def __str__(self):
         if not self.terms:
@@ -128,28 +89,27 @@ class PBW:
             out = EnvElem({word: Fraction(1)})
         else:
             swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2 :]
-            out = self.normalize_word(swapped)
+            # The cached normal form of the swapped word is shared: copy it.
+            out = dict(self.normalize_word(swapped).terms)
             lie = self.q.bracket_reduced(
                 AlgElem.basis(word[pos]), AlgElem.basis(word[pos + 1])
             )
             for sym, c in lie.terms.items():
                 inserted = word[:pos] + (sym,) + word[pos + 2 :]
-                out = out + self.normalize_word(inserted).scale(c)
+                accumulate(out, self.normalize_word(inserted).terms, c)
+            out = EnvElem(out)
         self._normal[word] = out
         return out
 
     def normalize(self, x: EnvElem) -> EnvElem:
-        out = EnvElem()
-        for word, c in x.terms.items():
-            out = out + self.normalize_word(word).scale(c)
-        return out
+        return linear_extension(self.normalize_word, x)
 
     def multiply(self, x: EnvElem, y: EnvElem) -> EnvElem:
-        out = EnvElem()
+        out = {}
         for w1, c1 in x.terms.items():
             for w2, c2 in y.terms.items():
-                out = out + self.normalize_word(w1 + w2).scale(c1 * c2)
-        return out
+                accumulate(out, self.normalize_word(w1 + w2).terms, c1 * c2)
+        return EnvElem(out)
 
     def product(self, *factors) -> EnvElem:
         out = EnvElem.unit()

@@ -21,8 +21,9 @@ cubic formulas on A_0, A_1; the defining formulas are kept as test oracles.
 """
 
 from fractions import Fraction
+from functools import partial
 
-from .elements import ZERO, AlgElem
+from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .reports import Report
 
 
@@ -61,13 +62,13 @@ def bracket(x: AlgElem, y: AlgElem, sym_bracket=sym_bracket) -> AlgElem:
     `sym_bracket` is injectable so that verification suites can run negative
     controls against deliberately corrupted structure constants.
     """
-    out = ZERO
+    out = {}
     for s, cx in x.terms.items():
         for t, cy in y.terms.items():
             b = sym_bracket(s, t)
             if b:
-                out = out + b * (cx * cy)
-    return out
+                accumulate(out, b.terms, cx * cy)
+    return AlgElem(out)
 
 
 # --- automorphisms ----------------------------------------------------------
@@ -91,10 +92,7 @@ def apply_auto_sym(name: str, sym: tuple) -> AlgElem:
 def apply_auto(word, x: AlgElem, apply_sym=apply_auto_sym) -> AlgElem:
     """Apply a word of automorphisms, leftmost applied last."""
     for name in reversed(tuple(word)):
-        out = ZERO
-        for sym, c in x.terms.items():
-            out = out + apply_sym(name, sym) * c
-        x = out
+        x = linear_extension(partial(apply_sym, name), x)
     return x
 
 
@@ -107,10 +105,10 @@ def shift_word(n: int) -> tuple:
 
 def apply_autopoly(autopoly, x: AlgElem, apply_sym=apply_auto_sym) -> AlgElem:
     """Apply a formal combination [(coeff, word), ...] of automorphism words."""
-    out = ZERO
+    out = {}
     for coeff, word in autopoly:
-        out = out + apply_auto(word, x, apply_sym) * coeff
-    return out
+        accumulate(out, apply_auto(word, x, apply_sym).terms, coeff)
+    return AlgElem(out)
 
 
 def s_n_autopoly(alphas) -> list:

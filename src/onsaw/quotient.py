@@ -17,7 +17,7 @@ oracle wins).
 
 from fractions import Fraction
 
-from .elements import ZERO, AlgElem
+from .elements import AlgElem, accumulate, linear_extension
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from .reports import Report
 from .scalars import LaurentPoly, lvar
@@ -44,17 +44,20 @@ class QuotientO:
         self._reduced: dict = {}
         self._upoly: dict = {}
 
-    @classmethod
-    def symbolic(cls, N: int) -> "QuotientO":
-        """Quotient with symbolic coefficients, named to match common usage:
+    @staticmethod
+    def alpha_names(N: int) -> list:
+        """Names of the symbolic alpha_0..alpha_{N-1}, to match common usage:
         N=1 uses alpha, N=2 uses (alphap, alpha), larger N uses alpha0.."""
         if N == 1:
-            names = ["alpha"]
-        elif N == 2:
-            names = ["alphap", "alpha"]
-        else:
-            names = [f"alpha{i}" for i in range(N)]
-        return cls(tuple(lvar(n) for n in names) + (Fraction(1),))
+            return ["alpha"]
+        if N == 2:
+            return ["alphap", "alpha"]
+        return [f"alpha{i}" for i in range(N)]
+
+    @classmethod
+    def symbolic(cls, N: int) -> "QuotientO":
+        """Quotient with symbolic coefficients named by `alpha_names`."""
+        return cls(tuple(lvar(n) for n in cls.alpha_names(N)) + (Fraction(1),))
 
     def alpha(self, m: int):
         m = abs(m)
@@ -68,10 +71,7 @@ class QuotientO:
     # -- normal form -----------------------------------------------------
 
     def reduce(self, x: AlgElem) -> AlgElem:
-        out = ZERO
-        for sym, c in x.terms.items():
-            out = out + self._reduce_sym(sym) * c
-        return out
+        return linear_extension(self._reduce_sym, x)
 
     def _reduce_sym(self, sym) -> AlgElem:
         cached = self._reduced.get(sym)
@@ -79,34 +79,24 @@ class QuotientO:
             return cached
         kind, idx = sym
         N = self.N
-        if kind == "A":
-            if -N + 1 <= idx <= N:
-                out = AlgElem.basis(sym)
-            elif idx > N:
-                p = idx - N
-                combo = ZERO
-                for n in range(-N, N):
-                    combo = combo + A(n + p) * (-self.alphas[abs(n)])
-                out = self.reduce(combo)
-            else:
-                p = idx + N
-                combo = ZERO
-                for n in range(-N + 1, N + 1):
-                    combo = combo + A(n + p) * (-self.alphas[abs(n)])
-                out = self.reduce(combo)
-        elif kind == "G":
-            if idx <= N:
-                out = AlgElem.basis(sym)
-            else:
-                p = idx - N
-                combo = ZERO
-                for n in range(-N, N):
-                    combo = combo + G(n + p) * (-self.alphas[abs(n)])
-                out = self.reduce(combo)
-        else:
+        make = {"A": A, "G": G}.get(kind)
+        if make is None:
             raise TypeError(f"not an Onsager basis symbol: {sym}")
+        if idx > N:
+            out = self._recurrence(make, range(-N, N), idx - N)
+        elif kind == "A" and idx < -N + 1:
+            out = self._recurrence(make, range(-N + 1, N + 1), idx + N)
+        else:
+            out = AlgElem.basis(sym)
         self._reduced[sym] = out
         return out
+
+    def _recurrence(self, make, ns, p) -> AlgElem:
+        """reduce(-sum alpha_n X_{n+p}, n in ns), one side of a recurrence."""
+        combo = {}
+        for n in ns:
+            accumulate(combo, make(n + p).terms, -self.alphas[abs(n)])
+        return self.reduce(AlgElem(combo))
 
     def bracket_reduced(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return self.reduce(bracket(x, y))
@@ -177,12 +167,14 @@ def forward_reduction_report(q: QuotientO, pmax: int) -> Report:
     report = Report("upoly-forward", params={"N": q.N, "pmax": pmax})
     for p in range(pmax + 1):
         sign = Fraction((-1) ** (p + q.N))
-        expect_a = ZERO
-        expect_g = ZERO
+        expect_a = {}
+        expect_g = {}
         for j in range(-q.N + 1, q.N + 1):
             u = u_poly(q, p, j)
-            expect_a = expect_a + A(1 - j) * (u * sign)
-            expect_g = expect_g + G(j - 1) * (u * -sign)
+            accumulate(expect_a, A(1 - j).terms, u * sign)
+            accumulate(expect_g, G(j - 1).terms, u * -sign)
+        expect_a = AlgElem(expect_a)
+        expect_g = AlgElem(expect_g)
         got_a = q.reduce(A(q.N + p + 1))
         got_g = q.reduce(G(q.N + p + 1))
         report.add(
@@ -216,13 +208,13 @@ def implied_relations_report(q: QuotientO, pmax: int = 6) -> Report:
     """All shifted relation instances must reduce to zero, |p| <= pmax."""
     report = Report("dav2", params={"N": q.N, "pmax": pmax})
     for p in range(-pmax, pmax + 1):
-        ra = ZERO
-        rg = ZERO
+        ra = {}
+        rg = {}
         for n in range(-q.N, q.N + 1):
-            ra = ra + A(n + p) * q.alpha(n)
-            rg = rg + G(n + p) * q.alpha(n)
-        ra = q.reduce(ra)
-        rg = q.reduce(rg)
+            accumulate(ra, A(n + p).terms, q.alpha(n))
+            accumulate(rg, G(n + p).terms, q.alpha(n))
+        ra = q.reduce(AlgElem(ra))
+        rg = q.reduce(AlgElem(rg))
         report.add(f"dav2:A:N{q.N}:p{p}", ra.is_zero(), ra)
         report.add(f"dav2:G:N{q.N}:p{p}", rg.is_zero(), rg)
     return report

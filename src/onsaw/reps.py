@@ -27,6 +27,7 @@ from .onsager import bracket
 from .quotient import QuotientO
 from .reports import Report
 from .scalars import LaurentPoly, RatFunc, as_ratfunc, lvar
+from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
 
 
 def _as_coeff(w):
@@ -37,16 +38,13 @@ def _as_coeff(w):
     return w
 
 
-def _inv_point(w):
-    if isinstance(w, Fraction):
-        if w == 0:
-            raise ValueError("evaluation points must be nonzero")
-        return 1 / w
-    if isinstance(w, LaurentPoly) and len(w.terms) == 1:
-        ((mono, coeff),) = w.terms.items()
-        inv = tuple(sorted((n, -e) for n, e in mono))
-        return LaurentPoly({inv: 1 / coeff})
-    raise ValueError("evaluation points must be rationals or plain variables")
+def _monomial_inverse(c):
+    """1/c for a nonzero rational or a one-term Laurent polynomial, else None."""
+    if isinstance(c, Fraction):
+        return 1 / c if c else None
+    if isinstance(c, LaurentPoly) and len(c.terms) == 1:
+        return LaurentPoly.const(1) / c
+    return None
 
 
 def rep_alphas(ws, u: str = "u") -> list:
@@ -56,7 +54,12 @@ def rep_alphas(ws, u: str = "u") -> list:
     uu = lvar(u)
     uinv = lvar(u, -1)
     for w in ws:
-        product = product * (uu + uinv - w - _inv_point(w))
+        w_inv = _monomial_inverse(w)
+        if w_inv is None:
+            raise ValueError(
+                "evaluation points must be nonzero rationals or plain variables"
+            )
+        product = product * (uu + uinv - w - w_inv)
     alphas = []
     for p in range(len(ws) + 1):
         coeff = product.coefficient_of(u, -p)
@@ -68,25 +71,6 @@ def rep_alphas(ws, u: str = "u") -> list:
 
 def rep_quotient(ws) -> QuotientO:
     return QuotientO(rep_alphas(ws))
-
-
-def _r_concrete(u: str, w) -> tuple:
-    """Numerator matrix and denominator of r(u, w) at a concrete second argument."""
-    uu = lvar(u)
-    one = LaurentPoly.const(1)
-    zero = LaurentPoly()
-    w = _as_coeff(w)
-    diag = uu * (one - w * w)
-    num = Matrix(
-        [
-            [diag, zero, zero, (uu - w) * Fraction(-2)],
-            [zero, -diag, (uu * w - one) * w * Fraction(-2), zero],
-            [zero, (uu * w - one) * uu * Fraction(-2), -diag, zero],
-            [(uu - w) * uu * w * Fraction(-2), zero, zero, diag],
-        ]
-    )
-    den = (uu - w) * (uu * w - one)
-    return num, den
 
 
 def _u_coeffs(poly, u: str) -> dict:
@@ -107,16 +91,6 @@ def _u_coeffs(poly, u: str) -> dict:
     return {e: LaurentPoly(bucket) for e, bucket in out.items() if bucket}
 
 
-def _invert_monomial(c):
-    if isinstance(c, Fraction):
-        return (1 / c) if c else None
-    if isinstance(c, LaurentPoly) and len(c.terms) == 1:
-        ((mono, coeff),) = c.terms.items()
-        inv = tuple(sorted((n, -e) for n, e in mono))
-        return LaurentPoly({inv: 1 / coeff})
-    return None
-
-
 def _peel_solve(rows, nunknowns, entry_count):
     """Solve sum_k row.coeffs[k] X_k = row.rhs by repeatedly peeling rows that
     carry a single unsolved unknown with an invertible (monomial) coefficient.
@@ -133,7 +107,7 @@ def _peel_solve(rows, nunknowns, entry_count):
         for coeffs, rhs in rows:
             live = [k for k in range(nunknowns) if solution[k] is None and coeffs[k]]
             if len(live) == 1:
-                inv = _invert_monomial(coeffs[live[0]])
+                inv = _monomial_inverse(coeffs[live[0]])
                 if inv is not None:
                     pick = (coeffs, rhs, live[0], inv)
                     break
@@ -155,8 +129,6 @@ def _peel_solve(rows, nunknowns, entry_count):
 
 def rep_build(ws, u: str = "u"):
     """Extract the generator matrices; returns (quotient, {symbol: Matrix})."""
-    from .yangbaxter import build_B_onsager
-
     ws = [_as_coeff(w) for w in ws]
     N = len(ws)
     dim = 2**N
@@ -166,7 +138,7 @@ def rep_build(ws, u: str = "u"):
     nums = []
     dens = []
     for j, w in enumerate(ws):
-        num, den = _r_concrete(u, w)
+        num, den = r_matrix_num(u, w)
         nums.append(embed_leg(num, (1, j + 2), N + 1))
         dens.append(den)
     total_num = None
@@ -250,8 +222,6 @@ _SAMPLE_VALUES = [Fraction(n) for n in (2, 3, 5, 7, 11, 13)] + [
 def rep_matrix_identity_report(ws, u: str = "u") -> Report:
     """Independent cross-check at a rational sample value of u: the identity
     p(u) S(u) = pi(B-hat(u)) holds for all four blocks at once."""
-    from .yangbaxter import build_B_onsager, p_poly
-
     ws = [_as_coeff(w) for w in ws]
     N = len(ws)
     q, rep = rep_build(ws, u)
@@ -272,7 +242,7 @@ def rep_matrix_identity_report(ws, u: str = "u") -> Report:
         raise ValueError("could not find an admissible sample value")
     total = None
     for j, w in enumerate(ws):
-        num, den = _r_concrete(u, w)
+        num, den = r_matrix_num(u, w)
         leg = embed_leg(num, (1, j + 2), N + 1).map(
             lambda e, d=den: RatFunc(e.subs(u, value), d.subs(u, value))
         )

@@ -9,48 +9,10 @@ common monomial content, scale the denominator's leading coefficient to 1)
 keeps growth bounded.
 """
 
-import threading
 from fractions import Fraction
-
-Scalar = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class Indeterminate:
-    """An interned symbolic variable, identified by name.
-
-    Two Indeterminate objects with the same name are the same object.  The
-    total order on indeterminates is the lexicographic order on names, which
-    is stable across sessions (needed for deterministic rendering).
-    """
-
-    __slots__ = ("name",)
-    _interned: dict = {}
-    _lock = threading.Lock()
-
-    def __new__(cls, name: str):
-        existing = cls._interned.get(name)
-        if existing is not None:
-            return existing
-        with cls._lock:
-            existing = cls._interned.get(name)
-            if existing is None:
-                existing = object.__new__(cls)
-                object.__setattr__(existing, "name", name)
-                cls._interned[name] = existing
-            return existing
-
-    def __setattr__(self, *a):
-        raise AttributeError("Indeterminate is immutable")
-
-    def __repr__(self):
-        return self.name
-
-
-def _name_of(v) -> str:
-    return v.name if isinstance(v, Indeterminate) else str(v)
 
 
 # A monomial is a tuple of (variable name, nonzero exponent) pairs, sorted by
@@ -96,14 +58,14 @@ class LaurentPoly:
     def var(cls, v, exp: int = 1) -> "LaurentPoly":
         if exp == 0:
             return cls.const(1)
-        return cls({((_name_of(v), exp),): _ONE})
+        return cls({((str(v), exp),): _ONE})
 
     @classmethod
     def monomial(cls, coeff, exps: dict) -> "LaurentPoly":
         coeff = Fraction(coeff)
         if not coeff:
             return cls()
-        mono = tuple(sorted((_name_of(v), e) for v, e in exps.items() if e))
+        mono = tuple(sorted((str(v), e) for v, e in exps.items() if e))
         return cls({mono: coeff})
 
     # -- predicates --------------------------------------------------------
@@ -231,7 +193,7 @@ class LaurentPoly:
         Raises ZeroDivisionError when a variable bound to 0 occurs with a
         negative exponent (a pole), KeyError when a binding is missing.
         """
-        named = {_name_of(v): Fraction(c) for v, c in bindings.items()}
+        named = {str(v): Fraction(c) for v, c in bindings.items()}
         total = _ZERO
         for mono, coeff in self.terms.items():
             value = coeff
@@ -245,7 +207,7 @@ class LaurentPoly:
 
     def subs(self, v, value) -> "LaurentPoly":
         """Substitute one variable by an exact rational, keeping the others."""
-        name = _name_of(v)
+        name = str(v)
         value = Fraction(value)
         out: dict = {}
         for mono, coeff in self.terms.items():
@@ -265,7 +227,7 @@ class LaurentPoly:
 
     def rename(self, mapping: dict) -> "LaurentPoly":
         """Rename variables; target names must not collide with survivors."""
-        named = {_name_of(a): _name_of(b) for a, b in mapping.items()}
+        named = {str(a): str(b) for a, b in mapping.items()}
         out: dict = {}
         for mono, coeff in self.terms.items():
             m = tuple(sorted((named.get(name, name), e) for name, e in mono))
@@ -276,7 +238,7 @@ class LaurentPoly:
 
     def invert_var(self, v) -> "LaurentPoly":
         """Substitute v -> 1/v (negate that variable's exponents)."""
-        name = _name_of(v)
+        name = str(v)
         out = {}
         for mono, coeff in self.terms.items():
             m = tuple(
@@ -287,7 +249,7 @@ class LaurentPoly:
 
     def degree_in(self, v) -> int | None:
         """Highest exponent of v, or None for the zero polynomial."""
-        name = _name_of(v)
+        name = str(v)
         degs = [dict(mono).get(name, 0) for mono in self.terms]
         return max(degs) if degs else None
 
@@ -296,7 +258,7 @@ class LaurentPoly:
         (or lies below it, for negative bounds given as (lo, hi) pairs)."""
         named = {}
         for v, b in bounds.items():
-            named[_name_of(v)] = b if isinstance(b, tuple) else (None, b)
+            named[str(v)] = b if isinstance(b, tuple) else (None, b)
         out = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
@@ -315,7 +277,7 @@ class LaurentPoly:
 
     def coefficient_of(self, v, exp: int) -> "LaurentPoly":
         """Polynomial coefficient of v**exp (v removed from the result)."""
-        name = _name_of(v)
+        name = str(v)
         out = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
@@ -353,8 +315,6 @@ def _as_poly_or_none(x):
 def as_poly(x) -> LaurentPoly:
     p = _as_poly_or_none(x)
     if p is None:
-        if isinstance(x, Indeterminate):
-            return LaurentPoly.var(x)
         raise TypeError(f"cannot interpret {x!r} as a polynomial")
     return p
 
@@ -365,10 +325,6 @@ def lvar(name, exp: int = 1) -> LaurentPoly:
 
 P_ZERO = LaurentPoly()
 P_ONE = LaurentPoly.const(1)
-
-
-def _mono_key(mono: Mono):
-    return mono
 
 
 def _strip_content(num: LaurentPoly, den: LaurentPoly):
@@ -389,7 +345,7 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
         inv = tuple(sorted((n, -e) for n, e in shift.items()))
         num = LaurentPoly({_mono_mul(m, inv): c for m, c in num.terms.items()})
         den = LaurentPoly({_mono_mul(m, inv): c for m, c in den.terms.items()})
-    lead = den.terms[max(den.terms, key=_mono_key)]
+    lead = den.terms[max(den.terms)]
     if lead != 1:
         num = LaurentPoly({m: c / lead for m, c in num.terms.items()})
         den = LaurentPoly({m: c / lead for m, c in den.terms.items()})
@@ -517,11 +473,6 @@ def ratfunc_equal(f, g) -> bool:
     return not (f.num * g.den - g.num * f.den)
 
 
-def coeff_zero(c) -> bool:
-    """True when a coefficient (int/Fraction/LaurentPoly/RatFunc) is zero."""
-    return not c
-
-
 def coeff_div(x, y):
     """Exact coefficient division, staying polynomial when y is a nonzero rational."""
     if isinstance(y, (int, Fraction)):
@@ -531,7 +482,3 @@ def coeff_div(x, y):
     if isinstance(y, LaurentPoly) and y.is_const():
         return coeff_div(x, y.const_value())
     return as_ratfunc(x) / as_ratfunc(y)
-
-
-def coeff_str(c) -> str:
-    return str(c)

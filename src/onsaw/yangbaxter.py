@@ -29,10 +29,12 @@ _F2 = Fraction(2)
 # --- the r-matrix --------------------------------------------------------------
 
 
-def r_matrix_num(u: str = "u", v: str = "v"):
-    """Numerator matrix and common denominator (u-v)(uv-1) of the r-matrix."""
+def r_matrix_num(u: str = "u", v="v"):
+    """Numerator matrix and common denominator (u-v)(uv-1) of the r-matrix.
+
+    `v` is a variable name or a coefficient (a rational or a polynomial)."""
     uu = lvar(u)
-    vv = lvar(v)
+    vv = lvar(v) if isinstance(v, str) else v
     one = LaurentPoly.const(1)
     zero = LaurentPoly()
     diag = uu * (one - vv * vv)
@@ -239,30 +241,6 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 # --- exchange-relation checks ------------------------------------------------------
 
 
-def _leg_one(b_entries):
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            row = []
-            for j in range(2):
-                for l in range(2):
-                    row.append(b_entries[i][j] if k == l else ZERO)
-            rows.append(row)
-    return Matrix(rows)
-
-
-def _leg_two(b_entries):
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            row = []
-            for j in range(2):
-                for l in range(2):
-                    row.append(b_entries[k][l] if i == j else ZERO)
-            rows.append(row)
-    return Matrix(rows)
-
-
 def _exchange_residual(bu_entries, bv_entries, den_u, den_v, u, v, bracket_fn):
     """All denominators cleared, the exchange relation reads
 
@@ -283,8 +261,8 @@ def _exchange_residual(bu_entries, bv_entries, den_u, den_v, u, v, bracket_fn):
 
     rhat_12, _ = r_matrix_num(u, v)
     rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
-    b1 = _leg_one(bu_entries)
-    b2 = _leg_two(bv_entries)
+    b1 = kron(Matrix(bu_entries), Matrix.identity(2))
+    b2 = kron(Matrix.identity(2), Matrix(bv_entries))
     term1 = commutator(rhat_21, b1).scale(den_v)
     term2 = commutator(b2, rhat_12).scale(den_u)
     return lie + term1 - term2

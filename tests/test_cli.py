@@ -1,6 +1,7 @@
 """Command-line behaviour: suites, exit codes, determinism, file config."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +150,12 @@ def test_fixtures_suite_records_discrepancy_but_passes(capsys):
     code, out, _ = run(capsys, "verify", "fixtures-appendix-a")
     assert code == 0
     assert "suite fixtures-appendix-a: discrepancy" in out
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks/expected/verify_all.json"
+
+
+def test_verify_all_json_equals_the_golden_report(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    assert out.encode("utf-8") == GOLDEN.read_bytes()

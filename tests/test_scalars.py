@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from onsaw.scalars import (
-    Indeterminate,
     LaurentPoly,
     RatFunc,
     as_ratfunc,
@@ -24,13 +23,6 @@ def test_scalar_arithmetic_textbook():
 def test_scalar_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 2) / Fraction(0)
-
-
-def test_indeterminates_are_interned_and_ordered():
-    assert Indeterminate("u") is Indeterminate("u")
-    assert Indeterminate("u") is not Indeterminate("v")
-    names = sorted(["v", "u", "alpha"])
-    assert names == ["alpha", "u", "v"]
 
 
 def test_difference_of_squares_in_laurent_ring():
