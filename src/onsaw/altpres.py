@@ -58,13 +58,13 @@ def alt_sym_bracket(s: tuple, t: tuple) -> AlgElem:
     if k1 == "Wp" and k2 == "Wm":
         return Gt(i + j, Fraction(-1))
     if k1 == "Gt" and k2 == "Wm":
-        return Wm(i + j + 1, _SIXTEEN) + Wp(i + j, -_SIXTEEN)
+        return AlgElem({("Wm", i + j + 1): _SIXTEEN, ("Wp", i + j): -_SIXTEEN})
     if k1 == "Wm" and k2 == "Gt":
-        return Wm(i + j + 1, -_SIXTEEN) + Wp(i + j, _SIXTEEN)
+        return AlgElem({("Wm", i + j + 1): -_SIXTEEN, ("Wp", i + j): _SIXTEEN})
     if k1 == "Wp" and k2 == "Gt":
-        return Wp(i + j + 1, _SIXTEEN) + Wm(i + j, -_SIXTEEN)
+        return AlgElem({("Wp", i + j + 1): _SIXTEEN, ("Wm", i + j): -_SIXTEEN})
     if k1 == "Gt" and k2 == "Wp":
-        return Wp(i + j + 1, -_SIXTEEN) + Wm(i + j, _SIXTEEN)
+        return AlgElem({("Wp", i + j + 1): -_SIXTEEN, ("Wm", i + j): _SIXTEEN})
     raise TypeError(f"not alternative-presentation symbols: {s}, {t}")
 
 

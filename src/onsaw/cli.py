@@ -491,7 +491,7 @@ def main(argv=None) -> int:
             print(converted)
             return 0
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, ExprError, ValueError, KeyError) as exc:
+    except (InputError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

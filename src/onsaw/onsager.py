@@ -26,6 +26,8 @@ from functools import partial
 from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .reports import Report
 
+_TWO = Fraction(2)
+
 
 def A(n: int, coeff=Fraction(1)) -> AlgElem:
     return AlgElem({("A", int(n)): coeff})
@@ -48,9 +50,9 @@ def sym_bracket(s: tuple, t: tuple) -> AlgElem:
     if k1 == "A" and k2 == "A":
         return G(i - j, Fraction(4))
     if k1 == "G" and k2 == "A":
-        return A(i + j, Fraction(2)) + A(j - i, Fraction(-2))
+        return AlgElem({("A", i + j): _TWO, ("A", j - i): -_TWO})
     if k1 == "A" and k2 == "G":
-        return A(j + i, Fraction(-2)) + A(i - j, Fraction(2))
+        return AlgElem({("A", j + i): -_TWO, ("A", i - j): _TWO})
     if k1 == "G" and k2 == "G":
         return ZERO
     raise TypeError(f"not Onsager basis symbols: {s}, {t}")

@@ -46,6 +46,15 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "suite dg: fail" in out
 
 
+def test_internal_key_error_is_not_reported_as_an_input_error(capsys, monkeypatch):
+    def broken(opts):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "dg", broken)
+    with pytest.raises(KeyError):
+        cli.main(["verify", "dg"])
+
+
 def test_unknown_suite_is_an_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "no-such-suite"])

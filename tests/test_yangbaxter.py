@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from onsaw.altpres import QuotientA, beta_from_alpha
+from onsaw.matrices import Matrix
 from onsaw.onsager import A, G
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
@@ -22,6 +23,7 @@ from onsaw.yangbaxter import (
     p_poly,
     p_tilde_poly,
     r_matrix,
+    r_matrix_num,
     reD_survey,
     verify_commuting,
     verify_cybe,
@@ -65,6 +67,17 @@ def test_cybe_negative_control():
     by_id = {c.id: c for c in report.checks}
     assert by_id["cybe:symbolic"].status == FAIL
     # the numeric spot check must agree with the symbolic verdict
+    assert by_id["cybe:numeric-agrees"].status == "pass"
+
+
+@pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
+def test_cybe_rejects_each_shifted_numerator_entry(entry):
+    num, den = r_matrix_num()
+    rows = [list(row) for row in num.entries]
+    rows[entry[0]][entry[1]] = rows[entry[0]][entry[1]] + LaurentPoly.const(1)
+    report = verify_cybe((Matrix(rows), den))
+    by_id = {c.id: c for c in report.checks}
+    assert by_id["cybe:symbolic"].status == FAIL
     assert by_id["cybe:numeric-agrees"].status == "pass"
 
 
