@@ -264,7 +264,7 @@ def _suite_rep(opts) -> Report:
     for ws in configs:
         q, rep = rep_build(ws)
         report.extend(rep_check(q, rep))
-        report.extend(rep_matrix_identity_report(ws))
+        report.extend(rep_matrix_identity_report(ws, q, rep))
         if opts.w:
             for sym in q.basis_syms():
                 rows = "; ".join(

@@ -223,13 +223,14 @@ _SAMPLE_VALUES = [Fraction(n) for n in (2, 3, 5, 7, 11, 13)] + [
 ]
 
 
-def rep_matrix_identity_report(ws, u: str = "u") -> Report:
+def rep_matrix_identity_report(ws, q: QuotientO, rep: dict, u: str = "u") -> Report:
     """Independent cross-check at a rational sample value of u: the identity
     p(u) S(u) = pi(B-hat(u)) holds for all four blocks at once, cleared of the
-    leg denominators D_j: p sum_j N_j prod_{i != j} D_i = prod_i D_i pi(B-hat)."""
+    leg denominators D_j: p sum_j N_j prod_{i != j} D_i = prod_i D_i pi(B-hat).
+
+    (q, rep) is the representation rep_build(ws, u) extracted."""
     ws = [_as_coeff(w) for w in ws]
     N = len(ws)
-    q, rep = rep_build(ws, u)
     B = build_B_onsager(q, u)
     p_of_u = p_poly(q, u)
     dim = 2**N

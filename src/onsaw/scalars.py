@@ -1,18 +1,50 @@
 """Exact coefficient arithmetic: rationals, sparse Laurent polynomials, rational functions.
 
-Everything here is exact.  The scalar type is ``fractions.Fraction`` (already in
-canonical lowest-terms form, positive denominator).  On top of it sit sparse
-multivariate Laurent polynomials (integer exponents of either sign) and
+Everything here is exact.  The scalars are the rationals: sparse multivariate
+Laurent polynomials (integer exponents of either sign) over them, and
 fractions of those.  Rational functions are *not* reduced to a canonical form:
 equality is decided by cross multiplication, and a cheap normalisation (strip
 common monomial content, scale the denominator's leading coefficient to 1)
 keeps growth bounded.
+
+Coefficient rule: a stored polynomial coefficient is an ``int`` when it is
+integral and a ``fractions.Fraction`` (lowest terms, positive denominator)
+otherwise, so integer products and sums never enter ``fractions.py``.  Every
+operation here that makes coefficients returns them in that form; ``3 ==
+Fraction(3)``, their hashes and their ``str`` agree, so a term map holding an
+integral ``Fraction`` (built by hand) still compares and renders the same.
+In a mixed product or sum the ``Fraction`` stands on the left: ``int *
+Fraction`` would go through ``Fraction.__rmul__`` and its ABC check.  Two
+``int``s are never divided (that gives a ``float``); division goes through the
+``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
+``evaluate``, are always ``Fraction``.
 """
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _coeff(c):
+    """A rational as a stored coefficient: int if integral, else Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _integral_to_int(terms: dict) -> dict:
+    """Apply the coefficient rule, in place, to a term map the caller owns."""
+    for mono, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[mono] = c.numerator
+    return terms
+
+
+def _inverse(c) -> Fraction:
+    """1/c as a Fraction, for a nonzero int or Fraction c."""
+    return Fraction(c.denominator, c.numerator)
 
 
 # A monomial is a tuple of (variable name, nonzero exponent) pairs, sorted by
@@ -36,10 +68,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 class LaurentPoly:
-    """Sparse multivariate Laurent polynomial with Fraction coefficients.
+    """Sparse multivariate Laurent polynomial with rational coefficients.
 
-    Stored as ``terms: dict[Mono, Fraction]`` with no zero coefficients.
-    Two polynomials are equal iff their term maps are identical.
+    Stored as ``terms: dict[Mono, int | Fraction]`` with no zero coefficients,
+    integral ones as ``int`` (the module's coefficient rule).  Two polynomials
+    are equal iff their term maps are identical.
     """
 
     __slots__ = ("terms",)
@@ -51,18 +84,18 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = _coeff(c)
         return cls({(): c} if c else {})
 
     @classmethod
     def var(cls, v, exp: int = 1) -> "LaurentPoly":
         if exp == 0:
             return cls.const(1)
-        return cls({((str(v), exp),): _ONE})
+        return cls({((str(v), exp),): 1})
 
     @classmethod
     def monomial(cls, coeff, exps: dict) -> "LaurentPoly":
-        coeff = Fraction(coeff)
+        coeff = _coeff(coeff)
         if not coeff:
             return cls()
         mono = tuple(sorted((str(v), e) for v, e in exps.items() if e))
@@ -79,7 +112,7 @@ class LaurentPoly:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     def variables(self) -> set:
         names = set()
@@ -96,11 +129,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            c2 = out.get(mono, _ZERO) + c
-            if c2:
+            old = out.get(mono)
+            if old is None:
+                out[mono] = c
+                continue
+            c2 = c + old if type(old) is int else old + c
+            if not c2:
+                del out[mono]
+            elif type(c2) is int or c2.denominator != 1:
                 out[mono] = c2
             else:
-                out.pop(mono, None)
+                out[mono] = c2.numerator
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -131,14 +170,20 @@ class LaurentPoly:
             a, b = b, a
         out: dict = {}
         for m1, c1 in a.items():
+            c1_int = type(c1) is int
             for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
-                c = out.get(m, _ZERO) + c1 * c2
+                p = c2 * c1 if c1_int else c1 * c2
+                old = out.get(m)
+                if old is None:
+                    out[m] = p
+                    continue
+                c = p + old if type(old) is int else old + p
                 if c:
                     out[m] = c
                 else:
                     del out[m]
-        return LaurentPoly(out)
+        return LaurentPoly(_integral_to_int(out))
 
     __rmul__ = __mul__
 
@@ -162,8 +207,11 @@ class LaurentPoly:
         if mono is not None:
             m, c = mono
             inv = tuple((name, -e) for name, e in m)
+            inv_c = _inverse(c)
             return LaurentPoly(
-                {_mono_mul(t, inv): tc / c for t, tc in self.terms.items()}
+                _integral_to_int(
+                    {_mono_mul(t, inv): inv_c * tc for t, tc in self.terms.items()}
+                )
             )
         return RatFunc(self, other)
 
@@ -201,8 +249,8 @@ class LaurentPoly:
                 base = named[name]
                 if base == 0 and e < 0:
                     raise ZeroDivisionError(f"pole: {name} = 0 raised to {e}")
-                value *= base**e
-            total += value
+                value = base**e * value
+            total = total + value
         return total
 
     def subs(self, v, value) -> "LaurentPoly":
@@ -216,14 +264,18 @@ class LaurentPoly:
             if e:
                 if value == 0 and e < 0:
                     raise ZeroDivisionError(f"pole: {name} = 0 raised to {e}")
-                coeff = coeff * value**e
+                coeff = value**e * coeff
             m = tuple(sorted(exps.items()))
-            c2 = out.get(m, _ZERO) + coeff
+            old = out.get(m)
+            if old is None:
+                out[m] = coeff
+                continue
+            c2 = coeff + old if type(old) is int else old + coeff
             if c2:
                 out[m] = c2
             else:
-                out.pop(m, None)
-        return LaurentPoly(out)
+                del out[m]
+        return LaurentPoly(_integral_to_int(out))
 
     def rename(self, mapping: dict) -> "LaurentPoly":
         """Rename variables; target names must not collide with survivors."""
@@ -334,21 +386,32 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
         raise ZeroDivisionError("rational function with zero denominator")
     if not num.terms:
         return P_ZERO, P_ONE
-    monos = list(num.terms) + list(den.terms)
-    names = {name for mono in monos for name, _ in mono}
-    shift = {}
-    for name in names:
-        e = min(dict(mono).get(name, 0) for mono in monos)
-        if e:
-            shift[name] = e
+    # The smallest exponent of each variable over all monomials, 0 for a
+    # variable that some monomial lacks.
+    low: dict = {}
+    hits: dict = {}
+    for mono in (*num.terms, *den.terms):
+        for name, e in mono:
+            if name in low:
+                hits[name] += 1
+                if e < low[name]:
+                    low[name] = e
+            else:
+                low[name] = e
+                hits[name] = 1
+    count = len(num.terms) + len(den.terms)
+    shift = {
+        name: e for name, e in low.items() if e < 0 or (e and hits[name] == count)
+    }
     if shift:
         inv = tuple(sorted((n, -e) for n, e in shift.items()))
         num = LaurentPoly({_mono_mul(m, inv): c for m, c in num.terms.items()})
         den = LaurentPoly({_mono_mul(m, inv): c for m, c in den.terms.items()})
     lead = den.terms[max(den.terms)]
     if lead != 1:
-        num = LaurentPoly({m: c / lead for m, c in num.terms.items()})
-        den = LaurentPoly({m: c / lead for m, c in den.terms.items()})
+        inv = _inverse(lead)
+        num = LaurentPoly(_integral_to_int({m: inv * c for m, c in num.terms.items()}))
+        den = LaurentPoly(_integral_to_int({m: inv * c for m, c in den.terms.items()}))
     return num, den
 
 

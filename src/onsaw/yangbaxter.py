@@ -498,15 +498,20 @@ def verify_reD(
     legitimate experiment and the report simply records whether the identity
     holds for the chosen one, with a numeric consistency spot check.  rbar
     enters as its numerator: its denominator is a nonzero scalar, so it does
-    not change whether the commutator vanishes.
+    not change whether the commutator vanishes.  The spot check evaluates
+    rbar, M(u) and M(v) first and multiplies over Fraction, so it does not
+    share the polynomial multiplication of the symbolic verdict.
     """
     if c is None:
         c = ChargeParams.symbolic()
     report = Report("reD", params={"interpretation": interpretation})
-    rbar = _red_candidate(interpretation, u, v)
-    m1 = kron(m_matrix(c, u), Matrix.identity(2))
-    traced = partial_trace(rbar * m1, 1)
-    comm = commutator(traced, m_matrix(c, v))
+    matrices = (_red_candidate(interpretation, u, v), m_matrix(c, u), m_matrix(c, v))
+
+    def identity_lhs(rbar, m_u, m_v):
+        traced = partial_trace(rbar * kron(m_u, Matrix.identity(2)), 1)
+        return commutator(traced, m_v)
+
+    comm = identity_lhs(*matrices)
     bad = [(i, j) for i in range(2) for j in range(2) if comm[i, j]]
     report.add(
         f"reD:{interpretation}:symbolic",
@@ -520,9 +525,10 @@ def verify_reD(
         "kappas": Fraction(2),
         "mu": Fraction(5),
     }
+    numeric = identity_lhs(*(m.evaluate(bindings) for m in matrices))
     report.add(
         f"reD:{interpretation}:numeric-agrees",
-        comm.evaluate(bindings).is_zero() == (not bad),
+        numeric.is_zero() == (not bad),
         "numeric evaluation disagrees with the symbolic verdict",
     )
     return report

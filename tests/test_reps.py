@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import onsaw.reps as reps
 from onsaw.matrices import Matrix, commutator
 from onsaw.reports import FAIL
 from onsaw.reps import (
@@ -60,21 +59,16 @@ def test_rep_check_n1_and_n2_symbolic():
 
 
 def test_rep_block_identity():
-    assert rep_matrix_identity_report(["w"]).status == "pass"
-    assert rep_matrix_identity_report(["w1", "w2"]).status == "pass"
+    for ws in (["w"], ["w1", "w2"]):
+        q, rep = rep_build(ws)
+        assert rep_matrix_identity_report(ws, q, rep).status == "pass"
 
 
 @pytest.mark.parametrize("ws", [["w"], ["w1", "w2"], [3, 5]])
-def test_rep_block_identity_rejects_a_wrong_generator_matrix(ws, monkeypatch):
-    build = reps.rep_build
-
-    def doubled(points, u="u"):
-        q, rep = build(points, u)
-        rep[("A", 0)] = rep[("A", 0)].scale(Fraction(2))
-        return q, rep
-
-    monkeypatch.setattr(reps, "rep_build", doubled)
-    assert rep_matrix_identity_report(ws).status == FAIL
+def test_rep_block_identity_rejects_a_wrong_generator_matrix(ws):
+    q, rep = rep_build(ws)
+    rep[("A", 0)] = rep[("A", 0)].scale(Fraction(2))
+    assert rep_matrix_identity_report(ws, q, rep).status == FAIL
 
 
 def test_rep_concrete_point():

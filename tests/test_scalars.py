@@ -1,5 +1,6 @@
 """Exact arithmetic layer: rationals, Laurent polynomials, rational functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,70 @@ def test_monomial_division_stays_polynomial():
     q = p / lvar("u")
     assert isinstance(q, LaurentPoly)
     assert q == lvar("u") + LaurentPoly.const(1)
+
+
+def _kernel_poly(rng):
+    """A polynomial built by kernel operations; its coefficients mix integers
+    and halves/thirds, so products and sums of non-integral ones can be
+    integral."""
+    p = LaurentPoly()
+    for _ in range(rng.randint(1, 4)):
+        exps = {name: rng.randint(-2, 2) for name in ("x", "y")}
+        coeff = rng.choice(
+            [1, -1, 2, 3, -6, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+        )
+        p = p + LaurentPoly.monomial(coeff, exps)
+    return p
+
+
+def _integral_fractions(p: LaurentPoly) -> list:
+    return [
+        c for c in p.terms.values() if isinstance(c, Fraction) and c.denominator == 1
+    ]
+
+
+def test_kernel_stores_integral_coefficients_as_int():
+    rng = random.Random(404)
+    seen = {int: 0, Fraction: 0}
+    for _ in range(300):
+        p, q = _kernel_poly(rng), _kernel_poly(rng)
+        divisor = LaurentPoly.monomial(
+            rng.choice([2, Fraction(1, 2), Fraction(-2, 3)]), {"x": 1}
+        )
+        results = [
+            p + q,
+            p - q,
+            p * q,
+            p / divisor,
+            p.subs("x", rng.choice([2, Fraction(1, 2), Fraction(-3, 2)])),
+            p**2,
+        ]
+        if q:
+            f = RatFunc(p, q)
+            results += [f.num, f.den]
+        for r in results:
+            assert _integral_fractions(r) == [], r
+            for c in r.terms.values():
+                seen[type(c)] += 1
+    # both kinds of coefficient occur, so the check is not vacuous
+    assert seen[int] and seen[Fraction]
+    assert type(LaurentPoly.const(Fraction(4, 2)).terms[()]) is int
+
+
+def test_values_leaving_the_kernel_are_fractions():
+    p = lvar("u") * 2 + LaurentPoly.const(3)
+    bindings = {"u": 5}
+    for value in (
+        LaurentPoly.const(3).const_value(),
+        LaurentPoly().const_value(),
+        p.evaluate(bindings),
+        LaurentPoly().evaluate(bindings),
+        LaurentPoly.const(7).evaluate({}),
+        1 / p.evaluate(bindings),
+        RatFunc(p, LaurentPoly.const(2)).evaluate(bindings),
+    ):
+        assert type(value) is Fraction, value
+    assert 1 / p.evaluate(bindings) == Fraction(1, 13)
 
 
 def test_as_ratfunc_coercions():

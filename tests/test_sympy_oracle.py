@@ -25,14 +25,18 @@ RING = FIELD.ring
 
 def rand_poly(rng, max_terms=4):
     """A nonzero polynomial with exponents in -3..3, built from its term map
-    without onsaw arithmetic."""
+    without onsaw arithmetic.  Half of its integral coefficients are stored as
+    int, the rest as Fraction, so mixed int/Fraction operands occur."""
     terms = {}
     while not terms:
         for _ in range(rng.randint(1, max_terms)):
             exps = ((name, rng.randint(-3, 3)) for name in NAMES)
             mono = tuple((name, e) for name, e in exps if e)
             sign = rng.choice([-1, 1])
-            terms[mono] = Fraction(sign * rng.randint(1, 9), rng.randint(1, 4))
+            c = Fraction(sign * rng.randint(1, 9), rng.randint(1, 4))
+            if c.denominator == 1 and rng.choice([False, True]):
+                c = c.numerator
+            terms[mono] = c
     return LaurentPoly(terms)
 
 

@@ -270,6 +270,32 @@ def test_reD_plain_reading_holds():
     assert verify_reD().status == "pass"
 
 
+def test_reD_numeric_check_is_independent_of_polynomial_multiplication(monkeypatch):
+    # A multiplication that drops one term of every product of two
+    # multi-term polynomials sways the symbolic verdict only; the numeric
+    # check multiplies evaluated matrices and must then disagree with it.
+    exact = LaurentPoly.__mul__
+
+    def drops_a_term(self, other):
+        out = exact(self, other)
+        if (
+            isinstance(other, LaurentPoly)
+            and len(self.terms) > 1
+            and len(other.terms) > 1
+            and out.terms
+        ):
+            terms = dict(out.terms)
+            del terms[next(iter(terms))]
+            return LaurentPoly(terms)
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", drops_a_term)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", drops_a_term)
+    status = {ch.id: ch.status for ch in verify_reD(interpretation="r12").checks}
+    assert status["reD:r12:symbolic"] == FAIL
+    assert status["reD:r12:numeric-agrees"] == FAIL
+
+
 def test_reD_survey_records_each_reading():
     survey = reD_survey()
     assert survey["r12"] is True
