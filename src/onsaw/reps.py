@@ -74,24 +74,6 @@ def rep_quotient(ws) -> QuotientO:
     return QuotientO(rep_alphas(ws))
 
 
-def _u_coeffs(poly, u: str) -> dict:
-    """Split a Laurent polynomial into {power of u: coefficient in the rest}."""
-    out = {}
-    if isinstance(poly, Fraction):
-        poly = LaurentPoly.const(poly)
-    for mono, c in poly.terms.items():
-        exps = dict(mono)
-        e = exps.pop(u, 0)
-        rest = tuple(sorted(exps.items()))
-        bucket = out.setdefault(e, {})
-        c2 = bucket.get(rest, Fraction(0)) + c
-        if c2:
-            bucket[rest] = c2
-        else:
-            bucket.pop(rest, None)
-    return {e: LaurentPoly(bucket) for e, bucket in out.items() if bucket}
-
-
 def _peel_solve(rows, nunknowns, entry_count):
     """Solve sum_k row.coeffs[k] X_k = row.rhs by repeatedly peeling rows that
     carry a single unsolved unknown with an invertible (monomial) coefficient.
@@ -160,9 +142,9 @@ def rep_build(ws, u: str = "u"):
     shift = lvar(u, N) * wprod
 
     def extract(entry: AlgElem, a: int, b: int, syms: list) -> list:
-        coeff_tables = [_u_coeffs(entry.coeff(sym) * shift, u) for sym in syms]
+        coeff_tables = [(entry.coeff(sym) * shift).coefficients_in(u) for sym in syms]
         rhs_tables = [
-            _u_coeffs(total_num[a * dim + s, b * dim + t], u)
+            total_num[a * dim + s, b * dim + t].coefficients_in(u)
             for s in range(dim)
             for t in range(dim)
         ]

@@ -18,8 +18,27 @@ Fraction`` would go through ``Fraction.__rmul__`` and its ABC check.  Two
 ``int``s are never divided (that gives a ``float``); division goes through the
 ``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
 ``evaluate``, are always ``Fraction``.
+
+Monomial encoding: a term-map key is one ``int``, ``sum(e_i << (64 * i))``,
+where ``e_i`` is the exponent of the variable with index ``i`` in an
+append-only registry of names (a name gets the next index the first time it
+is seen) and each exponent sits in a signed 64-bit field.  The constant
+monomial is ``0``, multiplying two monomials is one integer addition and
+dividing by one is a subtraction (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", 2007).  Every
+entry point that makes exponents (``var``, ``monomial``,
+``encode_monomial``, ``**`` and the re-encoding in ``subs``, ``rename``,
+``invert_var`` and ``coefficients_in``) raises ``ValueError`` for an
+exponent with ``|e| >= 2**31``, so a field can overflow only after more
+than ``2**32`` successive products.  Code that needs names or their order
+decodes a key to the sorted ``(name, exp)`` tuple first (memoised), so
+rendering and the choice of a leading term do not depend on the order in
+which names were registered.  Only this module builds or reads keys; the
+public pair ``encode_monomial``/``decode_monomial`` converts them to and
+from exponent dicts.
 """
 
+import threading
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -47,30 +66,79 @@ def _inverse(c) -> Fraction:
     return Fraction(c.denominator, c.numerator)
 
 
-# A monomial is a tuple of (variable name, nonzero exponent) pairs, sorted by
-# name.  The empty tuple is the constant monomial.
-Mono = tuple
+# Packed monomials (see the module docstring): the field width, the exponent
+# bound, the name registry and the memo of decoded keys.
+_FIELD = 64
+_MASK = (1 << _FIELD) - 1
+_SIGN = 1 << (_FIELD - 1)
+_EXP_BOUND = 1 << 31
+_shift_of: dict = {}  # name -> bit offset of its field
+_names: list = []  # field index -> name
+_decoded: dict = {0: ()}  # key -> sorted (name, exp) tuple
+_registry_lock = threading.Lock()
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for name, e in b:
-        e2 = merged.get(name, 0) + e
-        if e2:
-            merged[name] = e2
-        else:
-            del merged[name]
-    return tuple(sorted(merged.items()))
+def _encode(pairs) -> int:
+    """The key of (name, exp) pairs, registering new names; ValueError for
+    |exp| >= 2**31."""
+    key = 0
+    for name, e in pairs:
+        if not -_EXP_BOUND < e < _EXP_BOUND:
+            raise ValueError(f"exponent {e} of {name} is out of range (|e| < 2**31)")
+        if e:
+            shift = _shift_of.get(name)
+            if shift is None:
+                shift = _register(name)
+            key += e << shift
+    return key
+
+
+def _register(name: str) -> int:
+    # Two threads registering one name must not give it two fields, or equal
+    # monomials would get unequal keys.
+    with _registry_lock:
+        shift = _shift_of.get(name)
+        if shift is None:
+            _names.append(name)
+            shift = _shift_of[name] = _FIELD * (len(_names) - 1)
+        return shift
+
+
+def _decode(key: int) -> tuple:
+    """The sorted (name, exp) tuple of a key (memoised)."""
+    pairs = _decoded.get(key)
+    if pairs is None:
+        found = []
+        m, i = key, 0
+        while m:
+            e = m & _MASK
+            if e & _SIGN:
+                e -= 1 << _FIELD
+            if e:
+                found.append((_names[i], e))
+            m = (m - e) >> _FIELD
+            i += 1
+        pairs = _decoded[key] = tuple(sorted(found))
+    return pairs
+
+
+def encode_monomial(exps: dict) -> int:
+    """The term-map key of the monomial with exponents {variable: exp}.
+
+    Raises ValueError for an exponent with |exp| >= 2**31."""
+    return _encode((str(v), e) for v, e in exps.items())
+
+
+def decode_monomial(key: int) -> dict:
+    """The exponents {name: exp} of a term-map key (zero exponents omitted)."""
+    return dict(_decode(key))
 
 
 class LaurentPoly:
     """Sparse multivariate Laurent polynomial with rational coefficients.
 
-    Stored as ``terms: dict[Mono, int | Fraction]`` with no zero coefficients,
+    Stored as ``terms: dict[int, int | Fraction]``, packed monomial keys (see
+    ``encode_monomial``) to coefficients, with no zero coefficients and
     integral ones as ``int`` (the module's coefficient rule).  Two polynomials
     are equal iff their term maps are identical.
     """
@@ -85,21 +153,19 @@ class LaurentPoly:
     @classmethod
     def const(cls, c) -> "LaurentPoly":
         c = _coeff(c)
-        return cls({(): c} if c else {})
+        return cls({0: c} if c else {})
 
     @classmethod
     def var(cls, v, exp: int = 1) -> "LaurentPoly":
-        if exp == 0:
-            return cls.const(1)
-        return cls({((str(v), exp),): 1})
+        """v**exp; raises ValueError for |exp| >= 2**31."""
+        return cls({_encode(((str(v), exp),)): 1})
 
     @classmethod
     def monomial(cls, coeff, exps: dict) -> "LaurentPoly":
+        """coeff times prod v**e over exps; raises ValueError for |e| >= 2**31."""
         coeff = _coeff(coeff)
-        if not coeff:
-            return cls()
-        mono = tuple(sorted((str(v), e) for v, e in exps.items() if e))
-        return cls({mono: coeff})
+        key = encode_monomial(exps)
+        return cls({key: coeff} if coeff else {})
 
     # -- predicates --------------------------------------------------------
 
@@ -107,19 +173,12 @@ class LaurentPoly:
         return bool(self.terms)
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self.terms.get((), 0))
-
-    def variables(self) -> set:
-        names = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
+        return Fraction(self.terms.get(0, 0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -172,7 +231,7 @@ class LaurentPoly:
         for m1, c1 in a.items():
             c1_int = type(c1) is int
             for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 p = c2 * c1 if c1_int else c1 * c2
                 old = out.get(m)
                 if old is None:
@@ -188,8 +247,13 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self**n for n >= 0; raises ValueError when n times the largest
+        |exponent| reaches 2**31."""
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
+        top = max((abs(e) for m in self.terms for _, e in _decode(m)), default=0)
+        if n * top >= _EXP_BOUND:
+            raise ValueError(f"power {n} takes an exponent out of range (|e| < 2**31)")
         out = LaurentPoly.const(1)
         base = self
         while n:
@@ -206,12 +270,9 @@ class LaurentPoly:
         mono = other._as_monomial()
         if mono is not None:
             m, c = mono
-            inv = tuple((name, -e) for name, e in m)
             inv_c = _inverse(c)
             return LaurentPoly(
-                _integral_to_int(
-                    {_mono_mul(t, inv): inv_c * tc for t, tc in self.terms.items()}
-                )
+                _integral_to_int({t - m: inv_c * tc for t, tc in self.terms.items()})
             )
         return RatFunc(self, other)
 
@@ -245,7 +306,7 @@ class LaurentPoly:
         total = _ZERO
         for mono, coeff in self.terms.items():
             value = coeff
-            for name, e in mono:
+            for name, e in _decode(mono):
                 base = named[name]
                 if base == 0 and e < 0:
                     raise ZeroDivisionError(f"pole: {name} = 0 raised to {e}")
@@ -254,56 +315,56 @@ class LaurentPoly:
         return total
 
     def subs(self, v, value) -> "LaurentPoly":
-        """Substitute one variable by an exact rational, keeping the others."""
+        """Substitute one variable by an exact rational, keeping the others.
+
+        Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
         name = str(v)
         value = Fraction(value)
         out: dict = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
+            exps = dict(_decode(mono))
             e = exps.pop(name, 0)
             if e:
                 if value == 0 and e < 0:
                     raise ZeroDivisionError(f"pole: {name} = 0 raised to {e}")
                 coeff = value**e * coeff
-            m = tuple(sorted(exps.items()))
-            old = out.get(m)
+                mono = _encode(exps.items())
+            old = out.get(mono)
             if old is None:
-                out[m] = coeff
+                out[mono] = coeff
                 continue
             c2 = coeff + old if type(old) is int else old + coeff
             if c2:
-                out[m] = c2
+                out[mono] = c2
             else:
-                del out[m]
+                del out[mono]
         return LaurentPoly(_integral_to_int(out))
 
     def rename(self, mapping: dict) -> "LaurentPoly":
-        """Rename variables; target names must not collide with survivors."""
+        """Rename variables; target names must not collide with survivors.
+
+        Raises ValueError on a collision, or when a re-encoded exponent has
+        |e| >= 2**31."""
         named = {str(a): str(b) for a, b in mapping.items()}
         out: dict = {}
         for mono, coeff in self.terms.items():
-            m = tuple(sorted((named.get(name, name), e) for name, e in mono))
-            if m in out:
+            pairs = [(named.get(name, name), e) for name, e in _decode(mono)]
+            m = _encode(pairs)
+            if m in out or len({name for name, _ in pairs}) < len(pairs):
                 raise ValueError("rename collides with an existing variable")
             out[m] = coeff
         return LaurentPoly(out)
 
     def invert_var(self, v) -> "LaurentPoly":
-        """Substitute v -> 1/v (negate that variable's exponents)."""
+        """Substitute v -> 1/v (negate that variable's exponents).
+
+        Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
         name = str(v)
         out = {}
         for mono, coeff in self.terms.items():
-            m = tuple(
-                sorted((n, -e) if n == name else (n, e) for n, e in mono)
-            )
+            m = _encode((n, -e) if n == name else (n, e) for n, e in _decode(mono))
             out[m] = coeff
         return LaurentPoly(out)
-
-    def degree_in(self, v) -> int | None:
-        """Highest exponent of v, or None for the zero polynomial."""
-        name = str(v)
-        degs = [dict(mono).get(name, 0) for mono in self.terms]
-        return max(degs) if degs else None
 
     def truncate(self, bounds: dict) -> "LaurentPoly":
         """Drop monomials whose exponent of any listed variable exceeds its bound
@@ -313,7 +374,7 @@ class LaurentPoly:
             named[str(v)] = b if isinstance(b, tuple) else (None, b)
         out = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
+            exps = dict(_decode(mono))
             keep = True
             for name, (lo, hi) in named.items():
                 e = exps.get(name, 0)
@@ -327,15 +388,22 @@ class LaurentPoly:
                 out[mono] = coeff
         return LaurentPoly(out)
 
+    def coefficients_in(self, v) -> dict:
+        """Split by powers of v: {exp: polynomial coefficient of v**exp}, with
+        v removed from the coefficients.
+
+        Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
+        name = str(v)
+        out: dict = {}
+        for mono, coeff in self.terms.items():
+            exps = dict(_decode(mono))
+            e = exps.pop(name, 0)
+            out.setdefault(e, {})[_encode(exps.items()) if e else mono] = coeff
+        return {e: LaurentPoly(terms) for e, terms in out.items()}
+
     def coefficient_of(self, v, exp: int) -> "LaurentPoly":
         """Polynomial coefficient of v**exp (v removed from the result)."""
-        name = str(v)
-        out = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            if exps.pop(name, 0) == exp:
-                out[tuple(sorted(exps.items()))] = coeff
-        return LaurentPoly(out)
+        return self.coefficients_in(v).get(exp, LaurentPoly())
 
     # -- rendering -----------------------------------------------------------
 
@@ -343,11 +411,11 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in sorted(self.terms.items()):
+        for mono, coeff in sorted(self.terms.items(), key=lambda t: _decode(t[0])):
             factors = []
             if coeff != 1 or not mono:
                 factors.append(str(coeff))
-            for name, e in mono:
+            for name, e in _decode(mono):
                 factors.append(name if e == 1 else f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
@@ -391,7 +459,7 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
     low: dict = {}
     hits: dict = {}
     for mono in (*num.terms, *den.terms):
-        for name, e in mono:
+        for name, e in _decode(mono):
             if name in low:
                 hits[name] += 1
                 if e < low[name]:
@@ -404,10 +472,10 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
         name: e for name, e in low.items() if e < 0 or (e and hits[name] == count)
     }
     if shift:
-        inv = tuple(sorted((n, -e) for n, e in shift.items()))
-        num = LaurentPoly({_mono_mul(m, inv): c for m, c in num.terms.items()})
-        den = LaurentPoly({_mono_mul(m, inv): c for m, c in den.terms.items()})
-    lead = den.terms[max(den.terms)]
+        low_key = _encode(shift.items())
+        num = LaurentPoly({m - low_key: c for m, c in num.terms.items()})
+        den = LaurentPoly({m - low_key: c for m, c in den.terms.items()})
+    lead = den.terms[max(den.terms, key=_decode)]
     if lead != 1:
         inv = _inverse(lead)
         num = LaurentPoly(_integral_to_int({m: inv * c for m, c in num.terms.items()}))

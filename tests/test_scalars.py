@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from onsaw import scalars
 from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
     as_ratfunc,
+    decode_monomial,
+    encode_monomial,
     lvar,
     ratfunc_equal,
 )
@@ -167,7 +170,7 @@ def test_kernel_stores_integral_coefficients_as_int():
                 seen[type(c)] += 1
     # both kinds of coefficient occur, so the check is not vacuous
     assert seen[int] and seen[Fraction]
-    assert type(LaurentPoly.const(Fraction(4, 2)).terms[()]) is int
+    assert type(LaurentPoly.const(Fraction(4, 2)).terms[encode_monomial({})]) is int
 
 
 def test_values_leaving_the_kernel_are_fractions():
@@ -190,3 +193,110 @@ def test_as_ratfunc_coercions():
     assert ratfunc_equal(as_ratfunc(Fraction(1, 2)) * 2, 1)
     u = lvar("u")
     assert ratfunc_equal(1 / as_ratfunc(u), RatFunc(1, u))
+
+
+def test_coefficients_in_splits_by_powers_and_keeps_int_coefficients():
+    u, w = lvar("u"), lvar("w")
+    p = u * 3 + w * u * 2 + LaurentPoly.const(5) + lvar("u", -2) * Fraction(1, 2)
+    split = p.coefficients_in("u")
+    assert split == {
+        1: w * 2 + LaurentPoly.const(3),
+        0: LaurentPoly.const(5),
+        -2: LaurentPoly.const(Fraction(1, 2)),
+    }
+    for e in (1, 0):
+        assert all(type(c) is int for c in split[e].terms.values()), split[e]
+    assert p.coefficient_of("u", 1) == split[1]
+    assert p.coefficient_of("u", 3) == LaurentPoly()
+
+
+@pytest.mark.parametrize("e", [2**31, -(2**31)])
+def test_exponents_at_the_bound_raise(e):
+    with pytest.raises(ValueError):
+        LaurentPoly.var("x", e)
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(3, {"x": 1, "y": e})
+    with pytest.raises(ValueError):
+        lvar("x", e // 2) ** 2
+    # one below the bound is accepted
+    inside = e - 1 if e > 0 else e + 1
+    assert LaurentPoly.var("x", inside) * lvar("x", -inside) == LaurentPoly.const(1)
+    assert lvar("x", e // 2 - (1 if e > 0 else -1)) ** 2
+    # a product may leave the bound; re-encoding such a monomial raises
+    big = lvar("x", inside) * lvar("x", 1 if e > 0 else -1) * lvar("y")
+    for reencode in (
+        lambda: big.rename({"x": "z"}),
+        lambda: big.invert_var("y"),
+        lambda: big.subs("y", 2),
+        lambda: big.coefficient_of("y", 1),
+    ):
+        with pytest.raises(ValueError):
+            reencode()
+
+
+def _reference_product(a: dict, b: dict) -> dict:
+    """Product of {sorted (name, exp) tuple: coeff} maps, monomials multiplied
+    through plain exponent dicts."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_packed_products_agree_with_exponent_dicts():
+    # Mixed signs in neighbouring fields make the packed sums borrow and
+    # carry; exponents next to the bound reach 2**32 in a product.
+    rng = random.Random(505)
+    names = [f"pk{i:02d}" for i in range(40)]
+    rng.shuffle(names)
+    near = 2**31 - 1
+
+    def exponent():
+        kind = rng.random()
+        if kind < 0.3:
+            return rng.randint(-3, 3)
+        if kind < 0.9:
+            return rng.randint(-(10**6), 10**6)
+        return rng.choice([near, -near])
+
+    def rand_poly():
+        ref = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = {n: exponent() for n in rng.sample(names, rng.randint(0, 6))}
+            m = tuple(sorted((n, e) for n, e in exps.items() if e))
+            ref[m] = ref.get(m, 0) + rng.choice([-2, -1, 1, 3])
+        ref = {m: c for m, c in ref.items() if c}
+        p = LaurentPoly()
+        for m, c in ref.items():
+            p = p + LaurentPoly.monomial(c, dict(m))
+        return p, ref
+
+    def decoded(p):
+        return {tuple(sorted(decode_monomial(k).items())): c for k, c in p.terms.items()}
+
+    for _ in range(300):
+        (p, pref), (q, qref) = rand_poly(), rand_poly()
+        assert decoded(p) == pref
+        assert decoded(p * q) == _reference_product(pref, qref)
+    assert decode_monomial(encode_monomial({})) == {}
+
+
+def test_rendering_and_lead_term_follow_names_not_the_registry():
+    # q2 is registered before q1, so its field lies below q1's and the raw
+    # keys order the two monomials against their names.
+    assert "fresh_q1" not in scalars._shift_of and "fresh_q2" not in scalars._shift_of
+    q2 = lvar("fresh_q2")
+    q1 = lvar("fresh_q1")
+    den = q2 + q1 * 2
+    assert str(den) == "2*fresh_q1 + fresh_q2"
+    assert str(q2 * q1 * 3) == "3*fresh_q1*fresh_q2"
+    # the lead term of the denominator is fresh_q2 (coefficient 1), so
+    # nothing is rescaled
+    f = RatFunc(LaurentPoly.const(1), den)
+    assert str(f) == "(1)/(2*fresh_q1 + fresh_q2)"
+    assert f.den == den

@@ -14,7 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from onsaw.scalars import LaurentPoly, RatFunc, ratfunc_equal
+from onsaw.scalars import (
+    LaurentPoly,
+    RatFunc,
+    decode_monomial,
+    encode_monomial,
+    ratfunc_equal,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,13 +31,12 @@ RING = FIELD.ring
 
 def rand_poly(rng, max_terms=4):
     """A nonzero polynomial with exponents in -3..3, built from its term map
-    without onsaw arithmetic.  Half of its integral coefficients are stored as
+    (keys from encode_monomial) without onsaw arithmetic.  Half of its integral coefficients are stored as
     int, the rest as Fraction, so mixed int/Fraction operands occur."""
     terms = {}
     while not terms:
         for _ in range(rng.randint(1, max_terms)):
-            exps = ((name, rng.randint(-3, 3)) for name in NAMES)
-            mono = tuple((name, e) for name, e in exps if e)
+            mono = encode_monomial({name: rng.randint(-3, 3) for name in NAMES})
             sign = rng.choice([-1, 1])
             c = Fraction(sign * rng.randint(1, 9), rng.randint(1, 4))
             if c.denominator == 1 and rng.choice([False, True]):
@@ -44,7 +49,7 @@ def to_ring(p: LaurentPoly, shift: int):
     """(xyz)^shift * p as an element of SymPy's polynomial ring."""
     out = {}
     for mono, c in p.terms.items():
-        exps = dict(mono)
+        exps = decode_monomial(mono)
         key = tuple(exps.get(name, 0) + shift for name in NAMES)
         out[key] = sympy.QQ(c.numerator, c.denominator)
     return RING.from_dict(out) if out else RING.zero
