@@ -14,7 +14,9 @@ the brackets (verify_iso checks this mechanically on bounded index ranges).
 
 Finite quotients are cut out by a coefficient vector (beta_0, ..., beta_N):
 every family index >= N rewrites onto indices 0..N-1 through the single
-upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N).
+upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N).  beta_N is a
+nonzero rational or a monomial, so 1/beta_N is one too and reduction stays
+in the Laurent ring.
 """
 
 from fractions import Fraction
@@ -24,28 +26,25 @@ from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import coeff_div, lvar
+from .scalars import coeff_div, lvar, unit_inverse
 
 
-def Wm(k: int, coeff=Fraction(1)) -> AlgElem:
+def Wm(k: int, coeff=1) -> AlgElem:
     if k < 0:
         raise ValueError("Wm index must be >= 0")
     return AlgElem({("Wm", int(k)): coeff})
 
 
-def Wp(k: int, coeff=Fraction(1)) -> AlgElem:
+def Wp(k: int, coeff=1) -> AlgElem:
     if k < 0:
         raise ValueError("Wp index must be >= 0")
     return AlgElem({("Wp", int(k)): coeff})
 
 
-def Gt(k: int, coeff=Fraction(1)) -> AlgElem:
+def Gt(k: int, coeff=1) -> AlgElem:
     if k < 0:
         raise ValueError("Gt index must be >= 0")
     return AlgElem({("Gt", int(k)): coeff})
-
-
-_SIXTEEN = Fraction(16)
 
 
 def alt_sym_bracket(s: tuple, t: tuple) -> AlgElem:
@@ -56,15 +55,15 @@ def alt_sym_bracket(s: tuple, t: tuple) -> AlgElem:
     if k1 == "Wm" and k2 == "Wp":
         return Gt(i + j)
     if k1 == "Wp" and k2 == "Wm":
-        return Gt(i + j, Fraction(-1))
+        return Gt(i + j, -1)
     if k1 == "Gt" and k2 == "Wm":
-        return AlgElem({("Wm", i + j + 1): _SIXTEEN, ("Wp", i + j): -_SIXTEEN})
+        return AlgElem({("Wm", i + j + 1): 16, ("Wp", i + j): -16})
     if k1 == "Wm" and k2 == "Gt":
-        return AlgElem({("Wm", i + j + 1): -_SIXTEEN, ("Wp", i + j): _SIXTEEN})
+        return AlgElem({("Wm", i + j + 1): -16, ("Wp", i + j): 16})
     if k1 == "Wp" and k2 == "Gt":
-        return AlgElem({("Wp", i + j + 1): _SIXTEEN, ("Wm", i + j): -_SIXTEEN})
+        return AlgElem({("Wp", i + j + 1): 16, ("Wm", i + j): -16})
     if k1 == "Gt" and k2 == "Wp":
-        return AlgElem({("Wp", i + j + 1): -_SIXTEEN, ("Wm", i + j): _SIXTEEN})
+        return AlgElem({("Wp", i + j + 1): -16, ("Wm", i + j): 16})
     raise TypeError(f"not alternative-presentation symbols: {s}, {t}")
 
 
@@ -78,17 +77,17 @@ def bracket_alt(x: AlgElem, y: AlgElem, sym_bracket=alt_sym_bracket) -> AlgElem:
 def alt_auto_sym(name: str, sym: tuple) -> AlgElem:
     kind, k = sym
     if kind == "Gt":
-        return Gt(k, Fraction(-1))
+        return Gt(k, -1)
     if name == PHI:
         return Wp(k) if kind == "Wm" else Wm(k)
     if name == TAU0:
         if kind == "Wm":
             return Wm(k)
-        return Wm(k + 1, Fraction(2)) - Wp(k)
+        return Wm(k + 1, 2) - Wp(k)
     if name == TAU1:
         if kind == "Wp":
             return Wp(k)
-        return Wp(k + 1, Fraction(2)) - Wm(k)
+        return Wp(k + 1, 2) - Wm(k)
     raise ValueError(f"unknown automorphism {name}")
 
 
@@ -112,12 +111,11 @@ def averaged_shift(x: AlgElem, power: int = 1) -> AlgElem:
 # --- change of basis ----------------------------------------------------------
 
 
-def c_coeff(p: int, k: int) -> Fraction:
+def c_coeff(p: int, k: int) -> int:
     """(-1)^p 2^(k-2p) (k-p)! / (p! (k-2p)!), defined for 0 <= 2p <= k."""
     if p < 0 or 2 * p > k:
         raise ValueError(f"c_coeff needs 0 <= 2p <= k, got p={p}, k={k}")
-    value = Fraction(factorial(k - p), factorial(p) * factorial(k - 2 * p))
-    value *= Fraction(2) ** (k - 2 * p)
+    value = comb(k - p, p) << (k - 2 * p)
     return -value if p % 2 else value
 
 
@@ -147,7 +145,7 @@ def _to_alt_sym(sym: tuple) -> AlgElem:
     elif kind == "G":
         k = n - 1
         parts = [
-            Gt(k - 2 * p, c_coeff(p, k) * Fraction(-1, 4))
+            Gt(k - 2 * p, Fraction(-c_coeff(p, k), 4))
             for p in range(k // 2 + 1)
         ]
     else:
@@ -190,7 +188,8 @@ def convert_to_ons(y: AlgElem) -> AlgElem:
 
 
 class QuotientA:
-    """N and the coefficient vector (beta_0, ..., beta_N), beta_N nonzero."""
+    """N and the coefficient vector (beta_0, ..., beta_N); beta_N is a nonzero
+    rational or a monomial (a unit of the Laurent ring)."""
 
     def __init__(self, betas):
         betas = tuple(Fraction(b) if isinstance(b, int) else b for b in betas)
@@ -198,8 +197,13 @@ class QuotientA:
             raise ValueError("need N >= 1, i.e. at least (beta_0, beta_1)")
         if not betas[-1]:
             raise ValueError("leading coefficient beta_N must be nonzero")
+        if unit_inverse(betas[-1]) is None:
+            raise ValueError(
+                "leading coefficient beta_N must be a nonzero rational or a monomial"
+            )
         self.betas = betas
         self.N = len(betas) - 1
+        self._monic = tuple(coeff_div(-b, betas[-1]) for b in betas[:-1])
         self._reduced: dict = {}
 
     @classmethod
@@ -217,6 +221,7 @@ class QuotientA:
         return linear_extension(self._reduce_sym, x)
 
     def _reduce_sym(self, sym) -> AlgElem:
+        """X(m) = sum_k monic[k] X(k + m - N), monic[k] = -beta_k / beta_N."""
         cached = self._reduced.get(sym)
         if cached is not None:
             return cached
@@ -225,11 +230,9 @@ class QuotientA:
             out = AlgElem.basis(sym)
         else:
             p = m - self.N
-            combo = {}
-            for k in range(self.N):
-                coeff = coeff_div(-self.betas[k], self.betas[self.N])
-                accumulate(combo, {(kind, k + p): Fraction(1)}, coeff)
-            out = self.reduce(AlgElem(combo))
+            out = self.reduce(
+                AlgElem({(kind, k + p): c for k, c in enumerate(self._monic)})
+            )
         self._reduced[sym] = out
         return out
 
@@ -442,7 +445,7 @@ def sprime_report(qa: QuotientA) -> Report:
             for n in range(qa.N + 1):
                 shifted = averaged_shift(gen, n)
                 if not halved:
-                    shifted = shifted * Fraction(2**n)
+                    shifted = shifted * 2**n
                 accumulate(total, shifted.terms, qa.betas[n])
             residual = qa.reduce(AlgElem(total))
             check_id = f"sprime:{label}:{gen_name}:N{qa.N}"

@@ -132,14 +132,14 @@ def _suite_dg(opts) -> Report:
 
 
 def _ns(opts, default):
-    return [opts.N] if opts.N else default
+    return [opts.N] if opts.N is not None else default
 
 
 def _quotients(opts, default):
     """The quotient for --N (with the configured alphas, if any), or a
     symbolic quotient for each N in `default`."""
     for N in _ns(opts, default):
-        yield _quotient(N, opts.params, opts.alphas if opts.N else None)
+        yield _quotient(N, opts.params, opts.alphas if opts.N is not None else None)
 
 
 def _suite_frt_onsager(opts) -> Report:
@@ -166,7 +166,7 @@ def _suite_frt_alt(opts) -> Report:
 
 
 def _suite_frt_series(opts) -> Report:
-    D = opts.trunc or 8
+    D = opts.trunc if opts.trunc is not None else 8
     report = Report("frt-series", params={"D": D})
     report.extend(verify_frt_series_onsager(D))
     report.extend(verify_frt_series_alt(D))
@@ -336,9 +336,9 @@ def run_suite(name: str, opts) -> Report:
 
 def _report_params(opts) -> dict:
     out = {k: str(v) for k, v in opts.params.items()}
-    if opts.N:
+    if opts.N is not None:
         out["N"] = str(opts.N)
-    if opts.trunc:
+    if opts.trunc is not None:
         out["trunc"] = str(opts.trunc)
     if opts.w:
         out["w"] = ",".join(str(w) for w in opts.w)

@@ -5,16 +5,16 @@ basis, ("Wm", k), ("Wp", k), ("Gt", k) for the alternative presentation.
 Tuples compare lexicographically, which happens to give exactly the normal
 ordering used for PBW words (A's by index, then G's by index).
 
-Coefficients may be int, Fraction, LaurentPoly or RatFunc; mixed coefficients
-combine through the arithmetic dunders of those types.
+Coefficients follow the rule of `scalars`: int when integral, else Fraction,
+or a LaurentPoly (negative exponents allowed); RatFunc only for real
+quotients such as `OperatorMatrix.entry`.  Mixed coefficients combine through
+the arithmetic dunders of those types.
 
 The linear and bilinear extensions of per-symbol maps (brackets,
 automorphisms, quotient reduction, change of presentation, PBW ordering) sum
 through `accumulate`, which adds into one dict in place instead of copying a
 dict per term.
 """
-
-from fractions import Fraction
 
 Sym = tuple
 
@@ -90,7 +90,7 @@ class SparseCombination:
     __hash__ = None
 
     def coeff(self, key):
-        return self.terms.get(tuple(key), Fraction(0))
+        return self.terms.get(tuple(key), 0)
 
 
 class AlgElem(SparseCombination):
@@ -99,7 +99,7 @@ class AlgElem(SparseCombination):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, sym: Sym, coeff=Fraction(1)) -> "AlgElem":
+    def basis(cls, sym: Sym, coeff=1) -> "AlgElem":
         return cls({sym: coeff})
 
     def __add__(self, other):

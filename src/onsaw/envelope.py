@@ -26,11 +26,11 @@ class EnvElem(SparseCombination):
     __slots__ = ()
 
     @classmethod
-    def unit(cls, coeff=Fraction(1)) -> "EnvElem":
+    def unit(cls, coeff=1) -> "EnvElem":
         return cls({(): coeff})
 
     @classmethod
-    def from_alg(cls, x: AlgElem, const=Fraction(0)) -> "EnvElem":
+    def from_alg(cls, x: AlgElem, const=0) -> "EnvElem":
         terms = {(sym,): c for sym, c in x.terms.items()}
         if const:
             terms[()] = const
@@ -86,7 +86,7 @@ class PBW:
                 pos = i
                 break
         if pos is None:
-            out = EnvElem({word: Fraction(1)})
+            out = EnvElem({word: 1})
         else:
             swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2 :]
             # The cached normal form of the swapped word is shared: copy it.
@@ -143,7 +143,7 @@ def verify_quartic(q: QuotientO) -> Report:
     if q.N == 1:
         alpha = q.alphas[0]
         for name, x, y in (("quartic:cubic:01", a0, a1), ("quartic:cubic:10", a1, a0)):
-            residual = br(x, bracket(x, y)) - x * (8 * alpha) - y * Fraction(16)
+            residual = br(x, bracket(x, y)) - x * (8 * alpha) - y * 16
             report.add(name, residual.is_zero(), residual)
         env = PBW(q)
         ea0 = EnvElem.from_alg(a0)
@@ -151,7 +151,7 @@ def verify_quartic(q: QuotientO) -> Report:
         lhs = env.commutator(ea1, ea0).scale(8 * alpha)
         lhs = lhs + (
             env.product(a1, a0, a1, a0) - env.product(a0, a1, a0, a1)
-        ).scale(Fraction(2))
+        ).scale(2)
         lhs = lhs - env.product(a1, a1, a0, a0) + env.product(a0, a0, a1, a1)
         report.add("quartic:env-order4", lhs.is_zero(), lhs)
     elif q.N == 2:
@@ -160,7 +160,7 @@ def verify_quartic(q: QuotientO) -> Report:
             nest = bracket(x, bracket(y, bracket(x, bracket(y, x))))
             residual = (
                 q.reduce(nest)
-                - br(y, bracket(y, x)) * Fraction(16)
+                - br(y, bracket(y, x)) * 16
                 - br(x, bracket(x, y)) * (8 * alpha)
                 + x * (64 * (alphap + 2))
                 + y * (128 * alpha)
@@ -248,13 +248,13 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
         lhs1
         - k0.scale(B)
         - k1.scale(C1)
-        - EnvElem.unit(Fraction(1)).scale(D1)
+        - EnvElem.unit().scale(D1)
     )
     residual2 = (
         lhs2
         - k1.scale(B)
         - k0.scale(C0)
-        - EnvElem.unit(Fraction(1)).scale(D0)
+        - EnvElem.unit().scale(D0)
     )
     report.add("aw3-fit:relation2-solved", residual1.is_zero(), residual1)
     report.add("aw3-fit:relation3-solved", residual2.is_zero(), residual2)

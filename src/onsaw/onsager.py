@@ -20,20 +20,17 @@ These closed forms are the unique automorphism extensions of the defining
 cubic formulas on A_0, A_1; the defining formulas are kept as test oracles.
 """
 
-from fractions import Fraction
 from functools import partial
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .reports import Report
 
-_TWO = Fraction(2)
 
-
-def A(n: int, coeff=Fraction(1)) -> AlgElem:
+def A(n: int, coeff=1) -> AlgElem:
     return AlgElem({("A", int(n)): coeff})
 
 
-def G(m: int, coeff=Fraction(1)) -> AlgElem:
+def G(m: int, coeff=1) -> AlgElem:
     """G generator with normalization G_0 = 0, G_{-m} = -G_m."""
     m = int(m)
     if m == 0:
@@ -48,11 +45,11 @@ def sym_bracket(s: tuple, t: tuple) -> AlgElem:
     k1, i = s
     k2, j = t
     if k1 == "A" and k2 == "A":
-        return G(i - j, Fraction(4))
+        return G(i - j, 4)
     if k1 == "G" and k2 == "A":
-        return AlgElem({("A", i + j): _TWO, ("A", j - i): -_TWO})
+        return AlgElem({("A", i + j): 2, ("A", j - i): -2})
     if k1 == "A" and k2 == "G":
-        return AlgElem({("A", j + i): -_TWO, ("A", i - j): _TWO})
+        return AlgElem({("A", j + i): -2, ("A", i - j): 2})
     if k1 == "G" and k2 == "G":
         return ZERO
     raise TypeError(f"not Onsager basis symbols: {s}, {t}")
@@ -87,7 +84,7 @@ def apply_auto_sym(name: str, sym: tuple) -> AlgElem:
     if kind == "A":
         return A(_A_ACTION[name](idx))
     if kind == "G":
-        return G(idx, Fraction(-1))
+        return G(idx, -1)
     raise TypeError(f"not an Onsager basis symbol: {sym}")
 
 

@@ -27,7 +27,7 @@ from .matrices import Matrix, commutator, embed_leg
 from .onsager import bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import LaurentPoly, lvar
+from .scalars import LaurentPoly, lvar, unit_inverse
 from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
 
 
@@ -39,15 +39,6 @@ def _as_coeff(w):
     return w
 
 
-def _monomial_inverse(c):
-    """1/c for a nonzero rational or a one-term Laurent polynomial, else None."""
-    if isinstance(c, Fraction):
-        return 1 / c if c else None
-    if isinstance(c, LaurentPoly) and len(c.terms) == 1:
-        return LaurentPoly.const(1) / c
-    return None
-
-
 def rep_alphas(ws, u: str = "u") -> list:
     """Quotient coefficients from the factorized prefactor; alpha_N comes out 1."""
     ws = [_as_coeff(w) for w in ws]
@@ -55,7 +46,7 @@ def rep_alphas(ws, u: str = "u") -> list:
     uu = lvar(u)
     uinv = lvar(u, -1)
     for w in ws:
-        w_inv = _monomial_inverse(w)
+        w_inv = unit_inverse(w)
         if w_inv is None:
             raise ValueError(
                 "evaluation points must be nonzero rationals or plain variables"
@@ -90,7 +81,7 @@ def _peel_solve(rows, nunknowns, entry_count):
         for coeffs, rhs in rows:
             live = [k for k in range(nunknowns) if solution[k] is None and coeffs[k]]
             if len(live) == 1:
-                inv = _monomial_inverse(coeffs[live[0]])
+                inv = unit_inverse(coeffs[live[0]])
                 if inv is not None:
                     pick = (coeffs, rhs, live[0], inv)
                     break
@@ -103,7 +94,7 @@ def _peel_solve(rows, nunknowns, entry_count):
             if c:
                 for e in range(entry_count):
                     rhs2[e] = rhs2[e] - c * solution[k][e]
-                coeffs2[k] = Fraction(0)
+                coeffs2[k] = 0
     for coeffs, rhs in rows:
         if any(coeffs) or any(rhs):
             raise ValueError("inconsistent extraction system")
@@ -136,10 +127,7 @@ def rep_build(ws, u: str = "u"):
         dens.append(den)
     total_num = _cleared_sum(nums, dens)
 
-    wprod = Fraction(1)
-    for w in ws:
-        wprod = w * wprod
-    shift = lvar(u, N) * wprod
+    shift = lvar(u, N) * prod(ws, start=1)
 
     def extract(entry: AlgElem, a: int, b: int, syms: list) -> list:
         coeff_tables = [(entry.coeff(sym) * shift).coefficients_in(u) for sym in syms]

@@ -7,6 +7,11 @@ equality is decided by cross multiplication, and a cheap normalisation (strip
 common monomial content, scale the denominator's leading coefficient to 1)
 keeps growth bounded.
 
+Division stays in the Laurent ring where it can: ``unit_inverse`` inverts its
+units, the nonzero rationals and one-term polynomials, and ``coeff_div``
+divides by them only.  ``RatFunc`` is kept for real quotients: the r-matrix,
+operator-matrix entries and the fitted three-generator constants.
+
 Coefficient rule: a stored polynomial coefficient is an ``int`` when it is
 integral and a ``fractions.Fraction`` (lowest terms, positive denominator)
 otherwise, so integer products and sums never enter ``fractions.py``.  Every
@@ -267,22 +272,11 @@ class LaurentPoly:
         if isinstance(other, RatFunc):
             return NotImplemented
         other = as_poly(other)
-        mono = other._as_monomial()
-        if mono is not None:
-            m, c = mono
-            inv_c = _inverse(c)
-            return LaurentPoly(
-                _integral_to_int({t - m: inv_c * tc for t, tc in self.terms.items()})
-            )
-        return RatFunc(self, other)
+        inv = unit_inverse(other)
+        return RatFunc(self, other) if inv is None else self * inv
 
     def __rtruediv__(self, other):
         return RatFunc(as_poly(other), self)
-
-    def _as_monomial(self):
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        return None
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -494,10 +488,6 @@ class RatFunc:
         den = as_poly(den)
         self.num, self.den = _strip_content(num, den)
 
-    @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(LaurentPoly.const(c))
-
     def __bool__(self):
         return bool(self.num)
 
@@ -570,9 +560,6 @@ class RatFunc:
     def rename(self, mapping: dict) -> "RatFunc":
         return RatFunc(self.num.rename(mapping), self.den.rename(mapping))
 
-    def subs(self, v, value) -> "RatFunc":
-        return RatFunc(self.num.subs(v, value), self.den.subs(v, value))
-
     def __str__(self):
         if self.den == P_ONE:
             return str(self.num)
@@ -604,12 +591,22 @@ def ratfunc_equal(f, g) -> bool:
     return not (f.num * g.den - g.num * f.den)
 
 
+def unit_inverse(c):
+    """1/c for a unit c of the Laurent ring, a nonzero rational or a one-term
+    LaurentPoly (then 1/c is one too); None for anything else."""
+    if isinstance(c, LaurentPoly):
+        if len(c.terms) != 1:
+            return None
+        ((m, k),) = c.terms.items()
+        return LaurentPoly({-m: _coeff(_inverse(k))})
+    if isinstance(c, (int, Fraction)) and c:
+        return _coeff(_inverse(c))
+    return None
+
+
 def coeff_div(x, y):
-    """Exact coefficient division, staying polynomial when y is a nonzero rational."""
-    if isinstance(y, (int, Fraction)):
-        if y == 0:
-            raise ZeroDivisionError("division by zero")
-        return x * (1 / Fraction(y))
-    if isinstance(y, LaurentPoly) and y.is_const():
-        return coeff_div(x, y.const_value())
-    return as_ratfunc(x) / as_ratfunc(y)
+    """x / y for a unit y of the Laurent ring (see unit_inverse), else ValueError."""
+    inv = unit_inverse(y)
+    if inv is None:
+        raise ValueError(f"cannot divide by {y}: not a nonzero rational or a monomial")
+    return x * inv

@@ -23,8 +23,6 @@ from .quotient import QuotientO
 from .reports import Report
 from .scalars import LaurentPoly, RatFunc, lvar
 
-_F2 = Fraction(2)
-
 
 # --- the r-matrix --------------------------------------------------------------
 
@@ -40,10 +38,10 @@ def r_matrix_num(u: str = "u", v="v"):
     diag = uu * (one - vv * vv)
     num = Matrix(
         [
-            [diag, zero, zero, -_F2 * (uu - vv)],
-            [zero, -diag, -_F2 * vv * (uu * vv - one), zero],
-            [zero, -_F2 * uu * (uu * vv - one), -diag, zero],
-            [-_F2 * uu * vv * (uu - vv), zero, zero, diag],
+            [diag, zero, zero, -2 * (uu - vv)],
+            [zero, -diag, -2 * vv * (uu * vv - one), zero],
+            [zero, -2 * uu * (uu * vv - one), -diag, zero],
+            [-2 * uu * vv * (uu - vv), zero, zero, diag],
         ]
     )
     den = (uu - vv) * (uu * vv - one)
@@ -210,25 +208,26 @@ def p_tilde_poly(qa: QuotientA, u: str) -> LaurentPoly:
 
 def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
     """The quotient operator matrix of the alternative presentation,
-    [[-g/4, w_plus/u - w_minus], [-u w_plus + w_minus, g/4]] / (2 p~(U))."""
+    [[-g/4, w_plus/u - w_minus], [-u w_plus + w_minus, g/4]] / (2 p~(U)),
+    stored scaled by 2^(N+1), which clears the 1/2 of U and the 1/4: the
+    coefficients of 2^(N-1) f~_k and 2^N p~ are integer combinations of betas."""
     uu = lvar(u)
     uinv = lvar(u, -1)
     w_plus = ZERO
     w_minus = ZERO
     g = ZERO
     for k in range(qa.N):
-        fk = f_tilde_poly(qa, k, u)
+        gk = f_tilde_poly(qa, k, u) * 2 ** (qa.N - 1)
+        fk = gk * 4
         w_plus = w_plus + Wm(k) * fk
         w_minus = w_minus + Wp(k) * fk
-        g = g + Gt(k) * fk
-    quarter = Fraction(1, 4)
+        g = g + Gt(k) * gk
     entries = (
-        (g * -quarter, w_plus * uinv - w_minus),
-        (w_plus * -uu + w_minus, g * quarter),
+        (-g, w_plus * uinv - w_minus),
+        (w_plus * -uu + w_minus, g),
     )
-    return OperatorMatrix(
-        entries, p_tilde_poly(qa, u) * _F2, u, qa, f"B-alt-N{qa.N}"
-    )
+    den = p_tilde_poly(qa, u) * 2 ** (qa.N + 2)
+    return OperatorMatrix(entries, den, u, qa, f"B-alt-N{qa.N}")
 
 
 # --- exchange-relation checks ------------------------------------------------------
@@ -344,14 +343,13 @@ def verify_frt_series_alt(D: int) -> Report:
     wp_u, wm_u, g_u = currents(U)
     wp_v, wm_v, g_v = currents(V)
     diff = lvar(U) - lvar(V)
-    sixteen = Fraction(16)
 
     relations = {
         "ww": bracket_alt(wp_u, wm_v) * diff - (g_v - g_u),
         "gw+": bracket_alt(g_u, wp_v) * diff
-        + (wp_u * lvar(U) - wp_v * lvar(V) - wm_u + wm_v) * sixteen,
+        + (wp_u * lvar(U) - wp_v * lvar(V) - wm_u + wm_v) * 16,
         "gw-": bracket_alt(g_u, wm_v) * diff
-        - (wm_u * lvar(U) - wm_v * lvar(V) - wp_u + wp_v) * sixteen,
+        - (wm_u * lvar(U) - wm_v * lvar(V) - wp_u + wp_v) * 16,
         "w+w+": bracket_alt(wp_u, wp_v),
         "w-w-": bracket_alt(wm_u, wm_v),
         "gg": bracket_alt(g_u, g_v),

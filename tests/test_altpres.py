@@ -148,6 +148,52 @@ def test_quotient_a_validation():
         QuotientA((Fraction(1), Fraction(0)))
 
 
+def test_quotient_a_needs_a_unit_leading_coefficient():
+    for zero in (0, Fraction(0), LaurentPoly()):
+        with pytest.raises(ValueError, match="beta_N must be nonzero$"):
+            QuotientA((lvar("b0"), zero))
+    for non_unit in (lvar("b") + 1, lvar("b") * lvar("c") - lvar("d")):
+        with pytest.raises(ValueError, match="nonzero rational or a monomial"):
+            QuotientA((lvar("b0"), non_unit))
+    # units: a rational, a variable, a monomial with a coefficient
+    for unit in (Fraction(-2, 3), lvar("b1"), LaurentPoly.monomial(3, {"b": -2})):
+        qa = QuotientA((lvar("b0"), unit))
+        assert qa.reduce(Wm(1)) * unit == Wm(0) * -lvar("b0")
+
+
+def test_symbolic_reduction_divides_in_the_laurent_ring():
+    qa = QuotientA.symbolic(2)
+    b0, b1 = qa.betas[:2]
+    for x in (Wm(5), Wp(4) + Gt(3) * 2, bracket_alt(Gt(2), Wm(3))):
+        reduced = qa.reduce(x)
+        assert all(isinstance(c, LaurentPoly) for c in reduced.terms.values())
+    # Gt(2) = -(b0 Gt(0) + b1 Gt(1)) / b2, with 1/b2 the monomial b2^-1
+    assert qa.reduce(Gt(2)) == Gt(0) * (-b0 * lvar("beta2", -1)) + Gt(1) * (
+        -b1 * lvar("beta2", -1)
+    )
+
+
+def test_integral_structure_and_conversion_constants_are_ints():
+    elements = [
+        A(0),
+        Wm(0),
+        bracket(A(1), A(0)),
+        bracket(G(2), A(1)),
+        bracket_alt(Gt(0), Wm(0)),
+        bracket_alt(Wm(0), Wp(3)),
+        alt_auto([TAU0, PHI], Wp(2)),
+        convert_to_alt(A(5)),
+        convert_to_alt(A(-4)),
+    ]
+    for x in elements:
+        assert x.terms and all(type(c) is int for c in x.terms.values()), x
+    for k in range(12):
+        for p in range(k // 2 + 1):
+            assert type(c_coeff(p, k)) is int
+    assert c_coeff(1, 7) == -192  # -(6! / (1! 5!)) 2^5
+    assert c_coeff(2, 7) == 80  # (5! / (2! 3!)) 2^3
+
+
 def test_beta_reduction_diagram():
     for N in (1, 2, 3, 4):
         assert reduction_diagram_report(QuotientO.symbolic(N)).status == "pass"

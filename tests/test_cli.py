@@ -95,6 +95,30 @@ def test_reduce_alt_presentation(capsys):
     assert out.strip() == "-1/2*Gt(0)"
 
 
+def test_reduce_alt_with_symbolic_betas_prints_laurent_coefficients(capsys):
+    code, out, _ = run(
+        capsys, "reduce", "--N", "1", "--presentation", "alt", "--expr", "W(-2)+Gt(1)"
+    )
+    assert code == 0
+    assert out.strip() == "(-1*beta0*beta1^-1)*Gt(0) + (beta0^2*beta1^-2)*Wm(0)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "frt-onsager", "--N", "0"),
+        ("verify", "frt-alt", "--N", "0"),
+        ("verify", "sn", "--N", "0"),
+        ("verify", "frt-series", "--trunc", "0"),
+    ],
+)
+def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: need" in err
+
+
 def test_reduce_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce", "--N", "1", "--expr", "A(1")
     assert code == 2

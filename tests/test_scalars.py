@@ -10,10 +10,12 @@ from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
     as_ratfunc,
+    coeff_div,
     decode_monomial,
     encode_monomial,
     lvar,
     ratfunc_equal,
+    unit_inverse,
 )
 
 
@@ -123,6 +125,30 @@ def test_monomial_division_stays_polynomial():
     q = p / lvar("u")
     assert isinstance(q, LaurentPoly)
     assert q == lvar("u") + LaurentPoly.const(1)
+
+
+def test_unit_inverse_inverts_rationals_and_monomials_only():
+    assert unit_inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(unit_inverse(Fraction(1, 3))) is int
+    assert unit_inverse(-1) == -1
+    mono = LaurentPoly.monomial(Fraction(2, 5), {"u": 3, "b": -1})
+    inv = unit_inverse(mono)
+    assert inv == LaurentPoly.monomial(Fraction(5, 2), {"u": -3, "b": 1})
+    assert mono * inv == LaurentPoly.const(1)
+    assert unit_inverse(LaurentPoly.const(4)) == LaurentPoly.const(Fraction(1, 4))
+    for non_unit in (0, Fraction(0), LaurentPoly(), lvar("u") + 1, "u"):
+        assert unit_inverse(non_unit) is None
+
+
+def test_coeff_div_divides_by_units_and_refuses_the_rest():
+    b = lvar("b")
+    assert coeff_div(b * b - b, b) == b - 1
+    assert coeff_div(3, Fraction(3, 2)) == 2
+    quotient = coeff_div(lvar("a"), b)
+    assert isinstance(quotient, LaurentPoly) and quotient * b == lvar("a")
+    for non_unit in (0, b + 1):
+        with pytest.raises(ValueError):
+            coeff_div(b, non_unit)
 
 
 def _kernel_poly(rng):

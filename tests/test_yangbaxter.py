@@ -114,6 +114,44 @@ def test_operator_matrix_entry_accessor_divides_by_the_prefactor():
     assert renamed.den == lvar("v") + lvar("alpha") + lvar("v", -1)
 
 
+def test_alt_operator_matrix_is_integral_and_equals_the_unscaled_formula():
+    u, uinv = lvar("u"), lvar("u", -1)
+    for N in (1, 2, 3, 4):
+        qa = QuotientA.symbolic(N)
+        B = build_B_alt(qa)
+        polys = [B.den] + [c for row in B.entries for e in row for c in e.terms.values()]
+        assert all(type(x) is int for poly in polys for x in poly.terms.values())
+        # [[-g/4, w_plus/u - w_minus], [-u w_plus + w_minus, g/4]] / (2 p~(U))
+        den = p_tilde_poly(qa, "u") * 2
+        expected = {}
+        for k in range(N):
+            fk = f_tilde_poly(qa, k, "u")
+            expected[0, 0, ("Gt", k)] = fk * Fraction(-1, 4)
+            expected[0, 1, ("Wm", k)] = fk * uinv
+            expected[0, 1, ("Wp", k)] = -fk
+            expected[1, 0, ("Wm", k)] = fk * -u
+            expected[1, 0, ("Wp", k)] = fk
+            expected[1, 1, ("Gt", k)] = fk * Fraction(1, 4)
+        got = {
+            (i, j, sym): c
+            for i in range(2)
+            for j in range(2)
+            for sym, c in B.entry(i, j).terms.items()
+        }
+        assert got.keys() == expected.keys()
+        for key, num in expected.items():
+            assert ratfunc_equal(got[key], RatFunc(num, den)), key
+
+
+def test_frt_alt_builds_no_rational_function(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a RatFunc was built")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    for N in (1, 2, 3):
+        assert verify_frt(build_B_alt(QuotientA.symbolic(N))).status == "pass"
+
+
 def test_f_poly_instances():
     q2 = QuotientO.symbolic(2)
     alpha = lvar("alpha")
