@@ -26,7 +26,7 @@ from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import coeff_div, lvar, unit_inverse
+from .scalars import coeff_div, lvar, sum_terms, unit_inverse
 
 
 def Wm(k: int, coeff=1) -> AlgElem:
@@ -150,30 +150,23 @@ def _to_alt_sym(sym: tuple) -> AlgElem:
         ]
     else:
         raise TypeError(f"not an Onsager basis symbol: {sym}")
-    return _sum(parts)
+    return AlgElem(sum_terms(parts))
 
 
 def _to_ons_sym(sym: tuple) -> AlgElem:
     kind, k = sym
     if kind == "Wm":
         scale = Fraction(1, 2**k)
-        parts = [A(k - 2 * p, comb(k, p) * scale) for p in range(k + 1)]
+        parts = [A(k - 2 * p, scale * comb(k, p)) for p in range(k + 1)]
     elif kind == "Wp":
         scale = Fraction(1, 2**k)
-        parts = [A(k + 1 - 2 * p, comb(k, p) * scale) for p in range(k + 1)]
+        parts = [A(k + 1 - 2 * p, scale * comb(k, p)) for p in range(k + 1)]
     elif kind == "Gt":
         scale = Fraction(2**2, 2**k)
-        parts = [G(2 * p - k - 1, comb(k, p) * scale) for p in range(k + 1)]
+        parts = [G(2 * p - k - 1, scale * comb(k, p)) for p in range(k + 1)]
     else:
         raise TypeError(f"not an alternative-presentation symbol: {sym}")
-    return _sum(parts)
-
-
-def _sum(parts) -> AlgElem:
-    out = {}
-    for part in parts:
-        accumulate(out, part.terms, None)
-    return AlgElem(out)
+    return AlgElem(sum_terms(parts))
 
 
 def convert_to_alt(x: AlgElem) -> AlgElem:

@@ -10,37 +10,16 @@ or a LaurentPoly (negative exponents allowed); RatFunc only for real
 quotients such as `OperatorMatrix.entry`.  Mixed coefficients combine through
 the arithmetic dunders of those types.
 
-The linear and bilinear extensions of per-symbol maps (brackets,
-automorphisms, quotient reduction, change of presentation, PBW ordering) sum
-through `accumulate`, which adds into one dict in place instead of copying a
-dict per term.
+Sums, differences and scalings, and the linear and bilinear extensions of
+per-symbol maps (brackets, automorphisms, quotient reduction, change of
+presentation, PBW ordering), go through `scalars.accumulate`, which adds into
+one dict in place under the coefficient rule instead of copying a dict per
+term.  It is imported here, so `from onsaw.elements import accumulate` works.
 """
 
+from .scalars import accumulate
+
 Sym = tuple
-
-
-def accumulate(acc: dict, terms: dict, k) -> dict:
-    """Add `terms` scaled by `k` (unscaled when `k` is None) into `acc`.
-
-    Each product is `term_coeff * k` and a zero product is skipped; a key
-    whose sum cancels is removed, so `acc` never holds a zero.  `acc` is
-    changed in place and returned.  It must be a dict the caller owns, never
-    the `terms` of an element: elements, quotient caches and `ZERO` share
-    theirs.
-    """
-    for key, c in terms.items():
-        if k is not None:
-            c = c * k
-            if not c:
-                continue
-        old = acc.get(key)
-        if old is not None:
-            c = old + c
-        if c:
-            acc[key] = c
-        elif old is not None:
-            del acc[key]
-    return acc
 
 
 def linear_extension(f, x):
@@ -72,13 +51,13 @@ class SparseCombination:
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        return type(self)(accumulate(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return type(self)({s: -c for s, c in self.terms.items()})
 
     def scale(self, coeff):
-        return type(self)({s: c * coeff for s, c in self.terms.items()})
+        return type(self)(accumulate({}, self.terms, coeff))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -36,47 +36,55 @@ class ExprError(ValueError):
         self.pos = pos
 
 
+# Every node carries the 0-based position of its first token (a leaf) or of
+# its operator or "[" (an inner node), so evaluation errors point at it.
+
+
 @dataclass
 class Atom:
     kind: str
     index: int
-    pos: int = 0
+    pos: int
 
 
 @dataclass
 class Rational:
     value: Fraction
-    pos: int = 0
+    pos: int
 
 
 @dataclass
 class Symbol:
     name: str
-    pos: int = 0
+    pos: int
 
 
 @dataclass
 class Add:
     left: object
     right: object
+    pos: int
 
 
 @dataclass
 class Sub:
     left: object
     right: object
+    pos: int
 
 
 @dataclass
 class Mul:
     left: object
     right: object
+    pos: int
 
 
 @dataclass
 class BracketNode:
     left: object
     right: object
+    pos: int
 
 
 # --- lexer -------------------------------------------------------------------
@@ -140,16 +148,16 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = (Add if op == "+" else Sub)(node, rhs, pos)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            node = Mul(node, self.factor())
+            pos = self.take()[2]
+            node = Mul(node, self.factor(), pos)
         return node
 
     def factor(self):
@@ -161,14 +169,14 @@ class _Parser:
             if self.peek()[0] == "int":
                 literal = self.rational()
                 return Rational(-literal.value, pos)
-            return Mul(Rational(Fraction(-1), pos), self.factor())
+            return Mul(Rational(Fraction(-1), pos), self.factor(), pos)
         if kind == "[":
             self.take()
             left = self.expr()
             self.take(",")
             right = self.expr()
             self.take("]")
-            return BracketNode(left, right)
+            return BracketNode(left, right, pos)
         if kind == "(":
             self.take()
             node = self.expr()
@@ -267,21 +275,19 @@ def evaluate(node, presentation: str = "onsager", params: dict | None = None):
         if isinstance(n, (Add, Sub)):
             left, right = walk(n.left), walk(n.right)
             if isinstance(left, AlgElem) != isinstance(right, AlgElem):
-                raise ExprError("cannot add a scalar to an algebra element", 0)
+                raise ExprError("cannot add a scalar to an algebra element", n.pos)
             return left + right if isinstance(n, Add) else left - right
         if isinstance(n, Mul):
             left, right = walk(n.left), walk(n.right)
             if isinstance(left, AlgElem) and isinstance(right, AlgElem):
-                raise ExprError(
-                    "algebra elements have no product; use [x, y]", 0
-                )
+                raise ExprError("algebra elements have no product; use [x, y]", n.pos)
             if isinstance(right, AlgElem):
                 return right * left
             return left * right
         if isinstance(n, BracketNode):
             left, right = walk(n.left), walk(n.right)
             if not (isinstance(left, AlgElem) and isinstance(right, AlgElem)):
-                raise ExprError("bracket arguments must be algebra elements", 0)
+                raise ExprError("bracket arguments must be algebra elements", n.pos)
             return br(left, right)
         raise TypeError(f"not an expression node: {n!r}")
 

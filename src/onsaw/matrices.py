@@ -1,15 +1,13 @@
 """Dense ring-generic matrices plus tensor-leg embedding and partial traces.
 
-Entries may be Fractions, Laurent polynomials, rational functions, or algebra
-elements; anything supporting +, -, * and truth testing works.  All matrices
+Entries may be rationals (int when integral, per the coefficient rule of
+`scalars`), Laurent polynomials, rational functions, or algebra elements;
+anything supporting +, -, * and truth testing works.  All matrices
 in this project are small (2x2 up to 16x16), so a dense tuple-of-tuples
 representation is used and values are immutable after construction.
 """
 
 from fractions import Fraction
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class Matrix:
@@ -31,13 +29,11 @@ class Matrix:
         return len(self.entries[0]) if self.entries else 0
 
     @classmethod
-    def identity(cls, n, one=_F1, zero=_F0):
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(cls, n):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, r, c, zero=_F0):
+    def zeros(cls, r, c, zero=0):
         return cls([[zero] * c for _ in range(r)])
 
     def __getitem__(self, ij):
@@ -45,7 +41,7 @@ class Matrix:
         return self.entries[i][j]
 
     def __add__(self, other):
-        self._conform(other, same=True)
+        self._conform(other)
         return Matrix(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -54,7 +50,7 @@ class Matrix:
         )
 
     def __sub__(self, other):
-        self._conform(other, same=True)
+        self._conform(other)
         return Matrix(
             [
                 [a - b for a, b in zip(r1, r2)]
@@ -137,10 +133,10 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _conform(self, other, same=False):
+    def _conform(self, other):
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
-        if same and (self.rows != other.rows or self.cols != other.cols):
+        if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix dimensions do not match")
 
 
@@ -166,8 +162,8 @@ def flip_matrix(d: int = 2) -> Matrix:
     rows = []
     for i in range(d):
         for j in range(d):
-            row = [_F0] * n
-            row[j * d + i] = _F1
+            row = [0] * n
+            row[j * d + i] = 1
             rows.append(row)
     return Matrix(rows)
 
@@ -180,17 +176,17 @@ def _digits(x: int, n: int, d: int):
     return out
 
 
-def embed_leg(m: Matrix, legs, total: int, d: int | None = None) -> Matrix:
+def embed_leg(m: Matrix, legs, total: int) -> Matrix:
     """Place a two-leg operator on tensor positions legs=(i, j) of `total` legs.
 
     The first factor of m acts on leg i, the second on leg j (1-based, i != j);
-    all other legs carry the identity.
+    all other legs carry the identity.  Each leg has dimension d, where m is
+    d^2 x d^2.
     """
     i, j = legs
     if i == j or not (1 <= i <= total) or not (1 <= j <= total):
         raise ValueError(f"invalid legs {legs} for {total} tensor factors")
-    if d is None:
-        d = round(m.rows**0.5)
+    d = round(m.rows**0.5)
     if m.rows != d * d or m.cols != d * d:
         raise ValueError("operator must be d^2 x d^2")
     zero = m[0, 0] * 0

@@ -55,11 +55,10 @@ class Report:
         self.checks.append(check)
         return check
 
-    def extend(self, other: "Report", prefix: str = "") -> "Report":
-        for c in other.checks:
-            self.checks.append(
-                Check(prefix + c.id if prefix else c.id, c.status, c.residual, c.millis)
-            )
+    def extend(self, other: "Report") -> "Report":
+        self.checks.extend(
+            Check(c.id, c.status, c.residual, c.millis) for c in other.checks
+        )
         return self
 
     def failures(self):

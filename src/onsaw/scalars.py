@@ -12,17 +12,19 @@ units, the nonzero rationals and one-term polynomials, and ``coeff_div``
 divides by them only.  ``RatFunc`` is kept for real quotients: the r-matrix,
 operator-matrix entries and the fitted three-generator constants.
 
-Coefficient rule: a stored polynomial coefficient is an ``int`` when it is
-integral and a ``fractions.Fraction`` (lowest terms, positive denominator)
-otherwise, so integer products and sums never enter ``fractions.py``.  Every
-operation here that makes coefficients returns them in that form; ``3 ==
-Fraction(3)``, their hashes and their ``str`` agree, so a term map holding an
-integral ``Fraction`` (built by hand) still compares and renders the same.
-In a mixed product or sum the ``Fraction`` stands on the left: ``int *
-Fraction`` would go through ``Fraction.__rmul__`` and its ABC check.  Two
-``int``s are never divided (that gives a ``float``); division goes through the
-``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
-``evaluate``, are always ``Fraction``.
+Coefficient rule: a stored coefficient is an ``int`` when it is integral and
+a ``fractions.Fraction`` (lowest terms, positive denominator) otherwise, so
+integer products and sums never enter ``fractions.py``.  Every operation here
+that makes coefficients returns them in that form; ``3 == Fraction(3)``, their
+hashes and their ``str`` agree, so a term map holding an integral
+``Fraction`` (built by hand) still compares and renders the same.  In a mixed
+product or sum the ``Fraction`` stands on the left: ``int * Fraction`` would
+go through ``Fraction.__rmul__`` and its ABC check.  Every sparse sum and
+every scaling by a rational, of polynomial terms and of algebra-element
+coefficients alike, goes through ``accumulate``, which keeps the rule; only
+the product of two polynomials in ``LaurentPoly.__mul__`` keeps its own loop.  Two ``int``s are never divided (that gives a ``float``); division
+goes through the ``Fraction`` inverse.  Values that leave the kernel,
+``const_value`` and ``evaluate``, are always ``Fraction``.
 
 Monomial encoding: a term-map key is one ``int``, ``sum(e_i << (64 * i))``,
 where ``e_i`` is the exponent of the variable with index ``i`` in an
@@ -69,6 +71,55 @@ def _integral_to_int(terms: dict) -> dict:
 def _inverse(c) -> Fraction:
     """1/c as a Fraction, for a nonzero int or Fraction c."""
     return Fraction(c.denominator, c.numerator)
+
+
+def accumulate(acc: dict, terms: dict, k=None) -> dict:
+    """Add the term map `terms`, scaled by `k` (unscaled when `k` is None),
+    into the term map `acc` in place, and return `acc`.
+
+    This is the one sparse-sum loop: `LaurentPoly` sums, differences,
+    products with a rational and substitution, and every sum of algebra
+    elements, go through it.  Each value
+    it computes follows the coefficient rule: in a mixed int/Fraction product
+    or sum the Fraction stands on the left, an integral Fraction is stored as
+    an int, a zero product is skipped and a key whose sum cancels is removed,
+    so `acc` never holds a zero.  A key that `acc` lacks takes its value from
+    `terms` as it is when `k` is None (a plain store).  The only other loop
+    under the rule is the inner loop of `LaurentPoly.__mul__` for the product
+    of two polynomials, inline for speed.
+
+    Values may be rationals, or (for algebra elements) LaurentPolys and
+    RatFuncs; a `LaurentPoly` term map takes only a rational `k`.  `acc` must
+    be a dict the caller owns, never the `terms` of a polynomial or an
+    element: those are shared (elements, quotient caches, `ZERO`, `P_ONE`).
+    """
+    for key, c in terms.items():
+        if k is not None:
+            c = k * c if type(c) is int else c * k
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            if not c:
+                continue
+        old = acc.get(key)
+        if old is None:
+            acc[key] = c
+            continue
+        c = c + old if type(old) is int else old + c
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+    return acc
+
+
+def sum_terms(parts) -> dict:
+    """The term map of the sum of `parts`, polynomials or elements alike."""
+    out: dict = {}
+    for part in parts:
+        accumulate(out, part.terms)
+    return out
 
 
 # Packed monomials (see the module docstring): the field width, the exponent
@@ -191,20 +242,7 @@ class LaurentPoly:
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            old = out.get(mono)
-            if old is None:
-                out[mono] = c
-                continue
-            c2 = c + old if type(old) is int else old + c
-            if not c2:
-                del out[mono]
-            elif type(c2) is int or c2.denominator != 1:
-                out[mono] = c2
-            else:
-                out[mono] = c2.numerator
-        return LaurentPoly(out)
+        return LaurentPoly(accumulate(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -212,18 +250,20 @@ class LaurentPoly:
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return LaurentPoly(accumulate(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return LaurentPoly(accumulate(dict(other.terms), self.terms, -1))
 
     def __neg__(self):
         return LaurentPoly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly(accumulate({}, self.terms, other))
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
@@ -312,27 +352,13 @@ class LaurentPoly:
         """Substitute one variable by an exact rational, keeping the others.
 
         Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
-        name = str(v)
         value = Fraction(value)
         out: dict = {}
-        for mono, coeff in self.terms.items():
-            exps = dict(_decode(mono))
-            e = exps.pop(name, 0)
-            if e:
-                if value == 0 and e < 0:
-                    raise ZeroDivisionError(f"pole: {name} = 0 raised to {e}")
-                coeff = value**e * coeff
-                mono = _encode(exps.items())
-            old = out.get(mono)
-            if old is None:
-                out[mono] = coeff
-                continue
-            c2 = coeff + old if type(old) is int else old + coeff
-            if c2:
-                out[mono] = c2
-            else:
-                del out[mono]
-        return LaurentPoly(_integral_to_int(out))
+        for e, part in self.coefficients_in(v).items():
+            if value == 0 and e < 0:
+                raise ZeroDivisionError(f"pole: {v} = 0 raised to {e}")
+            accumulate(out, part.terms, value**e if e else None)
+        return LaurentPoly(out)
 
     def rename(self, mapping: dict) -> "LaurentPoly":
         """Rename variables; target names must not collide with survivors.
@@ -472,8 +498,7 @@ def _strip_content(num: LaurentPoly, den: LaurentPoly):
     lead = den.terms[max(den.terms, key=_decode)]
     if lead != 1:
         inv = _inverse(lead)
-        num = LaurentPoly(_integral_to_int({m: inv * c for m, c in num.terms.items()}))
-        den = LaurentPoly(_integral_to_int({m: inv * c for m, c in den.terms.items()}))
+        num, den = num * inv, den * inv
     return num, den
 
 

@@ -15,13 +15,13 @@ coefficients are plain Laurent polynomials required to vanish identically.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .altpres import Gt, QuotientA, Wm, Wp, bracket_alt
+from .altpres import QuotientA, bracket_alt
 from .elements import ZERO, AlgElem
 from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import LaurentPoly, RatFunc, lvar
+from .scalars import LaurentPoly, RatFunc, accumulate, lvar, sum_terms
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -157,53 +157,48 @@ class OperatorMatrix:
 
 def f_poly(q: QuotientO, p: int, u: str) -> LaurentPoly:
     """sum(alpha_j u^(p-j), j = p..N)."""
-    out = LaurentPoly()
-    for j in range(p, q.N + 1):
-        out = out + lvar(u, p - j) * q.alphas[j]
-    return out
+    return LaurentPoly(
+        sum_terms(lvar(u, p - j) * q.alphas[j] for j in range(p, q.N + 1))
+    )
 
 
 def p_poly(q: QuotientO, u: str) -> LaurentPoly:
     """sum(alpha_|p| u^(-p), p = -N..N)."""
-    out = LaurentPoly()
-    for p in range(-q.N, q.N + 1):
-        out = out + lvar(u, -p) * q.alpha(p)
-    return out
+    return LaurentPoly(
+        sum_terms(lvar(u, -p) * q.alpha(p) for p in range(-q.N, q.N + 1))
+    )
 
 
 def build_B_onsager(q: QuotientO, u: str = "u") -> OperatorMatrix:
     """The quotient operator matrix [[g, a_minus], [a_plus, -g]] / p(u)."""
     uu = lvar(u)
     uinv = lvar(u, -1)
-    a_plus = ZERO
-    a_minus = ZERO
-    g = ZERO
+    a_plus, a_minus, g = {}, {}, {}
     for p in range(1, q.N + 1):
         fp = f_poly(q, p, u)
         fp_inv = fp.invert_var(u)
-        a_plus = a_plus + A(p) * fp - A(-p + 1) * (uu * fp_inv)
-        a_minus = a_minus + A(-p + 1) * (uinv * fp) - A(p) * fp_inv
-        g = g + G(p) * (fp + fp_inv - q.alphas[p])
-    entries = ((g, a_minus), (a_plus, -g))
+        a_plus[("A", p)] = fp
+        a_plus[("A", 1 - p)] = -(uu * fp_inv)
+        a_minus[("A", 1 - p)] = uinv * fp
+        a_minus[("A", p)] = -fp_inv
+        g[("G", p)] = fp + fp_inv - q.alphas[p]
+    g = AlgElem(g)
+    entries = ((g, AlgElem(a_minus)), (AlgElem(a_plus), -g))
     return OperatorMatrix(entries, p_poly(q, u), u, q, f"B-onsager-N{q.N}")
 
 
 def f_tilde_poly(qa: QuotientA, k: int, u: str) -> LaurentPoly:
     """sum(beta_p U^(p-k-1), p = k+1..N) with U = (u + 1/u)/2."""
     big_u = (lvar(u) + lvar(u, -1)) * Fraction(1, 2)
-    out = LaurentPoly()
-    for p in range(k + 1, qa.N + 1):
-        out = out + (big_u ** (p - k - 1)) * qa.betas[p]
-    return out
+    return LaurentPoly(
+        sum_terms(big_u ** (p - k - 1) * qa.betas[p] for p in range(k + 1, qa.N + 1))
+    )
 
 
 def p_tilde_poly(qa: QuotientA, u: str) -> LaurentPoly:
     """sum(beta_p U^p, p = 0..N) with U = (u + 1/u)/2."""
     big_u = (lvar(u) + lvar(u, -1)) * Fraction(1, 2)
-    out = LaurentPoly()
-    for p in range(qa.N + 1):
-        out = out + (big_u**p) * qa.betas[p]
-    return out
+    return LaurentPoly(sum_terms(big_u**p * qa.betas[p] for p in range(qa.N + 1)))
 
 
 def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
@@ -213,15 +208,12 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
     coefficients of 2^(N-1) f~_k and 2^N p~ are integer combinations of betas."""
     uu = lvar(u)
     uinv = lvar(u, -1)
-    w_plus = ZERO
-    w_minus = ZERO
-    g = ZERO
+    w_plus, w_minus, g = {}, {}, {}
     for k in range(qa.N):
         gk = f_tilde_poly(qa, k, u) * 2 ** (qa.N - 1)
-        fk = gk * 4
-        w_plus = w_plus + Wm(k) * fk
-        w_minus = w_minus + Wp(k) * fk
-        g = g + Gt(k) * gk
+        w_plus[("Wm", k)] = w_minus[("Wp", k)] = gk * 4
+        g[("Gt", k)] = gk
+    w_plus, w_minus, g = AlgElem(w_plus), AlgElem(w_minus), AlgElem(g)
     entries = (
         (-g, w_plus * uinv - w_minus),
         (w_plus * -uu + w_minus, g),
@@ -294,14 +286,10 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     report = Report("frt-series-onsager", params={"D": D})
 
     def currents(var):
-        g = ZERO
-        a_minus = ZERO
-        a_plus = ZERO
-        for n in range(0, D + 1):
-            if n >= 1:
-                g = g + G(n) * lvar(var, n)
-                a_plus = a_plus + A(n) * lvar(var, n)
-            a_minus = a_minus + A(-n) * lvar(var, n)
+        powers = [lvar(var, n) for n in range(D + 1)]
+        g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
+        a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
+        a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
         return ((g, a_minus), (a_plus, -g))
 
     one = LaurentPoly.const(1)
@@ -330,15 +318,11 @@ def verify_frt_series_alt(D: int) -> Report:
     U, V = "U", "V"
 
     def currents(var):
-        wp = ZERO
-        wmn = ZERO
-        g = ZERO
-        for k in range(D + 1):
-            c = lvar(var, -k - 1)
-            wp = wp + Wm(k) * c
-            wmn = wmn + Wp(k) * c
-            g = g + Gt(k) * c
-        return wp, wmn, g
+        powers = [lvar(var, -k - 1) for k in range(D + 1)]
+        return tuple(
+            AlgElem({(kind, k): c for k, c in enumerate(powers)})
+            for kind in ("Wm", "Wp", "Gt")
+        )
 
     wp_u, wm_u, g_u = currents(U)
     wp_v, wm_v, g_v = currents(V)
@@ -429,20 +413,18 @@ def expand_b(q: QuotientO, c: ChargeParams, u: str = "u"):
     """
     B = build_B_onsager(q, u)
     M = m_matrix(c, u)
-    lhs = ZERO
+    residual = {}  # tr(M B) - sum(I_p h_p)
     for i in range(2):
         for j in range(2):
-            lhs = lhs + B.entries[j][i] * M[i, j]
+            accumulate(residual, B.entries[j][i].terms, M[i, j])
     factors = []
-    rhs = ZERO
-    charge_list = charges(q, c)
-    for p in range(q.N):
+    for p, charge in enumerate(charges(q, c)):
         fp = f_poly(q, p, u)
         h = fp - fp.invert_var(u)
         factors.append(h)
-        rhs = rhs + charge_list[p] * h
+        accumulate(residual, charge.terms, -h)
+    residual = AlgElem(residual)
     report = Report("charges-expansion", params={"N": q.N})
-    residual = lhs - rhs
     report.add(f"charges:expansion:N{q.N}", residual.is_zero(), residual)
     return factors, report
 

@@ -9,6 +9,7 @@ from onsaw.elements import ZERO, AlgElem, accumulate
 from onsaw.envelope import PBW, EnvElem
 from onsaw.onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from onsaw.quotient import QuotientO
+from onsaw import scalars
 from onsaw.scalars import LaurentPoly, RatFunc, lvar
 
 CASES = 500
@@ -56,6 +57,10 @@ def test_accumulate_equals_a_chain_of_element_sums():
         cancelled += not acc
         assert str(AlgElem(acc)) == str(chain)
     assert cancelled > 0
+
+
+def test_accumulate_is_the_kernel_routine():
+    assert accumulate is scalars.accumulate
 
 
 def snapshot(cache: dict) -> dict:

@@ -73,6 +73,15 @@ def test_evaluation_errors():
         eval_expr("W(0)")  # alt atom in the onsager presentation
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("A(0) + 3", 6), ("A(1) * G(2)", 6), ("1 + [A(0), 2]", 5)],
+)
+def test_evaluation_errors_point_at_the_operator(text, column):
+    with pytest.raises(ExprError, match=rf"\(column {column}\)$"):
+        eval_expr(text)
+
+
 def test_scalar_expressions():
     assert eval_expr("2*3 - 1/2") == Fraction(11, 2)
     assert eval_expr("alpha*2") == lvar("alpha") * 2

@@ -80,6 +80,10 @@ def test_laurent_ring_axioms():
         assert (p * q) * r == p * (q * r)
         assert not (p + (-p))
         assert p * q == q * p
+        c = rand_fraction(rng)
+        assert p - q == p + (-q)
+        assert c - p == c + (-p)  # LaurentPoly.__rsub__
+        assert 2 - p == 2 + (-p)
 
 
 def test_poly_eval_is_a_ring_homomorphism():
@@ -122,6 +126,7 @@ def test_bracket_antisymmetry():
         x = rand_elem(rng, rand_onsager_sym, 12)
         y = rand_elem(rng, rand_onsager_sym, 12)
         assert (bracket(x, y) + bracket(y, x)).is_zero()
+        assert x - y == x + (-y)
 
 
 def test_jacobi_identity_onsager():
@@ -237,6 +242,8 @@ def test_pbw_commutator_matches_reduced_bracket_random_pairs():
         x, y = AlgElem.basis(s), AlgElem.basis(t)
         lhs = env.commutator(EnvElem.from_alg(x), EnvElem.from_alg(y))
         assert lhs == EnvElem.from_alg(q.bracket_reduced(x, y))
+        other = EnvElem.from_alg(x * rand_fraction(rng), rand_fraction(rng))
+        assert lhs - other == lhs + (-other)
 
 
 def test_conversion_commutes_with_reduction_random_elements():

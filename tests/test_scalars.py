@@ -9,6 +9,7 @@ from onsaw import scalars
 from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
+    accumulate,
     as_ratfunc,
     coeff_div,
     decode_monomial,
@@ -197,6 +198,70 @@ def test_kernel_stores_integral_coefficients_as_int():
     # both kinds of coefficient occur, so the check is not vacuous
     assert seen[int] and seen[Fraction]
     assert type(LaurentPoly.const(Fraction(4, 2)).terms[encode_monomial({})]) is int
+
+
+def test_accumulate_stores_integral_results_as_int():
+    half = Fraction(1, 2)
+    total = accumulate({"a": half}, {"a": half})
+    assert total == {"a": 1} and type(total["a"]) is int
+    for terms, k in (({"a": 2}, half), ({"a": half}, 2), ({"a": half}, Fraction(4))):
+        product = accumulate({}, terms, k)
+        assert type(product["a"]) is int, (terms, k)
+    assert accumulate({}, {"a": 1}, Fraction(-1)) == {"a": -1}
+    assert type(accumulate({}, {"a": 1}, Fraction(-1))["a"]) is int
+
+
+def test_accumulate_never_leaves_a_zero():
+    half = Fraction(1, 2)
+    assert accumulate({"a": half, "b": 1}, {"a": -half, "b": 1}) == {"b": 2}
+    assert accumulate({"a": 1}, {"a": 3, "b": 5}, 0) == {"a": 1}
+    assert accumulate({"a": 1}, {"a": Fraction(1, 3)}, -3) == {}
+    rng = random.Random(405)
+    values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+    emptied = 0
+    for _ in range(500):
+        acc, terms = (
+            {key: rng.choice(values) for key in rng.sample("abcd", rng.randint(0, 4))}
+            for _ in range(2)
+        )
+        k = rng.choice([None, 0, -1, 2, Fraction(-1, 2), Fraction(2)])
+        expected = {key: Fraction(c) for key, c in acc.items()}
+        for key, c in terms.items():
+            expected[key] = expected.get(key, 0) + c * (1 if k is None else k)
+        accumulate(acc, terms, k)
+        assert acc == {key: c for key, c in expected.items() if c}
+        assert all(acc.values())
+        emptied += not acc
+    assert emptied
+
+
+def test_mixed_coefficients_make_no_reverse_fraction_call(monkeypatch):
+    from onsaw.altpres import Wm, convert_to_ons
+    from onsaw.onsager import A, bracket
+
+    def refuse(*args):
+        raise AssertionError("int on the left of a Fraction")
+
+    monkeypatch.setattr(Fraction, "__radd__", refuse)
+    monkeypatch.setattr(Fraction, "__rmul__", refuse)
+    half = Fraction(1, 2)
+    assert accumulate({"a": 1, "b": half}, {"a": half, "b": 2}) == {
+        "a": Fraction(3, 2),
+        "b": Fraction(5, 2),
+    }
+    assert accumulate({"a": 1}, {"a": 3, "b": half}, half) == {
+        "a": Fraction(5, 2),
+        "b": Fraction(1, 4),
+    }
+    assert accumulate({"a": half}, {"a": 1, "b": 3}, Fraction(-1, 2)) == {
+        "b": Fraction(-3, 2)
+    }
+    p = lvar("x") * 3 + LaurentPoly.const(half)
+    assert p + p * half - p == p * half
+    assert (p - 1).subs("x", half) == LaurentPoly.const(1)
+    assert bracket(A(0, 3), A(1, half)) == bracket(A(0), A(1)) * Fraction(3, 2)
+    quarter = Fraction(1, 4)
+    assert convert_to_ons(Wm(2)) == A(2, quarter) + A(0, half) + A(-2, quarter)
 
 
 def test_values_leaving_the_kernel_are_fractions():
