@@ -11,6 +11,9 @@ family) and Gt(k), all with k >= 0, subject to
 The explicit change of basis to/from the {A_n, G_m} presentation is the pair
 of binomial formulas below; the two maps are mutually inverse and intertwine
 the brackets (verify_iso checks this mechanically on bounded index ranges).
+The image of each basis symbol is computed once and memoised for the life of
+the process (`_to_alt_sym`, `_to_ons_sym`); the cached elements are shared
+and read-only, as `linear_extension` only reads them.
 
 Finite quotients are cut out by a coefficient vector (beta_0, ..., beta_N):
 every family index >= N rewrites onto indices 0..N-1 through the single
@@ -20,6 +23,7 @@ in the Laurent ring.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
@@ -126,6 +130,7 @@ def _w_paper(n: int, coeff) -> AlgElem:
     return Wp(n - 1, coeff)
 
 
+@cache
 def _to_alt_sym(sym: tuple) -> AlgElem:
     kind, n = sym
     if kind == "A" and n >= 1:
@@ -153,6 +158,7 @@ def _to_alt_sym(sym: tuple) -> AlgElem:
     return AlgElem(sum_terms(parts))
 
 
+@cache
 def _to_ons_sym(sym: tuple) -> AlgElem:
     kind, k = sym
     if kind == "Wm":
@@ -185,7 +191,7 @@ class QuotientA:
     rational or a monomial (a unit of the Laurent ring)."""
 
     def __init__(self, betas):
-        betas = tuple(Fraction(b) if isinstance(b, int) else b for b in betas)
+        betas = tuple(betas)
         if len(betas) < 2:
             raise ValueError("need N >= 1, i.e. at least (beta_0, beta_1)")
         if not betas[-1]:

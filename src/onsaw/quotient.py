@@ -15,8 +15,6 @@ u_poly_report and any mismatch is a documented discrepancy (the reduction
 oracle wins).
 """
 
-from fractions import Fraction
-
 from .elements import AlgElem, accumulate, linear_extension
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from .reports import Report
@@ -27,9 +25,7 @@ class QuotientO:
     """N and the coefficient vector (alpha_0, ..., alpha_N), alpha_N = 1."""
 
     def __init__(self, alphas):
-        alphas = tuple(
-            Fraction(a) if isinstance(a, int) else a for a in alphas
-        )
+        alphas = tuple(alphas)
         if len(alphas) < 2:
             raise ValueError("need N >= 1, i.e. at least (alpha_0, alpha_1)")
         last = alphas[-1]
@@ -57,11 +53,11 @@ class QuotientO:
     @classmethod
     def symbolic(cls, N: int) -> "QuotientO":
         """Quotient with symbolic coefficients named by `alpha_names`."""
-        return cls(tuple(lvar(n) for n in cls.alpha_names(N)) + (Fraction(1),))
+        return cls(tuple(lvar(n) for n in cls.alpha_names(N)) + (1,))
 
     def alpha(self, m: int):
         m = abs(m)
-        return self.alphas[m] if m <= self.N else Fraction(0)
+        return self.alphas[m] if m <= self.N else 0
 
     def basis_syms(self) -> list:
         return [("A", n) for n in range(-self.N + 1, self.N + 1)] + [
@@ -127,14 +123,14 @@ def u_poly(q: QuotientO, p: int, j: int):
     if cached is not None:
         return cached
     if p == 0:
-        out = q.alpha(j) * Fraction((-1) ** (N + 1))
+        out = q.alpha(j) * (-1) ** (N + 1)
     else:
-        out = Fraction(0)
+        out = 0
         for k in range(p):
             term = q.alpha(k - N + 1) * u_poly(q, p - 1 - k, j)
             out = out + (term if k % 2 == 0 else -term)
         if -N + 1 <= j <= N - p:
-            extra = q.alpha(j + p) * Fraction((-1) ** (N + p - 1))
+            extra = q.alpha(j + p) * (-1) ** (N + p - 1)
             out = out + extra
     q._upoly[key] = out
     return out
@@ -143,7 +139,7 @@ def u_poly(q: QuotientO, p: int, j: int):
 def u_poly_oracle(q: QuotientO, p: int, j: int):
     """The same coefficient read directly off reduce(A_{-N-p})."""
     reduced = q.reduce(A(-q.N - p))
-    sign = Fraction((-1) ** (p + q.N))
+    sign = (-1) ** (p + q.N)
     return reduced.coeff(("A", j)) * sign
 
 
@@ -166,7 +162,7 @@ def forward_reduction_report(q: QuotientO, pmax: int) -> Report:
     """reduce(A_{N+p+1}) and reduce(G_{N+p+1}) against the U-table formulas."""
     report = Report("upoly-forward", params={"N": q.N, "pmax": pmax})
     for p in range(pmax + 1):
-        sign = Fraction((-1) ** (p + q.N))
+        sign = (-1) ** (p + q.N)
         expect_a = {}
         expect_g = {}
         for j in range(-q.N + 1, q.N + 1):

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from onsaw import altpres
 from onsaw.altpres import (
     Gt,
     QuotientA,
     Wm,
     Wp,
+    _to_alt_sym,
+    _to_ons_sym,
     alt_auto,
     appendix_fixtures_report,
     averaged_shift,
@@ -148,6 +151,12 @@ def test_quotient_a_validation():
         QuotientA((Fraction(1), Fraction(0)))
 
 
+def test_integer_betas_stay_ints():
+    qa = QuotientA((1, 0, 2))
+    assert all(type(b) is int for b in qa.betas)
+    assert qa.reduce(Wm(2)) == Wm(0) * Fraction(-1, 2)
+
+
 def test_quotient_a_needs_a_unit_leading_coefficient():
     for zero in (0, Fraction(0), LaurentPoly()):
         with pytest.raises(ValueError, match="beta_N must be nonzero$"):
@@ -211,6 +220,42 @@ def test_sprime_normalizations():
 def test_verify_iso():
     report = verify_iso()
     assert report.status == "pass"
+
+
+def test_change_of_basis_is_computed_once_per_symbol():
+    assert _to_alt_sym(("A", 5)) is _to_alt_sym(("A", 5))
+    assert _to_ons_sym(("Wp", 4)) is _to_ons_sym(("Wp", 4))
+    _to_alt_sym.cache_clear()
+    _to_ons_sym.cache_clear()
+    assert verify_iso().status == "pass"
+    # symbols A(-20..21), G(1..21) one way and Wm/Wp/Gt(0..20) the other
+    assert _to_alt_sym.cache_info().misses == 63
+    assert _to_ons_sym.cache_info().misses == 63
+
+
+def iso_status(report) -> dict:
+    return {c.id: c.status for c in report.checks}
+
+
+def corrupted(image, bad_sym, extra):
+    return lambda sym: image(sym) + extra if sym == bad_sym else image(sym)
+
+
+def test_a_warm_cache_cannot_hide_a_broken_map(monkeypatch):
+    assert verify_iso().status == "pass"  # every image is now cached
+    broken = corrupted(_to_alt_sym, ("A", 3), Wm(0))
+    monkeypatch.setattr(altpres, "_to_alt_sym", broken)
+    status = iso_status(verify_iso())
+    assert status["iso:round-trip-onsager"] == "fail"
+    assert status["iso:bracket-intertwine"] == "fail"
+    monkeypatch.undo()
+
+    broken = corrupted(_to_ons_sym, ("Wp", 2), A(0))
+    monkeypatch.setattr(altpres, "_to_ons_sym", broken)
+    assert iso_status(verify_iso())["iso:round-trip-alt"] == "fail"
+    monkeypatch.undo()
+    # the broken maps built new elements and left the cached images alone
+    assert verify_iso().status == "pass"
 
 
 def test_triangular_change_of_basis():

@@ -4,7 +4,17 @@ guarantee that no shared element or cache entry is ever changed."""
 import random
 from fractions import Fraction
 
-from onsaw.altpres import Gt, QuotientA, Wm, Wp, convert_to_alt, convert_to_ons
+from onsaw.altpres import (
+    Gt,
+    QuotientA,
+    Wm,
+    Wp,
+    _to_alt_sym,
+    _to_ons_sym,
+    bracket_alt,
+    convert_to_alt,
+    convert_to_ons,
+)
 from onsaw.elements import ZERO, AlgElem, accumulate
 from onsaw.envelope import PBW, EnvElem
 from onsaw.onsager import A, G, apply_autopoly, bracket, s_n_autopoly
@@ -104,6 +114,24 @@ def test_sums_leave_shared_elements_and_caches_unchanged():
     env.multiply(EnvElem({(a1,): Fraction(1)}), EnvElem({(a0,): lvar("t")}))
     env.normalize(EnvElem({(g1, a1): Fraction(1), (a1, a0): Fraction(2)}))
     assert_kept(env._normal, before)
+
+    to_alt = {s: _to_alt_sym(s) for s in (("A", 4), ("A", -3), ("G", 3))}
+    to_ons = {s: _to_ons_sym(s) for s in (("Wm", 3), ("Wp", 3), ("Gt", 2))}
+    a4, a3, g3 = to_alt.values()
+    wm3, wp3, gt2 = to_ons.values()
+    convert_to_alt(A(4) + A(-3) * lvar("t") + G(3))
+    convert_to_ons(Wm(3) - Wp(3) + Gt(2) * 2)
+    a4 + a3 - g3
+    (a4 * lvar("t")).scale(Fraction(1, 3))
+    bracket_alt(a4, bracket_alt(a3, g3))
+    qa.reduce(a4 + g3)
+    wm3 + wp3 - gt2 * 5
+    bracket(wm3, gt2)
+    QuotientO.symbolic(2).reduce(wp3 + gt2)
+    for sym, image in to_alt.items():
+        assert image == _to_alt_sym.__wrapped__(sym), sym
+    for sym, image in to_ons.items():
+        assert image == _to_ons_sym.__wrapped__(sym), sym
 
     ZERO + A(1)
     ZERO - G(2)

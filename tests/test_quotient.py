@@ -81,6 +81,29 @@ def test_u_poly_oracle_direct(q1):
     assert u_poly_oracle(q1, 2, 0) == alpha * alpha * alpha - 2 * alpha
 
 
+def test_integer_alphas_give_an_integer_table():
+    q = QuotientO((3, -2, 1))
+    assert all(type(a) is int for a in q.alphas) and type(q.alpha(5)) is int
+    assert QuotientO.symbolic(2).alphas[-1] == 1
+    assert type(QuotientO.symbolic(2).alphas[-1]) is int
+    for p in range(5):
+        for j in range(-q.N + 1, q.N + 1):
+            assert type(u_poly(q, p, j)) is int, (p, j)
+
+
+def test_table_reports_make_no_reverse_fraction_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("int on the left of a Fraction")
+
+    monkeypatch.setattr(Fraction, "__radd__", refuse)
+    monkeypatch.setattr(Fraction, "__rmul__", refuse)
+    for q in (QuotientO((3, -2, 1)),) + tuple(
+        QuotientO.symbolic(N) for N in (1, 2, 3)
+    ):
+        assert u_poly_report(q, 10).status == "pass"
+        assert forward_reduction_report(q, 8).status == "pass"
+
+
 def test_u_poly_range_errors(q1):
     with pytest.raises(ValueError):
         u_poly(q1, -1, 0)
