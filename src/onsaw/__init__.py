@@ -20,7 +20,7 @@ from .altpres import (
     verify_iso,
 )
 from .elements import AlgElem
-from .envelope import EnvElem, PBW, aw3_fit, pbw_normalize, verify_quartic
+from .envelope import EnvElem, PBW, aw3_fit, verify_quartic
 from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
 from .onsager import A, G, apply_auto, apply_autopoly, bracket, verify_dolan_grady
 from .quotient import QuotientO, defining_relations, u_poly, verify_sn
@@ -80,7 +80,6 @@ __all__ = [
     "lvar",
     "m_matrix",
     "partial_trace",
-    "pbw_normalize",
     "r_matrix",
     "ratfunc_equal",
     "rep_build",

@@ -71,8 +71,8 @@ def alt_sym_bracket(s: tuple, t: tuple) -> AlgElem:
     raise TypeError(f"not alternative-presentation symbols: {s}, {t}")
 
 
-def bracket_alt(x: AlgElem, y: AlgElem, sym_bracket=alt_sym_bracket) -> AlgElem:
-    return bracket(x, y, sym_bracket=sym_bracket)
+def bracket_alt(x: AlgElem, y: AlgElem) -> AlgElem:
+    return bracket(x, y, sym_bracket=alt_sym_bracket)
 
 
 # --- automorphisms ------------------------------------------------------------

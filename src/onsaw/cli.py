@@ -17,6 +17,8 @@ from .altpres import (
     averaged_shift_report,
     beta_alpha_report,
     beta_from_alpha,
+    convert_to_alt,
+    convert_to_ons,
     dolan_grady_alt_report,
     reduction_diagram_report,
     sprime_report,
@@ -34,11 +36,12 @@ from .quotient import (
     u_poly_report,
     verify_sn,
 )
-from .reports import FAIL, Report, timer
+from .reports import FAIL, PASS, Check, Report, timer
 from .reps import rep_build, rep_check, rep_matrix_identity_report
 from .scalars import lvar
 from .yangbaxter import (
     RED_INTERPRETATIONS,
+    ChargeParams,
     build_B_alt,
     build_B_onsager,
     corrupted_r_matrix,
@@ -56,11 +59,13 @@ class InputError(Exception):
     pass
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str):
+    """An exact rational: an int when integral, else a Fraction."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational: {text!r} ({exc})") from None
+    return int(value) if value.denominator == 1 else value
 
 
 def _read_config(path: str) -> dict:
@@ -80,21 +85,22 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _coeffs(params: dict, names) -> tuple:
+    """The value of each named coefficient from --param or the config, or
+    else the symbol of that name."""
+    return tuple(params[name] if name in params else lvar(name) for name in names)
+
+
 def _quotient(N: int, params: dict, alphas) -> QuotientO:
     if alphas is not None:
         if len(alphas) != N + 1:
             raise InputError(f"alpha vector must have length N+1 = {N + 1}")
         return QuotientO(alphas)
-    coeffs = [params.get(name, lvar(name)) for name in QuotientO.alpha_names(N)]
-    return QuotientO(tuple(coeffs) + (Fraction(1),))
+    return QuotientO(_coeffs(params, QuotientO.alpha_names(N)) + (1,))
 
 
 def _quotient_alt(N: int, params: dict) -> QuotientA:
-    coeffs = []
-    for i in range(N + 1):
-        name = f"beta{i}"
-        coeffs.append(params[name] if name in params else lvar(name))
-    return QuotientA(tuple(coeffs))
+    return QuotientA(_coeffs(params, [f"beta{i}" for i in range(N + 1)]))
 
 
 def _corrupted_sym_bracket(s, t):
@@ -191,14 +197,8 @@ def _suite_charges(opts) -> Report:
     return report
 
 
-def _charge_params(params: dict):
-    from .yangbaxter import ChargeParams
-
-    return ChargeParams(
-        params.get("kappa", lvar("kappa")),
-        params.get("kappas", lvar("kappas")),
-        params.get("mu", lvar("mu")),
-    )
+def _charge_params(params: dict) -> ChargeParams:
+    return ChargeParams(*_coeffs(params, ("kappa", "kappas", "mu")))
 
 
 def _suite_reD(opts) -> Report:
@@ -254,8 +254,6 @@ def _suite_aw3_fit(opts) -> Report:
 
 
 def _suite_rep(opts) -> Report:
-    from .reports import PASS, Check
-
     report = Report("rep")
     if opts.w:
         configs = [opts.w]
@@ -478,19 +476,12 @@ def main(argv=None) -> int:
                 return 0
             print(f"DISCREPANCY: reduction oracle gives {oracle}")
             return 1
-        if args.command == "convert":
-            presentation = "onsager" if args.dir == "to-alt" else "alt"
-            element = eval_expr(args.expr, presentation, opts.params)
-            from .altpres import convert_to_alt, convert_to_ons
-
-            converted = (
-                convert_to_alt(element)
-                if args.dir == "to-alt"
-                else convert_to_ons(element)
-            )
-            print(converted)
-            return 0
-        raise InputError(f"unknown command {args.command!r}")
+        # convert: the subcommand is required, so no other is left
+        presentation = "onsager" if args.dir == "to-alt" else "alt"
+        element = eval_expr(args.expr, presentation, opts.params)
+        convert = convert_to_alt if args.dir == "to-alt" else convert_to_ons
+        print(convert(element))
+        return 0
     except (InputError, ExprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,10 +123,6 @@ class PBW:
         return self.multiply(x, y) - self.multiply(y, x)
 
 
-def pbw_normalize(expr: EnvElem, q: QuotientO) -> EnvElem:
-    return PBW(q).normalize(expr)
-
-
 # --- quartic presentations ----------------------------------------------------
 
 

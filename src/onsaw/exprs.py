@@ -4,7 +4,8 @@ Grammar:
 
     expr     := term (("+" | "-") term)*
     term     := factor ("*" factor)*
-    factor   := rational | symbol | atom | "[" expr "," expr "]" | "(" expr ")"
+    factor   := rational | symbol | atom | "-" factor
+              | "[" expr "," expr "]" | "(" expr ")"
     atom     := ("A" | "G" | "W" | "Wp" | "Gt") "(" integer ")"
     rational := integer ("/" positive-integer)?
     symbol   := identifier   (bound through parameters or left symbolic)
@@ -13,9 +14,15 @@ Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
 n >= 1 raising), while Wp(k) and Gt(k) address the raising family and the
 Gt family by machine index k >= 0.
+
+The parser evaluates as it reads: each rule returns the `AlgElem` or the
+scalar that it denotes, and no syntax tree is built.  An error is raised at
+the first fault in reading order, syntax or evaluation alike; an evaluation
+error points at its operator or "[".  Nesting through "(", "[" and unary "-"
+is bounded by MAX_DEPTH levels, so a deep input is an `ExprError` and never
+exhausts the interpreter's stack.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .altpres import Gt, Wm, Wp, bracket_alt
@@ -27,6 +34,8 @@ _ATOMS = ("A", "G", "W", "Wp", "Gt")
 _ONSAGER_ATOMS = {"A", "G"}
 _ALT_ATOMS = {"W", "Wp", "Gt"}
 
+MAX_DEPTH = 100
+
 
 class ExprError(ValueError):
     """Syntax or evaluation error, carrying a character position."""
@@ -34,57 +43,6 @@ class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (column {pos + 1})")
         self.pos = pos
-
-
-# Every node carries the 0-based position of its first token (a leaf) or of
-# its operator or "[" (an inner node), so evaluation errors point at it.
-
-
-@dataclass
-class Atom:
-    kind: str
-    index: int
-    pos: int
-
-
-@dataclass
-class Rational:
-    value: Fraction
-    pos: int
-
-
-@dataclass
-class Symbol:
-    name: str
-    pos: int
-
-
-@dataclass
-class Add:
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass
-class Sub:
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass
-class Mul:
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass
-class BracketNode:
-    left: object
-    right: object
-    pos: int
 
 
 # --- lexer -------------------------------------------------------------------
@@ -124,9 +82,13 @@ def _tokens(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, presentation: str, params: dict | None):
         self.tokens = _tokens(text)
         self.i = 0
+        self.depth = 0
+        self.presentation = presentation
+        self.params = params or {}
+        self.bracket = bracket if presentation == "onsager" else bracket_alt
 
     def peek(self):
         return self.tokens[self.i]
@@ -139,58 +101,63 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-        return node
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.take()
             rhs = self.term()
-            node = (Add if op == "+" else Sub)(node, rhs, pos)
-        return node
+            if isinstance(value, AlgElem) != isinstance(rhs, AlgElem):
+                raise ExprError("cannot add a scalar to an algebra element", pos)
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.peek()[0] == "*":
             pos = self.take()[2]
-            node = Mul(node, self.factor(), pos)
-        return node
+            rhs = self.factor()
+            if isinstance(value, AlgElem) and isinstance(rhs, AlgElem):
+                raise ExprError("algebra elements have no product; use [x, y]", pos)
+            value = rhs * value if isinstance(rhs, AlgElem) else value * rhs
+        return value
 
     def factor(self):
-        kind, value, pos = self.peek()
+        kind, value, pos = self.take()
         if kind == "int":
-            return self.rational()
-        if kind == "-":
-            self.take()
-            if self.peek()[0] == "int":
-                literal = self.rational()
-                return Rational(-literal.value, pos)
-            return Mul(Rational(Fraction(-1), pos), self.factor(), pos)
-        if kind == "[":
-            self.take()
-            left = self.expr()
-            self.take(",")
-            right = self.expr()
-            self.take("]")
-            return BracketNode(left, right, pos)
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
+            return self.rational(value)
         if kind == "name":
-            self.take()
             if value in _ATOMS and self.peek()[0] == "(":
                 self.take("(")
                 index = self.integer()
                 self.take(")")
-                return Atom(value, index, pos)
-            return Symbol(value, pos)
-        raise ExprError(f"unexpected token {value!r}", pos)
+                return self.atom(value, index, pos)
+            return self.params.get(value, lvar(value))
+        if kind not in ("-", "[", "("):
+            raise ExprError(f"unexpected token {value!r}", pos)
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError("expression nested too deeply", pos)
+        if kind == "-":
+            out = -self.factor()
+        elif kind == "(":
+            out = self.expr()
+            self.take(")")
+        else:
+            left = self.expr()
+            self.take(",")
+            right = self.expr()
+            self.take("]")
+            if not (isinstance(left, AlgElem) and isinstance(right, AlgElem)):
+                raise ExprError("bracket arguments must be algebra elements", pos)
+            out = self.bracket(left, right)
+        self.depth -= 1
+        return out
 
     def integer(self):
         sign = 1
@@ -200,99 +167,41 @@ class _Parser:
         tok = self.take("int")
         return sign * int(tok[1])
 
-    def rational(self):
-        tok = self.take("int")
-        value = Fraction(int(tok[1]))
-        if self.peek()[0] == "/":
-            self.take()
-            den = self.take("int")
-            if int(den[1]) == 0:
-                raise ExprError("zero denominator", den[2])
-            value /= int(den[1])
-        return Rational(value, tok[2])
+    def rational(self, digits: str):
+        """The literal `digits`, over a denominator if "/" follows: an int
+        when integral, else a Fraction."""
+        if self.peek()[0] != "/":
+            return int(digits)
+        self.take()
+        den = self.take("int")
+        if int(den[1]) == 0:
+            raise ExprError("zero denominator", den[2])
+        value = Fraction(int(digits), int(den[1]))
+        return int(value) if value.denominator == 1 else value
 
-
-def parse_expr(text: str):
-    return _Parser(text).parse()
-
-
-# --- rendering / evaluation -----------------------------------------------------
-
-
-def render(node) -> str:
-    if isinstance(node, Atom):
-        return f"{node.kind}({node.index})"
-    if isinstance(node, Rational):
-        return str(node.value)
-    if isinstance(node, Symbol):
-        return node.name
-    if isinstance(node, Add):
-        return f"({render(node.left)} + {render(node.right)})"
-    if isinstance(node, Sub):
-        return f"({render(node.left)} - {render(node.right)})"
-    if isinstance(node, Mul):
-        return f"({render(node.left)} * {render(node.right)})"
-    if isinstance(node, BracketNode):
-        return f"[{render(node.left)}, {render(node.right)}]"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _atom_elem(node: Atom, presentation: str) -> AlgElem:
-    family = _ONSAGER_ATOMS if presentation == "onsager" else _ALT_ATOMS
-    if node.kind not in family:
-        raise ExprError(
-            f"atom {node.kind}({node.index}) does not belong to the"
-            f" {presentation} presentation",
-            node.pos,
-        )
-    if node.kind == "A":
-        return A(node.index)
-    if node.kind == "G":
-        return G(node.index)
-    if node.kind == "W":
-        return Wm(-node.index) if node.index <= 0 else Wp(node.index - 1)
-    try:
-        return Wp(node.index) if node.kind == "Wp" else Gt(node.index)
-    except ValueError as exc:
-        raise ExprError(str(exc), node.pos) from None
-
-
-def evaluate(node, presentation: str = "onsager", params: dict | None = None):
-    """Evaluate an AST to an AlgElem or a scalar coefficient.
-
-    Unbound symbols stay symbolic; `params` maps names to exact rationals.
-    """
-    params = params or {}
-    br = bracket if presentation == "onsager" else bracket_alt
-
-    def walk(n):
-        if isinstance(n, Atom):
-            return _atom_elem(n, presentation)
-        if isinstance(n, Rational):
-            return n.value
-        if isinstance(n, Symbol):
-            return params.get(n.name, lvar(n.name))
-        if isinstance(n, (Add, Sub)):
-            left, right = walk(n.left), walk(n.right)
-            if isinstance(left, AlgElem) != isinstance(right, AlgElem):
-                raise ExprError("cannot add a scalar to an algebra element", n.pos)
-            return left + right if isinstance(n, Add) else left - right
-        if isinstance(n, Mul):
-            left, right = walk(n.left), walk(n.right)
-            if isinstance(left, AlgElem) and isinstance(right, AlgElem):
-                raise ExprError("algebra elements have no product; use [x, y]", n.pos)
-            if isinstance(right, AlgElem):
-                return right * left
-            return left * right
-        if isinstance(n, BracketNode):
-            left, right = walk(n.left), walk(n.right)
-            if not (isinstance(left, AlgElem) and isinstance(right, AlgElem)):
-                raise ExprError("bracket arguments must be algebra elements", n.pos)
-            return br(left, right)
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return walk(node)
+    def atom(self, kind: str, index: int, pos: int) -> AlgElem:
+        family = _ONSAGER_ATOMS if self.presentation == "onsager" else _ALT_ATOMS
+        if kind not in family:
+            raise ExprError(
+                f"atom {kind}({index}) does not belong to the"
+                f" {self.presentation} presentation",
+                pos,
+            )
+        if kind == "A":
+            return A(index)
+        if kind == "G":
+            return G(index)
+        if kind == "W":
+            return Wm(-index) if index <= 0 else Wp(index - 1)
+        try:
+            return Wp(index) if kind == "Wp" else Gt(index)
+        except ValueError as exc:
+            raise ExprError(str(exc), pos) from None
 
 
 def eval_expr(text: str, presentation: str = "onsager", params: dict | None = None):
-    return evaluate(parse_expr(text), presentation, params)
+    """Evaluate `text` to an AlgElem or a scalar coefficient.
+
+    Unbound symbols stay symbolic; `params` maps names to exact rationals.
+    """
+    return _Parser(text, presentation, params).parse()

@@ -104,6 +104,17 @@ class QuotientO:
 # --- reduction-coefficient table ---------------------------------------------
 
 
+# The coefficient rule of `accumulate`: a Fraction stays on the left of an int.
+
+
+def _times(a, b):
+    return b * a if type(a) is int else a * b
+
+
+def _plus(a, b):
+    return b + a if type(a) is int else a + b
+
+
 def u_poly(q: QuotientO, p: int, j: int):
     """Reduction coefficient U_{p,j} computed by its own recurrence.
 
@@ -127,11 +138,11 @@ def u_poly(q: QuotientO, p: int, j: int):
     else:
         out = 0
         for k in range(p):
-            term = q.alpha(k - N + 1) * u_poly(q, p - 1 - k, j)
-            out = out + (term if k % 2 == 0 else -term)
-        if -N + 1 <= j <= N - p:
-            extra = q.alpha(j + p) * (-1) ** (N + p - 1)
-            out = out + extra
+            a = q.alpha(k - N + 1)
+            if a:
+                out = _plus(out, _times(a, u_poly(q, p - 1 - k, j) * (-1) ** k))
+        if j <= N - p and q.alpha(j + p):
+            out = _plus(out, _times(q.alpha(j + p), (-1) ** (N + p - 1)))
     q._upoly[key] = out
     return out
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: suites, exit codes, determinism, file config."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,31 @@ def test_reduce_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce", "--N", "1", "--expr", "A(1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "opening, closing, column",
+    [("(", ")", 101), ("[A(0), ", "]", 701), ("-", "", 101)],
+)
+def test_deep_nesting_is_an_input_error(capsys, opening, closing, column):
+    text = opening * 500 + "A(0)" + closing * 500
+    code, out, err = run(capsys, "reduce", "--N", "1", f"--expr={text}")
+    assert code == 2
+    assert out == ""
+    assert f"nested too deeply (column {column})" in err
+
+
+def test_integral_rationals_are_ints(tmp_path):
+    assert type(cli._parse_rational("3")) is int
+    assert cli._parse_rational("6/2") == 3 and type(cli._parse_rational("6/2")) is int
+    assert cli._parse_rational("3/2") == Fraction(3, 2)
+    config = tmp_path / "onsaw.cfg"
+    config.write_text("alphas = 3,-2,1\n", encoding="utf-8")
+    args = cli._build_parser().parse_args(["upoly", "--N", "2", "--p", "0", "--j", "0"])
+    opts = cli._Options(args, cli._read_config(str(config)))
+    q = cli._quotient(2, opts.params, opts.alphas)
+    assert q.alphas == (3, -2, 1) and all(type(a) is int for a in q.alphas)
+    assert type(cli._quotient(2, {}, None).alphas[-1]) is int
 
 
 def test_convert_commands(capsys):

@@ -1,13 +1,14 @@
-"""Expression grammar, evaluation, rendering, and error reporting."""
+"""Expression grammar, evaluation while parsing, and error reporting."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from onsaw.altpres import Gt, Wm, Wp
-from onsaw.exprs import ExprError, eval_expr, parse_expr, render
-from onsaw.onsager import A, G
+from onsaw.altpres import Gt, Wm, Wp, bracket_alt
+from onsaw.elements import AlgElem
+from onsaw.exprs import MAX_DEPTH, ExprError, eval_expr
+from onsaw.onsager import A, G, bracket
 from onsaw.quotient import QuotientO
 from onsaw.scalars import lvar
 
@@ -48,16 +49,38 @@ def test_nested_brackets():
 
 def test_syntax_errors_carry_positions():
     with pytest.raises(ExprError) as err:
-        parse_expr("A(1) +")
+        eval_expr("A(1) +")
     assert "column" in str(err.value)
     with pytest.raises(ExprError):
-        parse_expr("A(1")
+        eval_expr("A(1")
     with pytest.raises(ExprError):
-        parse_expr("$")
+        eval_expr("$")
     with pytest.raises(ExprError):
-        parse_expr("[A(0), A(1)")
+        eval_expr("[A(0), A(1)")
     with pytest.raises(ExprError):
-        parse_expr("1/0")
+        eval_expr("1/0")
+
+
+def test_the_first_error_in_reading_order_is_reported():
+    # The product fails before the parser reaches the missing operand.
+    with pytest.raises(ExprError, match=r"no product.*\(column 6\)$"):
+        eval_expr("A(0) * A(1) +")
+    # A bracket is checked once its "]" is read, so here the syntax error comes
+    # first.
+    with pytest.raises(ExprError, match=r"^expected '\]', found '' \(column 9\)$"):
+        eval_expr("[A(0), 2")
+
+
+@pytest.mark.parametrize(
+    "opening, closing", [("(", ")"), ("[A(0), ", "]"), ("-", "")]
+)
+def test_nesting_is_bounded(opening, closing):
+    text = opening * MAX_DEPTH + "A(1)" + closing * MAX_DEPTH
+    assert isinstance(eval_expr(text), AlgElem)
+    deeper = opening * (MAX_DEPTH + 1) + "A(1)" + closing * (MAX_DEPTH + 1)
+    column = MAX_DEPTH * len(opening) + 1
+    with pytest.raises(ExprError, match=rf"nested too deeply \(column {column}\)$"):
+        eval_expr(deeper)
 
 
 def test_evaluation_errors():
@@ -87,31 +110,82 @@ def test_scalar_expressions():
     assert eval_expr("alpha*2") == lvar("alpha") * 2
 
 
-def _random_expr(rng, depth=0):
+# Each generator returns a text and the value it denotes, built through the
+# library constructors and operators; "elem" texts denote algebra elements,
+# "scalar" texts denote coefficients.  Sums and products are written without
+# parentheses, so the values check precedence and left associativity.
+
+
+def _atom(rng, presentation):
+    if presentation == "onsager":
+        if rng.random() < 0.5:
+            n = rng.randint(-5, 5)
+            return f"A({n})", A(n)
+        m = rng.randint(1, 5)
+        return f"G({m})", G(m)
+    kind = rng.choice(["W", "Wp", "Gt"])
+    if kind == "W":
+        n = rng.randint(-4, 4)
+        return f"W({n})", Wm(-n) if n <= 0 else Wp(n - 1)
+    k = rng.randint(0, 4)
+    return f"{kind}({k})", (Wp if kind == "Wp" else Gt)(k)
+
+
+_SYMBOLS = {"alpha": lvar("alpha"), "beta1": lvar("beta1"), "mu": Fraction(1, 3)}
+_PARAMS = {"mu": Fraction(1, 3)}
+
+
+def _factor(rng, presentation, kind, depth):
     roll = rng.random()
-    if depth > 3 or roll < 0.3:
-        kind = rng.choice(["A", "G", "W", "Wp", "Gt"])
-        lo = 0 if kind in ("Wp", "Gt") else (1 if kind == "G" else -6)
-        return f"{kind}({rng.randint(lo, 6)})"
-    if roll < 0.45:
-        return str(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-    if roll < 0.6:
-        return rng.choice(["alpha", "beta1", "mu"])
-    left = _random_expr(rng, depth + 1)
-    right = _random_expr(rng, depth + 1)
-    op = rng.choice(["+", "-", "*", "[]"])
-    if op == "[]":
-        return f"[{left}, {right}]"
-    return f"({left} {op} {right})"
+    if depth < 3 and roll < 0.15:
+        text, value = _factor(rng, presentation, kind, depth + 1)
+        return "-" + text, -value
+    if depth < 3 and roll < 0.3:
+        text, value = _expr(rng, presentation, kind, depth + 1)
+        return f"({text})", value
+    if kind == "scalar":
+        if roll < 0.7:
+            num, den = rng.randint(0, 12), rng.randint(1, 6)
+            if rng.random() < 0.3:
+                return str(num), num
+            return f"{num}/{den}", Fraction(num, den)
+        name = rng.choice(sorted(_SYMBOLS))
+        return name, _SYMBOLS[name]
+    if depth < 3 and roll < 0.5:
+        left, x = _expr(rng, presentation, "elem", depth + 1)
+        right, y = _expr(rng, presentation, "elem", depth + 1)
+        br = bracket if presentation == "onsager" else bracket_alt
+        return f"[{left}, {right}]", br(x, y)
+    return _atom(rng, presentation)
 
 
-def test_render_parse_round_trip():
+def _term(rng, presentation, kind, depth):
+    count = rng.randint(1, 3)
+    where = rng.randrange(count) if kind == "elem" else -1
+    parts = [
+        _factor(rng, presentation, "elem" if i == where else "scalar", depth)
+        for i in range(count)
+    ]
+    value = parts[0][1]
+    for _, factor in parts[1:]:
+        value = value * factor
+    return " * ".join(text for text, _ in parts), value
+
+
+def _expr(rng, presentation, kind, depth=0):
+    text, value = _term(rng, presentation, kind, depth)
+    for _ in range(rng.randint(0, 2)):
+        rhs, term = _term(rng, presentation, kind, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text} + {rhs}", value + term
+        else:
+            text, value = f"{text} - {rhs}", value - term
+    return text, value
+
+
+@pytest.mark.parametrize("presentation", ["onsager", "alt"])
+def test_random_texts_evaluate_to_the_values_they_were_built_from(presentation):
     rng = random.Random(20240811)
     for _ in range(300):
-        text = _random_expr(rng)
-        try:
-            ast = parse_expr(text)
-        except ExprError:
-            continue
-        again = parse_expr(render(ast))
-        assert render(again) == render(ast)
+        text, expected = _expr(rng, presentation, "elem")
+        assert eval_expr(text, presentation, _PARAMS) == expected, text

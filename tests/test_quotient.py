@@ -97,7 +97,8 @@ def test_table_reports_make_no_reverse_fraction_call(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__radd__", refuse)
     monkeypatch.setattr(Fraction, "__rmul__", refuse)
-    for q in (QuotientO((3, -2, 1)),) + tuple(
+    rational = QuotientO((Fraction(1, 2), Fraction(-3, 2), 1))
+    for q in (QuotientO((3, -2, 1)), rational) + tuple(
         QuotientO.symbolic(N) for N in (1, 2, 3)
     ):
         assert u_poly_report(q, 10).status == "pass"
