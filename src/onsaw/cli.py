@@ -8,6 +8,7 @@ recorded in the report but are not failures), 1 on verification failure,
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -24,8 +25,9 @@ from .altpres import (
     sprime_report,
     verify_iso,
 )
+from .elements import AlgElem
 from .envelope import PBW, aw3_fit, pbw_lie_compat_report, verify_quartic
-from .exprs import ExprError, eval_expr
+from .exprs import eval_expr
 from .onsager import bracket, sym_bracket, verify_dolan_grady
 from .quotient import (
     QuotientO,
@@ -36,7 +38,7 @@ from .quotient import (
     u_poly_report,
     verify_sn,
 )
-from .reports import FAIL, PASS, Check, Report, timer
+from .reports import FAIL, PASS, Check, Report
 from .reps import rep_build, rep_check, rep_matrix_identity_report
 from .scalars import lvar
 from .yangbaxter import (
@@ -313,20 +315,17 @@ def run_suite(name: str, opts) -> Report:
         report = Report("all")
         for sub in _SUITE_RUNNERS:
             report.extend(run_suite(sub, opts))
-        report.params = _report_params(opts)
-        report.version = __version__
-        return report
-    runner = _SUITE_RUNNERS.get(name)
-    if runner is None:
-        raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if opts.timing:
-        with timer() as t:
-            report = runner(opts)
-        if report.checks:
-            report.checks[-1].millis = t.millis
     else:
+        runner = _SUITE_RUNNERS.get(name)
+        if runner is None:
+            raise InputError(
+                f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
+            )
+        start = time.perf_counter()
         report = runner(opts)
-    report.suite = name
+        if opts.timing and report.checks:
+            report.checks[-1].millis = int((time.perf_counter() - start) * 1000)
+        report.suite = name
     report.params = _report_params(opts)
     report.version = __version__
     return report
@@ -348,41 +347,38 @@ def _report_params(opts) -> dict:
 # --- argument handling -------------------------------------------------------------
 
 
-class _Options:
-    def __init__(self, args, config):
-        args_n = getattr(args, "N", None)
-        self.N = args_n if args_n is not None else _config_int(config, "N")
-        self.trunc = getattr(args, "trunc", None)
-        self.interpretation = getattr(args, "interpretation", None)
-        self.timing = getattr(args, "timing", False)
-        self.params = {}
-        self.alphas = None
-        for key, value in config.items():
-            if key in ("N",):
-                continue
-            if key == "alphas":
-                self.alphas = tuple(
-                    _parse_rational(part) for part in value.split(",")
-                )
-                continue
-            self.params[key] = _parse_rational(value)
-        for item in getattr(args, "param", None) or []:
-            if "=" not in item:
-                raise InputError(f"--param expects name=value, got {item!r}")
-            name, _, value = item.partition("=")
-            self.params[name.strip()] = _parse_rational(value)
-        self.w = None
-        if getattr(args, "w", None):
-            self.w = [_parse_rational(part) for part in args.w.split(",")]
-
-
-def _config_int(config, key):
-    if key in config:
+def _apply_config(args, config: dict):
+    """Complete the parsed namespace in place: N (when --N is absent), alphas
+    and params from the config, params overridden by --param, and --w parsed
+    into rationals."""
+    if args.N is None and "N" in config:
         try:
-            return int(config[key])
+            args.N = int(config["N"])
         except ValueError:
-            raise InputError(f"config {key} must be an integer") from None
-    return None
+            raise InputError("config N must be an integer") from None
+    args.alphas = None
+    args.params = {}
+    for key, value in config.items():
+        if key == "alphas":
+            args.alphas = tuple(_parse_rational(part) for part in value.split(","))
+        elif key != "N":
+            args.params[key] = _parse_rational(value)
+    for item in args.param or []:
+        if "=" not in item:
+            raise InputError(f"--param expects name=value, got {item!r}")
+        name, _, value = item.partition("=")
+        args.params[name.strip()] = _parse_rational(value)
+    if args.w:
+        args.w = [_parse_rational(part) for part in args.w.split(",")]
+
+
+def _element(args, presentation: str) -> AlgElem:
+    element = eval_expr(args.expr, presentation, args.params)
+    if not isinstance(element, AlgElem):
+        raise InputError(
+            f"expression {args.expr!r} is a scalar, not an algebra element"
+        )
+    return element
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,83 +388,64 @@ def _build_parser() -> argparse.ArgumentParser:
         " finite quotients, and their exchange-relation presentations",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(N=None, trunc=None, w=None, interpretation=None, timing=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    expr_help = "an expression starting with '-' must be written --expr=-A(0)"
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--N", type=int, default=None)
-    p_verify.add_argument(
-        "--param", action="append", metavar="NAME=VALUE", default=None
-    )
+    p_verify.add_argument("--N", type=int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--trunc", type=int, default=None)
-    p_verify.add_argument("--w", default=None, metavar="W1,W2,...")
-    p_verify.add_argument(
-        "--interpretation",
-        default=None,
-        choices=RED_INTERPRETATIONS + ("all",),
-    )
-    p_verify.add_argument("--config", default=None)
+    p_verify.add_argument("--trunc", type=int)
+    p_verify.add_argument("--w", metavar="W1,W2,...")
+    p_verify.add_argument("--interpretation", choices=RED_INTERPRETATIONS + ("all",))
     p_verify.add_argument(
         "--timing",
         action="store_true",
-        help="record wall-clock millis (off by default so reports are stable)",
+        help="record each suite's wall-clock millis on its last check"
+        " (off by default so reports are stable)",
     )
 
     p_reduce = sub.add_parser("reduce", help="reduce an expression to normal form")
     p_reduce.add_argument("--N", type=int, required=True)
-    p_reduce.add_argument("--expr", required=True)
+    p_reduce.add_argument("--expr", required=True, help=expr_help)
     p_reduce.add_argument(
         "--presentation", choices=("onsager", "alt"), default="onsager"
     )
-    p_reduce.add_argument(
-        "--param", action="append", metavar="NAME=VALUE", default=None
-    )
-    p_reduce.add_argument("--config", default=None)
 
     p_upoly = sub.add_parser("upoly", help="one reduction-table coefficient")
     p_upoly.add_argument("--N", type=int, required=True)
     p_upoly.add_argument("--p", type=int, required=True)
     p_upoly.add_argument("--j", type=int, required=True)
-    p_upoly.add_argument(
-        "--param", action="append", metavar="NAME=VALUE", default=None
-    )
-    p_upoly.add_argument("--config", default=None)
 
     p_convert = sub.add_parser("convert", help="convert between presentations")
     p_convert.add_argument("--dir", choices=("to-alt", "to-ons"), required=True)
-    p_convert.add_argument("--expr", required=True)
-    p_convert.add_argument(
-        "--param", action="append", metavar="NAME=VALUE", default=None
-    )
-    p_convert.add_argument("--config", default=None)
+    p_convert.add_argument("--expr", required=True, help=expr_help)
+
+    for p in sub.choices.values():
+        p.add_argument("--param", action="append", metavar="NAME=VALUE")
+        p.add_argument("--config")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config) if getattr(args, "config", None) else {}
-        opts = _Options(args, config)
+        _apply_config(args, _read_config(args.config) if args.config else {})
         if args.command == "verify":
-            report = run_suite(args.suite, opts)
-            if args.format == "json":
-                print(report.to_json())
-            else:
-                print(report.to_text())
+            report = run_suite(args.suite, args)
+            print(report.to_json() if args.format == "json" else report.to_text())
             return 0 if report.ok else 1
         if args.command == "reduce":
-            element = eval_expr(args.expr, args.presentation, opts.params)
+            element = _element(args, args.presentation)
             if args.presentation == "onsager":
-                q = _quotient(args.N, opts.params, opts.alphas)
-                print(q.reduce(element))
+                q = _quotient(args.N, args.params, args.alphas)
             else:
-                qa = _quotient_alt(args.N, opts.params)
-                print(qa.reduce(element))
+                q = _quotient_alt(args.N, args.params)
+            print(q.reduce(element))
             return 0
         if args.command == "upoly":
-            q = _quotient(args.N, opts.params, opts.alphas)
+            q = _quotient(args.N, args.params, args.alphas)
             value = u_poly(q, args.p, args.j)
             oracle = u_poly_oracle(q, args.p, args.j)
             print(f"U[p={args.p}, j={args.j}] (N={args.N}) = {value}")
@@ -477,12 +454,11 @@ def main(argv=None) -> int:
             print(f"DISCREPANCY: reduction oracle gives {oracle}")
             return 1
         # convert: the subcommand is required, so no other is left
-        presentation = "onsager" if args.dir == "to-alt" else "alt"
-        element = eval_expr(args.expr, presentation, opts.params)
+        element = _element(args, "onsager" if args.dir == "to-alt" else "alt")
         convert = convert_to_alt if args.dir == "to-alt" else convert_to_ons
         print(convert(element))
         return 0
-    except (InputError, ExprError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

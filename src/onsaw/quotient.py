@@ -18,7 +18,7 @@ oracle wins).
 from .elements import AlgElem, accumulate, linear_extension
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from .reports import Report
-from .scalars import LaurentPoly, lvar
+from .scalars import lvar
 
 
 class QuotientO:
@@ -28,12 +28,7 @@ class QuotientO:
         alphas = tuple(alphas)
         if len(alphas) < 2:
             raise ValueError("need N >= 1, i.e. at least (alpha_0, alpha_1)")
-        last = alphas[-1]
-        if isinstance(last, LaurentPoly):
-            ok = last.is_const() and last.const_value() == 1
-        else:
-            ok = last == 1
-        if not ok:
+        if alphas[-1] != 1:
             raise ValueError("normalization requires alpha_N = 1")
         self.alphas = alphas
         self.N = len(alphas) - 1

@@ -8,7 +8,6 @@ byte-identical across runs; callers opt in to real timings.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -94,15 +93,3 @@ class Report:
                 line += f"  residual: {c.residual}"
             lines.append(line)
         return "\n".join(lines)
-
-
-class timer:
-    """Context manager measuring wall time in integer milliseconds."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.millis = int((time.perf_counter() - self.t0) * 1000)
-        return False

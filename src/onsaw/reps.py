@@ -32,11 +32,7 @@ from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
 
 
 def _as_coeff(w):
-    if isinstance(w, str):
-        return lvar(w)
-    if isinstance(w, int):
-        return Fraction(w)
-    return w
+    return lvar(w) if isinstance(w, str) else w
 
 
 def rep_alphas(ws, u: str = "u") -> list:
@@ -206,14 +202,10 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict, u: str = "u") -> Rep
     dim = 2**N
     value = None
     for candidate in _SAMPLE_VALUES:
-        if all(
-            not isinstance(w, Fraction) or (candidate != w and candidate * w != 1)
-            for w in ws
-        ):
-            scale = p_of_u.subs(u, candidate)
-            if scale:
-                value = candidate
-                break
+        scale = p_of_u.subs(u, candidate)
+        if scale:
+            value = candidate
+            break
     if value is None:
         raise ValueError("could not find an admissible sample value")
     nums = []

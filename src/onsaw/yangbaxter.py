@@ -120,9 +120,8 @@ def corrupted_r_matrix(u: str = "u", v: str = "v") -> tuple:
 class OperatorMatrix:
     """A 2x2 matrix of algebra elements with a common scalar denominator.
 
-    The represented matrix is entries/den.  `algebra` supplies the ambient
-    quotient's bracket_reduced and reduce; None means the bracket of the full
-    algebra with no reduction.
+    The represented matrix is entries/den.  `algebra` is the ambient quotient
+    (QuotientO or QuotientA); verify_frt uses its bracket_reduced and reduce.
     """
 
     entries: tuple

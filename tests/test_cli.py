@@ -1,6 +1,8 @@
 """Command-line behaviour: suites, exit codes, determinism, file config."""
 
+import itertools
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +68,59 @@ def test_bad_param_is_an_input_error(capsys):
     code, _, err = run(capsys, "verify", "dg", "--param", "alpha")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--N", "1", "--expr", "3"),
+        ("reduce", "--N", "1", "--expr", "alpha"),
+        ("reduce", "--N", "1", "--presentation", "alt", "--expr", "1/2"),
+        ("convert", "--dir", "to-alt", "--expr", "3"),
+        ("convert", "--dir", "to-ons", "--expr", "beta"),
+    ],
+)
+def test_scalar_expression_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "scalar" in err
+
+
+def _fake_clock(monkeypatch):
+    """Make every perf_counter call advance the clock by exactly 7 ms."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: Fraction(7, 1000) * next(ticks))
+
+
+def test_timing_stamps_the_last_check_of_a_suite(capsys, monkeypatch):
+    _fake_clock(monkeypatch)
+    code, out, _ = run(capsys, "verify", "dg", "--timing", "--format", "json")
+    assert code == 0
+    millis = [c["millis"] for c in json.loads(out)["checks"]]
+    assert len(millis) > 1
+    assert millis[-1] == 7 and not any(millis[:-1])
+
+
+def test_timing_of_all_stamps_one_check_per_suite(capsys, monkeypatch):
+    _fake_clock(monkeypatch)
+    code, out, _ = run(capsys, "verify", "all", "--timing", "--format", "json")
+    assert code == 0
+    millis = [c["millis"] for c in json.loads(out)["checks"] if c["millis"]]
+    assert millis == [7] * 15
+
+
+def test_param_binds_upoly_and_convert(capsys):
+    code, out, _ = run(
+        capsys, "upoly", "--N", "1", "--p", "1", "--j", "0", "--param", "alpha=2"
+    )
+    assert code == 0
+    assert out.strip() == "U[p=1, j=0] (N=1) = 3"
+    code, out, _ = run(
+        capsys, "convert", "--dir", "to-alt", "--expr", "mu*A(0)", "--param", "mu=2"
+    )
+    assert code == 0
+    assert out.strip() == "2*Wm(0)"
 
 
 def test_reduce_command(capsys):
@@ -145,8 +200,8 @@ def test_integral_rationals_are_ints(tmp_path):
     config = tmp_path / "onsaw.cfg"
     config.write_text("alphas = 3,-2,1\n", encoding="utf-8")
     args = cli._build_parser().parse_args(["upoly", "--N", "2", "--p", "0", "--j", "0"])
-    opts = cli._Options(args, cli._read_config(str(config)))
-    q = cli._quotient(2, opts.params, opts.alphas)
+    cli._apply_config(args, cli._read_config(str(config)))
+    q = cli._quotient(2, args.params, args.alphas)
     assert q.alphas == (3, -2, 1) and all(type(a) is int for a in q.alphas)
     assert type(cli._quotient(2, {}, None).alphas[-1]) is int
 
@@ -217,4 +272,13 @@ GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks/expected/verify_all.j
 def test_verify_all_json_equals_the_golden_report(capsys):
     code, out, _ = run(capsys, "verify", "all", "--format", "json")
     assert code == 0
-    assert out.encode("utf-8") == GOLDEN.read_bytes()
+    got, expected = out.encode("utf-8"), GOLDEN.read_bytes()
+    lines = itertools.zip_longest(
+        got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    )
+    for lineno, (a, b) in enumerate(lines, 1):
+        assert a == b, (
+            f"first difference at line {lineno}:\n"
+            f"  got:      {a!r}\n  expected: {b!r}"
+        )
+    assert got == expected

@@ -16,7 +16,7 @@ from onsaw.quotient import (
     u_poly_report,
     verify_sn,
 )
-from onsaw.scalars import lvar
+from onsaw.scalars import LaurentPoly, lvar
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,14 @@ def test_reduce_example_n2(q2):
 def test_alpha_n_must_be_one():
     with pytest.raises(ValueError):
         QuotientO((lvar("alpha"), Fraction(2)))
+
+
+def test_normalization_requires_alpha_n_equal_to_one():
+    for last in (2, lvar("a"), LaurentPoly.const(2)):
+        with pytest.raises(ValueError, match="normalization requires alpha_N = 1"):
+            QuotientO((lvar("alpha"), last))
+    for last in (1, Fraction(1), LaurentPoly.const(1)):
+        assert QuotientO((lvar("alpha"), last)).N == 1
 
 
 def test_reduce_is_idempotent_and_supported_on_window(q2):

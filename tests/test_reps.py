@@ -59,12 +59,14 @@ def test_rep_check_n1_and_n2_symbolic():
 
 
 def test_rep_block_identity():
-    for ws in (["w"], ["w1", "w2"]):
+    for ws in (["w"], ["w1", "w2"], [2, 3]):
         q, rep = rep_build(ws)
         assert rep_matrix_identity_report(ws, q, rep).status == "pass"
 
 
-@pytest.mark.parametrize("ws", [["w"], ["w1", "w2"], [3, 5]])
+@pytest.mark.parametrize(
+    "ws", [["w"], ["w1", "w2"], [3, 5], [2, 3], [Fraction(1, 2)]]
+)
 def test_rep_block_identity_rejects_a_wrong_generator_matrix(ws):
     q, rep = rep_build(ws)
     rep[("A", 0)] = rep[("A", 0)].scale(Fraction(2))
