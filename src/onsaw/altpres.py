@@ -537,13 +537,3 @@ def appendix_fixtures_report() -> Report:
     )
     return report
 
-
-def dolan_grady_alt_report() -> Report:
-    """The two lowest generators satisfy the Dolan-Grady relations."""
-    report = Report("dg-alt")
-    w0, w1 = Wm(0), Wp(0)
-    for name, x, y in (("dg-alt:0110", w0, w1), ("dg-alt:1001", w1, w0)):
-        nested = bracket_alt(x, bracket_alt(x, bracket_alt(x, y)))
-        residual = nested - bracket_alt(x, y) * 16
-        report.add(name, residual.is_zero(), residual)
-    return report

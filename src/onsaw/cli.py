@@ -1,6 +1,10 @@
 """Command-line harness: verification suites, normal-form reduction, the
 reduction-coefficient table, and basis conversion.
 
+The suite table `_SUITE_RUNNERS` maps each suite to its runner, in the order of
+`verify all`; `_NEGATIVE_CONTROLS` maps a suite to a corrupted run that must
+fail, which `run_suite` records as the check `<suite>:negative-control`.
+
 Exit codes: 0 on pass (discrepancies against printed reference values are
 recorded in the report but are not failures), 1 on verification failure,
 2 on input errors.
@@ -10,17 +14,20 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .altpres import (
     QuotientA,
+    Wm,
+    Wp,
     appendix_fixtures_report,
     averaged_shift_report,
     beta_alpha_report,
     beta_from_alpha,
+    bracket_alt,
     convert_to_alt,
     convert_to_ons,
-    dolan_grady_alt_report,
     reduction_diagram_report,
     sprime_report,
     verify_iso,
@@ -105,38 +112,7 @@ def _quotient_alt(N: int, params: dict) -> QuotientA:
     return QuotientA(_coeffs(params, [f"beta{i}" for i in range(N + 1)]))
 
 
-def _corrupted_sym_bracket(s, t):
-    value = sym_bracket(s, t)
-    if s[0] == "A" and t[0] == "A":
-        return value * Fraction(5, 4)
-    return value
-
-
-# --- suite implementations ----------------------------------------------------
-
-
-def _suite_cybe(opts) -> Report:
-    report = verify_cybe()
-    negative = verify_cybe(corrupted_r_matrix())
-    report.add(
-        "cybe:negative-control",
-        negative.status == FAIL,
-        "corrupted r-matrix was not rejected",
-    )
-    return report
-
-
-def _suite_dg(opts) -> Report:
-    report = verify_dolan_grady()
-    negative = verify_dolan_grady(
-        bracket_fn=lambda x, y: bracket(x, y, sym_bracket=_corrupted_sym_bracket)
-    )
-    report.add(
-        "dg:negative-control",
-        negative.status == FAIL,
-        "corrupted structure constants were not rejected",
-    )
-    return report
+# --- suites -------------------------------------------------------------------
 
 
 def _ns(opts, default):
@@ -150,52 +126,38 @@ def _quotients(opts, default):
         yield _quotient(N, opts.params, opts.alphas if opts.N is not None else None)
 
 
-def _suite_frt_onsager(opts) -> Report:
-    report = Report("frt-onsager")
-    for q in _quotients(opts, [1, 2, 3]):
-        report.extend(verify_frt(build_B_onsager(q)))
-    B = build_B_onsager(QuotientO.symbolic(1))
-    corrupted = B.with_entry(0, 1, -B.entries[0][1])
-    negative = verify_frt(corrupted)
-    report.add(
-        "frt-onsager:negative-control",
-        negative.status == FAIL,
-        "corrupted operator matrix was not rejected",
-    )
-    return report
+def _per_quotient(default, *checks):
+    """A runner that extends its report by each check, in turn, of each
+    quotient `_quotients` gives."""
+
+    def runner(opts) -> Report:
+        report = Report("")
+        for q in _quotients(opts, default):
+            for check in checks:
+                report.extend(check(q))
+        return report
+
+    return runner
 
 
-def _suite_frt_alt(opts) -> Report:
-    report = Report("frt-alt")
+def _frt_alt(opts) -> Report:
+    report = Report("")
     for N in _ns(opts, [1, 2, 3]):
-        qa = _quotient_alt(N, opts.params)
-        report.extend(verify_frt(build_B_alt(qa)))
+        report.extend(verify_frt(build_B_alt(_quotient_alt(N, opts.params))))
     return report
 
 
-def _suite_frt_series(opts) -> Report:
+def _frt_series(opts) -> Report:
     D = opts.trunc if opts.trunc is not None else 8
-    report = Report("frt-series", params={"D": D})
-    report.extend(verify_frt_series_onsager(D))
-    report.extend(verify_frt_series_alt(D))
-    return report
+    return verify_frt_series_onsager(D).extend(verify_frt_series_alt(D))
 
 
-def _suite_sn(opts) -> Report:
-    report = Report("sn")
-    for q in _quotients(opts, [1, 2, 3, 4]):
-        report.extend(verify_sn(q))
-        report.extend(implied_relations_report(q, pmax=6))
-    return report
-
-
-def _suite_charges(opts) -> Report:
-    report = Report("charges")
+def _charges(opts) -> Report:
+    report = Report("")
     for q in _quotients(opts, [1, 2, 3, 4]):
         report.extend(verify_commuting(q))
         if q.N <= 3:
-            _, expansion = expand_b(q, _charge_params(opts.params))
-            report.extend(expansion)
+            report.extend(expand_b(q, _charge_params(opts.params))[1])
     return report
 
 
@@ -203,108 +165,102 @@ def _charge_params(params: dict) -> ChargeParams:
     return ChargeParams(*_coeffs(params, ("kappa", "kappas", "mu")))
 
 
-def _suite_reD(opts) -> Report:
+def _reD(opts) -> Report:
     c = _charge_params(opts.params)
     if opts.interpretation == "all":
-        report = Report("reD", params={"interpretation": "all"})
+        report = Report("")
         for name, holds in reD_survey(c).items():
             report.add_discrepancy(
-                f"reD:{name}",
-                holds,
-                "identity does not hold for this reading",
+                f"reD:{name}", holds, "identity does not hold for this reading"
             )
         return report
     return verify_reD(c, opts.interpretation or "r12")
 
 
-def _suite_iso(opts) -> Report:
-    report = verify_iso()
-    report.extend(averaged_shift_report())
-    report.extend(dolan_grady_alt_report())
-    return report
-
-
-def _suite_beta_alpha(opts) -> Report:
-    report = Report("beta-alpha")
-    for q in _quotients(opts, [1, 2, 3, 4]):
-        report.extend(beta_alpha_report(q))
-        report.extend(reduction_diagram_report(q))
-        report.extend(sprime_report(beta_from_alpha(q)))
-    return report
-
-
-def _suite_quartic(opts) -> Report:
-    report = Report("quartic")
-    for q in _quotients(opts, [1, 2]):
-        report.extend(verify_quartic(q))
-        report.extend(pbw_lie_compat_report(q))
+def _quartic(opts) -> Report:
+    report = _per_quotient([1, 2], verify_quartic, pbw_lie_compat_report)(opts)
     q1 = QuotientO.symbolic(1)
-    first = PBW(q1, strategy="first")
-    last = PBW(q1, strategy="last")
     word = (("A", 1), ("G", 1), ("A", 0), ("A", 1), ("A", 0))
+    first, last = (PBW(q1, strategy=s).normalize_word(word) for s in ("first", "last"))
     report.add(
-        "quartic:pbw-confluence-spot",
-        first.normalize_word(word) == last.normalize_word(word),
-        "rewrite strategies disagree",
+        "quartic:pbw-confluence-spot", first == last, "rewrite strategies disagree"
     )
     return report
 
 
-def _suite_aw3_fit(opts) -> Report:
-    _, report = aw3_fit()
-    return report
-
-
-def _suite_rep(opts) -> Report:
-    report = Report("rep")
-    if opts.w:
-        configs = [opts.w]
-    else:
-        configs = [["w"], ["w1", "w2"]]
-    for ws in configs:
+def _rep(opts) -> Report:
+    report = Report("")
+    for ws in [opts.w] if opts.w else [["w"], ["w1", "w2"]]:
         q, rep = rep_build(ws)
         report.extend(rep_check(q, rep))
         report.extend(rep_matrix_identity_report(ws, q, rep))
         if opts.w:
-            for sym in q.basis_syms():
+            for kind, k in q.basis_syms():
                 rows = "; ".join(
                     "[" + ", ".join(str(e) for e in row) + "]"
-                    for row in rep[sym].entries
+                    for row in rep[kind, k].entries
                 )
-                report.checks.append(
-                    Check(f"rep:matrix:{sym[0]}({sym[1]})", PASS, rows)
-                )
+                report.checks.append(Check(f"rep:matrix:{kind}({k})", PASS, rows))
     return report
-
-
-def _suite_upoly(opts) -> Report:
-    report = Report("upoly")
-    for q in _quotients(opts, [1, 2, 3]):
-        report.extend(u_poly_report(q, pmax=10))
-        report.extend(forward_reduction_report(q, pmax=8))
-    return report
-
-
-def _suite_fixtures(opts) -> Report:
-    return appendix_fixtures_report()
 
 
 _SUITE_RUNNERS = {
-    "cybe": _suite_cybe,
-    "dg": _suite_dg,
-    "frt-onsager": _suite_frt_onsager,
-    "frt-alt": _suite_frt_alt,
-    "frt-series": _suite_frt_series,
-    "sn": _suite_sn,
-    "charges": _suite_charges,
-    "reD": _suite_reD,
-    "iso": _suite_iso,
-    "beta-alpha": _suite_beta_alpha,
-    "quartic": _suite_quartic,
-    "aw3-fit": _suite_aw3_fit,
-    "rep": _suite_rep,
-    "upoly": _suite_upoly,
-    "fixtures-appendix-a": _suite_fixtures,
+    "cybe": lambda opts: verify_cybe(),
+    "dg": lambda opts: verify_dolan_grady(),
+    "frt-onsager": _per_quotient([1, 2, 3], lambda q: verify_frt(build_B_onsager(q))),
+    "frt-alt": _frt_alt,
+    "frt-series": _frt_series,
+    "sn": _per_quotient(
+        [1, 2, 3, 4], verify_sn, partial(implied_relations_report, pmax=6)
+    ),
+    "charges": _charges,
+    "reD": _reD,
+    "iso": lambda opts: verify_iso()
+    .extend(averaged_shift_report())
+    .extend(verify_dolan_grady(bracket_alt, (Wm(0), Wp(0)), "dg-alt")),
+    "beta-alpha": _per_quotient(
+        [1, 2, 3, 4],
+        beta_alpha_report,
+        reduction_diagram_report,
+        lambda q: sprime_report(beta_from_alpha(q)),
+    ),
+    "quartic": _quartic,
+    "aw3-fit": lambda opts: aw3_fit()[1],
+    "rep": _rep,
+    "upoly": _per_quotient(
+        [1, 2, 3],
+        partial(u_poly_report, pmax=10),
+        partial(forward_reduction_report, pmax=8),
+    ),
+    "fixtures-appendix-a": lambda opts: appendix_fixtures_report(),
+}
+
+
+def _corrupted_sym_bracket(s, t):
+    value = sym_bracket(s, t)
+    if s[0] == "A" and t[0] == "A":
+        return value * Fraction(5, 4)
+    return value
+
+
+def _corrupted_frt() -> Report:
+    B = build_B_onsager(QuotientO.symbolic(1))
+    return verify_frt(B.with_entry(0, 1, -B.entries[0][1]))
+
+
+# Suite -> (negative control, residual if the control's report does not fail).
+_NEGATIVE_CONTROLS = {
+    "cybe": (
+        lambda: verify_cybe(corrupted_r_matrix()),
+        "corrupted r-matrix was not rejected",
+    ),
+    "dg": (
+        lambda: verify_dolan_grady(
+            lambda x, y: bracket(x, y, sym_bracket=_corrupted_sym_bracket)
+        ),
+        "corrupted structure constants were not rejected",
+    ),
+    "frt-onsager": (_corrupted_frt, "corrupted operator matrix was not rejected"),
 }
 
 SUITES = tuple(_SUITE_RUNNERS) + ("all",)
@@ -323,6 +279,9 @@ def run_suite(name: str, opts) -> Report:
             )
         start = time.perf_counter()
         report = runner(opts)
+        if name in _NEGATIVE_CONTROLS:
+            control, residual = _NEGATIVE_CONTROLS[name]
+            report.add(f"{name}:negative-control", control().status == FAIL, residual)
         if opts.timing and report.checks:
             report.checks[-1].millis = int((time.perf_counter() - start) * 1000)
         report.suite = name
@@ -393,8 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
     expr_help = "an expression starting with '-' must be written --expr=-A(0)"
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_reduce = sub.add_parser("reduce", help="reduce an expression to normal form")
+    p_upoly = sub.add_parser("upoly", help="one reduction-table coefficient")
+    for p in (p_verify, p_reduce, p_upoly):
+        p.add_argument("--N", type=int)
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--N", type=int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--trunc", type=int)
     p_verify.add_argument("--w", metavar="W1,W2,...")
@@ -406,15 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
         " (off by default so reports are stable)",
     )
 
-    p_reduce = sub.add_parser("reduce", help="reduce an expression to normal form")
-    p_reduce.add_argument("--N", type=int, required=True)
     p_reduce.add_argument("--expr", required=True, help=expr_help)
     p_reduce.add_argument(
         "--presentation", choices=("onsager", "alt"), default="onsager"
     )
 
-    p_upoly = sub.add_parser("upoly", help="one reduction-table coefficient")
-    p_upoly.add_argument("--N", type=int, required=True)
     p_upoly.add_argument("--p", type=int, required=True)
     p_upoly.add_argument("--j", type=int, required=True)
 
@@ -432,6 +390,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_config(args, _read_config(args.config) if args.config else {})
+        if args.N is None and args.command in ("reduce", "upoly"):
+            raise InputError("--N is required (or N in a config file)")
         if args.command == "verify":
             report = run_suite(args.suite, args)
             print(report.to_json() if args.format == "json" else report.to_text())

@@ -116,12 +116,13 @@ def s_n_autopoly(alphas) -> list:
     return [(alphas[abs(n)], shift_word(n)) for n in range(-N, N + 1)]
 
 
-def verify_dolan_grady(bracket_fn=bracket) -> Report:
-    """Check both Dolan-Grady relations exactly; each must give residual 0."""
-    report = Report("dg")
-    a0, a1 = A(0), A(1)
-    for name, x, y in (("dg:0110", a0, a1), ("dg:1001", a1, a0)):
+def verify_dolan_grady(bracket_fn=bracket, gens=(A(0), A(1)), prefix="dg") -> Report:
+    """Check both Dolan-Grady relations on the generator pair exactly; each
+    must give residual 0.  Check ids are `<prefix>:0110` and `<prefix>:1001`."""
+    report = Report(prefix)
+    a0, a1 = gens
+    for name, x, y in (("0110", a0, a1), ("1001", a1, a0)):
         nested = bracket_fn(x, bracket_fn(x, bracket_fn(x, y)))
         residual = nested - bracket_fn(x, y) * 16
-        report.add(name, residual.is_zero(), residual)
+        report.add(f"{prefix}:{name}", residual.is_zero(), residual)
     return report

@@ -175,20 +175,11 @@ def forward_reduction_report(q: QuotientO, pmax: int) -> Report:
             u = u_poly(q, p, j)
             accumulate(expect_a, A(1 - j).terms, u * sign)
             accumulate(expect_g, G(j - 1).terms, u * -sign)
-        expect_a = AlgElem(expect_a)
-        expect_g = AlgElem(expect_g)
-        got_a = q.reduce(A(q.N + p + 1))
-        got_g = q.reduce(G(q.N + p + 1))
-        report.add(
-            f"upoly-forward:A:N{q.N}:p{p}",
-            got_a == q.reduce(expect_a),
-            got_a - q.reduce(expect_a),
-        )
-        report.add(
-            f"upoly-forward:G:N{q.N}:p{p}",
-            got_g == q.reduce(expect_g),
-            got_g - q.reduce(expect_g),
-        )
+        for kind, got, expect in (
+            ("A", q.reduce(A(q.N + p + 1)), q.reduce(AlgElem(expect_a))),
+            ("G", q.reduce(G(q.N + p + 1)), q.reduce(AlgElem(expect_g))),
+        ):
+            report.add(f"upoly-forward:{kind}:N{q.N}:p{p}", got == expect, got - expect)
     return report
 
 

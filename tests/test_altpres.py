@@ -23,14 +23,13 @@ from onsaw.altpres import (
     c_coeff,
     convert_to_alt,
     convert_to_ons,
-    dolan_grady_alt_report,
     reduction_diagram_report,
     sprime_report,
     triangular_basis_report,
     verify_iso,
 )
 from onsaw.elements import AlgElem
-from onsaw.onsager import A, G, PHI, TAU0, TAU1, apply_auto, bracket
+from onsaw.onsager import A, G, PHI, TAU0, TAU1, apply_auto, bracket, verify_dolan_grady
 from onsaw.quotient import QuotientO
 from onsaw.scalars import LaurentPoly, RatFunc, lvar
 
@@ -104,7 +103,9 @@ def test_averaged_shift_formulas():
 
 
 def test_dolan_grady_in_alt_presentation():
-    assert dolan_grady_alt_report().status == "pass"
+    report = verify_dolan_grady(bracket_alt, (Wm(0), Wp(0)), "dg-alt")
+    assert report.status == "pass"
+    assert [c.id for c in report.checks] == ["dg-alt:0110", "dg-alt:1001"]
 
 
 def test_beta_from_alpha_n1_and_n2():

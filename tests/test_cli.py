@@ -9,7 +9,31 @@ from pathlib import Path
 import pytest
 
 import onsaw.cli as cli
+from onsaw.altpres import (
+    QuotientA,
+    beta_alpha_report,
+    beta_from_alpha,
+    reduction_diagram_report,
+    sprime_report,
+)
+from onsaw.envelope import pbw_lie_compat_report, verify_quartic
+from onsaw.onsager import verify_dolan_grady
+from onsaw.quotient import (
+    QuotientO,
+    forward_reduction_report,
+    implied_relations_report,
+    u_poly_report,
+    verify_sn,
+)
 from onsaw.reports import Report
+from onsaw.yangbaxter import (
+    ChargeParams,
+    build_B_alt,
+    build_B_onsager,
+    expand_b,
+    verify_commuting,
+    verify_frt,
+)
 
 
 def run(capsys, *argv):
@@ -47,6 +71,37 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "dg")
     assert code == 1
     assert "suite dg: fail" in out
+
+
+def test_a_negative_control_that_passes_fails_its_suite(capsys, monkeypatch):
+    _, residual = cli._NEGATIVE_CONTROLS["dg"]
+    monkeypatch.setitem(
+        cli._NEGATIVE_CONTROLS, "dg", (lambda: verify_dolan_grady(), residual)
+    )
+    code, out, _ = run(capsys, "verify", "dg", "--format", "json")
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    control = checks["dg:negative-control"]
+    assert control["status"] == "fail"
+    assert control["residual"] == "corrupted structure constants were not rejected"
+
+
+def test_verify_all_runs_each_negative_control_once(capsys, monkeypatch):
+    calls = []
+    for name, (control, residual) in list(cli._NEGATIVE_CONTROLS.items()):
+
+        def counted(name=name, control=control):
+            calls.append(name)
+            return control()
+
+        monkeypatch.setitem(cli._NEGATIVE_CONTROLS, name, (counted, residual))
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == ["cybe", "dg", "frt-onsager"]
+    controls = [
+        c["id"] for c in json.loads(out)["checks"] if "negative-control" in c["id"]
+    ]
+    assert controls == [f"{name}:negative-control" for name in calls]
 
 
 def test_internal_key_error_is_not_reported_as_an_input_error(capsys, monkeypatch):
@@ -219,6 +274,58 @@ def test_upoly_command(capsys):
     code, out, _ = run(capsys, "upoly", "--N", "1", "--p", "2", "--j", "0")
     assert code == 0
     assert "-2*alpha + alpha^3" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [("reduce", "--expr", "A(-1)"), ("upoly", "--p", "1", "--j", "0")]
+)
+def test_config_N_stands_in_for_the_flag(tmp_path, capsys, argv):
+    config = tmp_path / "onsaw.cfg"
+    config.write_text("N=1\n", encoding="utf-8")
+    with_flag = run(capsys, *argv, "--N", "1")
+    assert with_flag[0] == 0
+    assert run(capsys, *argv, "--config", str(config)) == with_flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --N is required (or N in a config file)\n"
+
+
+# The library reports each suite runs on one quotient; the suite's own extra
+# checks (its negative control, the PBW spot) are left out of the comparison.
+_REPORTS_AT_N = {
+    "frt-onsager": lambda q, qa: [verify_frt(build_B_onsager(q))],
+    "frt-alt": lambda q, qa: [verify_frt(build_B_alt(qa))],
+    "sn": lambda q, qa: [verify_sn(q), implied_relations_report(q, pmax=6)],
+    "charges": lambda q, qa: [
+        verify_commuting(q),
+        expand_b(q, ChargeParams.symbolic())[1],
+    ],
+    "beta-alpha": lambda q, qa: [
+        beta_alpha_report(q),
+        reduction_diagram_report(q),
+        sprime_report(beta_from_alpha(q)),
+    ],
+    "quartic": lambda q, qa: [verify_quartic(q), pbw_lie_compat_report(q)],
+    "upoly": lambda q, qa: [
+        u_poly_report(q, pmax=10),
+        forward_reduction_report(q, pmax=8),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", list(_REPORTS_AT_N))
+def test_N_selects_the_quotient_of_the_library_reports(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite, "--N", "2", "--format", "json")
+    assert code == 0
+    extra = (f"{suite}:negative-control", "quartic:pbw-confluence-spot")
+    got = [
+        (c["id"], c["status"])
+        for c in json.loads(out)["checks"]
+        if c["id"] not in extra
+    ]
+    reports = _REPORTS_AT_N[suite](QuotientO.symbolic(2), QuotientA.symbolic(2))
+    assert got == [(c.id, c.status) for r in reports for c in r.checks]
 
 
 def test_config_file(tmp_path, capsys):
