@@ -35,7 +35,6 @@ from .yangbaxter import (
     charges,
     expand_b,
     m_matrix,
-    r_matrix,
     verify_commuting,
     verify_cybe,
     verify_frt,
@@ -80,7 +79,6 @@ __all__ = [
     "lvar",
     "m_matrix",
     "partial_trace",
-    "r_matrix",
     "ratfunc_equal",
     "rep_build",
     "rep_check",

@@ -47,7 +47,7 @@ from .quotient import (
 )
 from .reports import FAIL, PASS, Check, Report
 from .reps import rep_build, rep_check, rep_matrix_identity_report
-from .scalars import lvar
+from .scalars import as_coeff, lvar
 from .yangbaxter import (
     RED_INTERPRETATIONS,
     ChargeParams,
@@ -74,7 +74,7 @@ def _parse_rational(text: str):
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational: {text!r} ({exc})") from None
-    return int(value) if value.denominator == 1 else value
+    return as_coeff(value)
 
 
 def _read_config(path: str) -> dict:
@@ -196,10 +196,7 @@ def _rep(opts) -> Report:
         report.extend(rep_matrix_identity_report(ws, q, rep))
         if opts.w:
             for kind, k in q.basis_syms():
-                rows = "; ".join(
-                    "[" + ", ".join(str(e) for e in row) + "]"
-                    for row in rep[kind, k].entries
-                )
+                rows = str(rep[kind, k]).replace("\n", "; ")
                 report.checks.append(Check(f"rep:matrix:{kind}({k})", PASS, rows))
     return report
 

@@ -5,10 +5,10 @@ basis, ("Wm", k), ("Wp", k), ("Gt", k) for the alternative presentation.
 Tuples compare lexicographically, which happens to give exactly the normal
 ordering used for PBW words (A's by index, then G's by index).
 
-Coefficients follow the rule of `scalars`: int when integral, else Fraction,
-or a LaurentPoly (negative exponents allowed); RatFunc only for real
-quotients such as `OperatorMatrix.entry`.  Mixed coefficients combine through
-the arithmetic dunders of those types.
+Coefficients follow the rule of `scalars`: an int when integral, else a
+Fraction, or a LaurentPoly (negative exponents allowed); a RatFunc only in the
+`aw3_fit` solve of `envelope`.  Mixed coefficients combine through the
+arithmetic dunders of those types.
 
 Sums, differences and scalings, and the linear and bilinear extensions of
 per-symbol maps (brackets, automorphisms, quotient reduction, change of
@@ -18,8 +18,6 @@ term.  It is imported here, so `from onsaw.elements import accumulate` works.
 """
 
 from .scalars import accumulate
-
-Sym = tuple
 
 
 def linear_extension(f, x):
@@ -78,7 +76,7 @@ class AlgElem(SparseCombination):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, sym: Sym, coeff=1) -> "AlgElem":
+    def basis(cls, sym: tuple, coeff=1) -> "AlgElem":
         return cls({sym: coeff})
 
     def __add__(self, other):
@@ -97,9 +95,6 @@ class AlgElem(SparseCombination):
 
     def map_coeffs(self, f) -> "AlgElem":
         return AlgElem({s: f(c) for s, c in self.terms.items()})
-
-    def symbols(self):
-        return set(self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0])

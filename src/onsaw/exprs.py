@@ -28,7 +28,7 @@ from fractions import Fraction
 from .altpres import Gt, Wm, Wp, bracket_alt
 from .elements import AlgElem
 from .onsager import A, G, bracket
-from .scalars import lvar
+from .scalars import as_coeff, lvar
 
 _ATOMS = ("A", "G", "W", "Wp", "Gt")
 _ONSAGER_ATOMS = {"A", "G"}
@@ -176,8 +176,7 @@ class _Parser:
         den = self.take("int")
         if int(den[1]) == 0:
             raise ExprError("zero denominator", den[2])
-        value = Fraction(int(digits), int(den[1]))
-        return int(value) if value.denominator == 1 else value
+        return as_coeff(Fraction(int(digits), int(den[1])))
 
     def atom(self, kind: str, index: int, pos: int) -> AlgElem:
         family = _ONSAGER_ATOMS if self.presentation == "onsager" else _ALT_ATOMS

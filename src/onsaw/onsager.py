@@ -66,7 +66,7 @@ def bracket(x: AlgElem, y: AlgElem, sym_bracket=sym_bracket) -> AlgElem:
         for t, cy in y.terms.items():
             b = sym_bracket(s, t)
             if b:
-                accumulate(out, b.terms, cy * cx if type(cx) is int else cx * cy)
+                accumulate(out, b.terms, cx * cy)
     return AlgElem(out)
 
 

@@ -99,17 +99,6 @@ class QuotientO:
 # --- reduction-coefficient table ---------------------------------------------
 
 
-# The coefficient rule of `accumulate`: a Fraction stays on the left of an int.
-
-
-def _times(a, b):
-    return b * a if type(a) is int else a * b
-
-
-def _plus(a, b):
-    return b + a if type(a) is int else a + b
-
-
 def u_poly(q: QuotientO, p: int, j: int):
     """Reduction coefficient U_{p,j} computed by its own recurrence.
 
@@ -135,9 +124,9 @@ def u_poly(q: QuotientO, p: int, j: int):
         for k in range(p):
             a = q.alpha(k - N + 1)
             if a:
-                out = _plus(out, _times(a, u_poly(q, p - 1 - k, j) * (-1) ** k))
+                out = out + a * (u_poly(q, p - 1 - k, j) * (-1) ** k)
         if j <= N - p and q.alpha(j + p):
-            out = _plus(out, _times(q.alpha(j + p), (-1) ** (N + p - 1)))
+            out = out + q.alpha(j + p) * (-1) ** (N + p - 1)
     q._upoly[key] = out
     return out
 

@@ -27,17 +27,17 @@ from .matrices import Matrix, commutator, embed_leg
 from .onsager import bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import LaurentPoly, lvar, unit_inverse
+from .scalars import LaurentPoly, as_coeff, lvar, unit_inverse
 from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
 
 
-def _as_coeff(w):
+def _as_point(w):
     return lvar(w) if isinstance(w, str) else w
 
 
 def rep_alphas(ws, u: str = "u") -> list:
     """Quotient coefficients from the factorized prefactor; alpha_N comes out 1."""
-    ws = [_as_coeff(w) for w in ws]
+    ws = [_as_point(w) for w in ws]
     product = LaurentPoly.const(1)
     uu = lvar(u)
     uinv = lvar(u, -1)
@@ -53,7 +53,7 @@ def rep_alphas(ws, u: str = "u") -> list:
         coeff = product.coefficient_of(u, -p)
         if coeff != product.coefficient_of(u, p):
             raise ValueError("prefactor expansion is not symmetric")
-        alphas.append(coeff.const_value() if coeff.is_const() else coeff)
+        alphas.append(as_coeff(coeff.const_value()) if coeff.is_const() else coeff)
     return alphas
 
 
@@ -109,7 +109,7 @@ def _cleared_sum(nums, dens):
 
 def rep_build(ws, u: str = "u"):
     """Extract the generator matrices; returns (quotient, {symbol: Matrix})."""
-    ws = [_as_coeff(w) for w in ws]
+    ws = [_as_point(w) for w in ws]
     N = len(ws)
     dim = 2**N
     q = QuotientO(rep_alphas(ws, u))
@@ -195,7 +195,7 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict, u: str = "u") -> Rep
     leg denominators D_j: p sum_j N_j prod_{i != j} D_i = prod_i D_i pi(B-hat).
 
     (q, rep) is the representation rep_build(ws, u) extracted."""
-    ws = [_as_coeff(w) for w in ws]
+    ws = [_as_point(w) for w in ws]
     N = len(ws)
     B = build_B_onsager(q, u)
     p_of_u = p_poly(q, u)

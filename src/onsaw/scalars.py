@@ -7,23 +7,23 @@ equality is decided by cross multiplication, and a cheap normalisation (strip
 common monomial content, scale the denominator's leading coefficient to 1)
 keeps growth bounded.
 
-Division stays in the Laurent ring where it can: ``unit_inverse`` inverts its
-units, the nonzero rationals and one-term polynomials, and ``coeff_div``
-divides by them only.  ``RatFunc`` is kept for real quotients: the r-matrix,
-operator-matrix entries and the fitted three-generator constants.
+Division stays in the Laurent ring: ``unit_inverse`` inverts its units, the
+nonzero rationals and one-term polynomials, and ``coeff_div``, the one
+division path, divides by them only; a ``LaurentPoly`` has no ``/``.
+``RatFunc`` is kept for the one real quotient, the fitted three-generator
+constants of ``aw3_fit``.
 
-Coefficient rule: a stored coefficient is an ``int`` when it is integral and
-a ``fractions.Fraction`` (lowest terms, positive denominator) otherwise, so
-integer products and sums never enter ``fractions.py``.  Every operation here
-that makes coefficients returns them in that form; ``3 == Fraction(3)``, their
-hashes and their ``str`` agree, so a term map holding an integral
-``Fraction`` (built by hand) still compares and renders the same.  In a mixed
-product or sum the ``Fraction`` stands on the left: ``int * Fraction`` would
-go through ``Fraction.__rmul__`` and its ABC check.  Every sparse sum and
-every scaling by a rational, of polynomial terms and of algebra-element
-coefficients alike, goes through ``accumulate``, which keeps the rule; only
-the product of two polynomials in ``LaurentPoly.__mul__`` keeps its own loop.  Two ``int``s are never divided (that gives a ``float``); division
-goes through the ``Fraction`` inverse.  Values that leave the kernel,
+Coefficient rule: an integral coefficient is an ``int``; any other is a
+``fractions.Fraction`` (lowest terms, positive denominator); ``as_coeff``
+puts a rational from outside in that form.  Every operation here that makes
+coefficients returns them in that form; ``3 == Fraction(3)``, their hashes
+and their ``str`` agree, so a term map holding an integral ``Fraction``
+(built by hand) still compares and renders the same.  Every
+sparse sum and every scaling by a rational, of polynomial terms and of
+algebra-element coefficients alike, goes through ``accumulate``, which keeps
+the rule; only the product of two polynomials in ``LaurentPoly.__mul__`` keeps
+its own loop.  Two ``int``s are never divided (that gives a ``float``);
+division goes through the ``Fraction`` inverse.  Values that leave the kernel,
 ``const_value`` and ``evaluate``, are always ``Fraction``.
 
 Monomial encoding: a term-map key is one ``int``, ``sum(e_i << (64 * i))``,
@@ -51,7 +51,7 @@ from fractions import Fraction
 _ZERO = Fraction(0)
 
 
-def _coeff(c):
+def as_coeff(c):
     """A rational as a stored coefficient: int if integral, else Fraction."""
     if type(c) is int:
         return c
@@ -79,23 +79,23 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
 
     This is the one sparse-sum loop: `LaurentPoly` sums, differences,
     products with a rational and substitution, and every sum of algebra
-    elements, go through it.  Each value
-    it computes follows the coefficient rule: in a mixed int/Fraction product
-    or sum the Fraction stands on the left, an integral Fraction is stored as
-    an int, a zero product is skipped and a key whose sum cancels is removed,
-    so `acc` never holds a zero.  A key that `acc` lacks takes its value from
-    `terms` as it is when `k` is None (a plain store).  The only other loop
-    under the rule is the inner loop of `LaurentPoly.__mul__` for the product
-    of two polynomials, inline for speed.
+    elements, go through it.  Each value it computes follows the coefficient
+    rule: an integral Fraction is stored as an int, a zero product is skipped
+    and a key whose sum cancels is removed, so `acc` never holds a zero.  A
+    key that `acc` lacks takes its value from `terms` as it is when `k` is
+    None (a plain store).  The only other loop under the rule is the inner
+    loop of `LaurentPoly.__mul__` for the product of two polynomials, inline
+    for speed.
 
-    Values may be rationals, or (for algebra elements) LaurentPolys and
-    RatFuncs; a `LaurentPoly` term map takes only a rational `k`.  `acc` must
-    be a dict the caller owns, never the `terms` of a polynomial or an
-    element: those are shared (elements, quotient caches, `ZERO`, `P_ONE`).
+    Values may be rationals, or (for algebra elements) LaurentPolys, and
+    RatFuncs in the `aw3_fit` solve; a `LaurentPoly` term map takes only a
+    rational `k`.  `acc` must be a dict the caller owns, never the `terms` of
+    a polynomial or an element: those are shared (elements, quotient caches,
+    `ZERO`, `P_ONE`).
     """
     for key, c in terms.items():
         if k is not None:
-            c = k * c if type(c) is int else c * k
+            c = c * k
             if type(c) is Fraction and c.denominator == 1:
                 c = c.numerator
             if not c:
@@ -104,7 +104,7 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
         if old is None:
             acc[key] = c
             continue
-        c = c + old if type(old) is int else old + c
+        c = old + c
         if type(c) is Fraction and c.denominator == 1:
             c = c.numerator
         if c:
@@ -208,7 +208,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c) -> "LaurentPoly":
-        c = _coeff(c)
+        c = as_coeff(c)
         return cls({0: c} if c else {})
 
     @classmethod
@@ -219,7 +219,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff, exps: dict) -> "LaurentPoly":
         """coeff times prod v**e over exps; raises ValueError for |e| >= 2**31."""
-        coeff = _coeff(coeff)
+        coeff = as_coeff(coeff)
         key = encode_monomial(exps)
         return cls({key: coeff} if coeff else {})
 
@@ -274,15 +274,14 @@ class LaurentPoly:
             a, b = b, a
         out: dict = {}
         for m1, c1 in a.items():
-            c1_int = type(c1) is int
             for m2, c2 in b.items():
                 m = m1 + m2
-                p = c2 * c1 if c1_int else c1 * c2
+                p = c1 * c2
                 old = out.get(m)
                 if old is None:
                     out[m] = p
                     continue
-                c = p + old if type(old) is int else old + p
+                c = old + p
                 if c:
                     out[m] = c
                 else:
@@ -308,19 +307,7 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def __truediv__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
-        other = as_poly(other)
-        inv = unit_inverse(other)
-        return RatFunc(self, other) if inv is None else self * inv
-
-    def __rtruediv__(self, other):
-        return RatFunc(as_poly(other), self)
-
     def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
@@ -516,9 +503,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_poly(self) -> bool:
-        return self.den == P_ONE
-
     def __add__(self, other):
         other = _as_ratfunc_or_none(other)
         if other is None:
@@ -536,12 +520,6 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
@@ -562,12 +540,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
         other = _as_ratfunc_or_none(other)
         if other is None:
@@ -575,15 +547,6 @@ class RatFunc:
         return ratfunc_equal(self, other)
 
     __hash__ = None
-
-    def evaluate(self, bindings: dict) -> Fraction:
-        den = self.den.evaluate(bindings)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(bindings) / den
-
-    def rename(self, mapping: dict) -> "RatFunc":
-        return RatFunc(self.num.rename(mapping), self.den.rename(mapping))
 
     def __str__(self):
         if self.den == P_ONE:
@@ -623,9 +586,9 @@ def unit_inverse(c):
         if len(c.terms) != 1:
             return None
         ((m, k),) = c.terms.items()
-        return LaurentPoly({-m: _coeff(_inverse(k))})
+        return LaurentPoly({-m: as_coeff(_inverse(k))})
     if isinstance(c, (int, Fraction)) and c:
-        return _coeff(_inverse(c))
+        return as_coeff(_inverse(c))
     return None
 
 

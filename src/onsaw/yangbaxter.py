@@ -21,7 +21,7 @@ from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import LaurentPoly, RatFunc, accumulate, lvar, sum_terms
+from .scalars import LaurentPoly, accumulate, lvar, sum_terms
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -46,12 +46,6 @@ def r_matrix_num(u: str = "u", v="v"):
     )
     den = (uu - vv) * (uu * vv - one)
     return num, den
-
-
-def r_matrix(u: str = "u", v: str = "v") -> Matrix:
-    """The 4x4 r-matrix over rational functions in two spectral variables."""
-    num, den = r_matrix_num(u, v)
-    return num.map(lambda e: RatFunc(e, den))
 
 
 def verify_cybe(r: tuple | None = None, u: str = "u", v: str = "v") -> Report:
@@ -129,11 +123,6 @@ class OperatorMatrix:
     u: str
     algebra: object
     label: str
-
-    def entry(self, i: int, j: int) -> AlgElem:
-        """Entry as an element with rational-function coefficients."""
-        den = self.den
-        return self.entries[i][j].map_coeffs(lambda c: RatFunc(c, den))
 
     def rename_spectral(self, v: str) -> "OperatorMatrix":
         mapping = {self.u: v}

@@ -26,6 +26,7 @@ from onsaw.quotient import (
     verify_sn,
 )
 from onsaw.reports import Report
+from onsaw.scalars import RatFunc
 from onsaw.yangbaxter import (
     ChargeParams,
     build_B_alt,
@@ -259,6 +260,53 @@ def test_integral_rationals_are_ints(tmp_path):
     q = cli._quotient(2, args.params, args.alphas)
     assert q.alphas == (3, -2, 1) and all(type(a) is int for a in q.alphas)
     assert type(cli._quotient(2, {}, None).alphas[-1]) is int
+
+
+# Mixed int/Fraction coefficients through upoly, an alternative-presentation
+# reduce and a conversion, paths the golden report does not cover.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("upoly", "--N", "1", "--p", "4", "--j", "1", "--param", "alpha=5/7"),
+            "U[p=4, j=1] (N=1) = -649/2401\n",
+        ),
+        (
+            ("reduce", "--N", "2", "--presentation", "alt", "--expr", "Wp(3)")
+            + ("--param", "beta0=3/2", "--param", "beta2=-2/3"),
+            "27/8*beta1*Wp(0) + (9/4 + 9/4*beta1^2)*Wp(1)\n",
+        ),
+        (
+            ("convert", "--dir", "to-ons", "--expr", "Gt(2)+1/2*W(-3)"),
+            "1/16*A(-3) + 3/16*A(-1) + 3/16*A(1) + 1/16*A(3) + -G(1) + -G(3)\n",
+        ),
+    ],
+)
+def test_rational_command_lines_print_the_pinned_text(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_only_aw3_fit_builds_a_rational_function(monkeypatch):
+    opts = cli._build_parser().parse_args(["verify", "all"])
+    cli._apply_config(opts, {})
+    built = []
+    init = RatFunc.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    assert cli.run_suite("aw3-fit", opts).ok
+    assert built  # so the refusal below is not vacuous
+
+    def refuse(self, *args):
+        raise AssertionError("a RatFunc was built")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    for name in cli._SUITE_RUNNERS:
+        if name != "aw3-fit":
+            assert cli.run_suite(name, opts).ok, name
 
 
 def test_convert_commands(capsys):

@@ -99,12 +99,7 @@ def test_integer_alphas_give_an_integer_table():
             assert type(u_poly(q, p, j)) is int, (p, j)
 
 
-def test_table_reports_make_no_reverse_fraction_call(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("int on the left of a Fraction")
-
-    monkeypatch.setattr(Fraction, "__radd__", refuse)
-    monkeypatch.setattr(Fraction, "__rmul__", refuse)
+def test_table_reports_pass_for_int_rational_and_symbolic_alphas():
     rational = QuotientO((Fraction(1, 2), Fraction(-3, 2), 1))
     for q in (QuotientO((3, -2, 1)), rational) + tuple(
         QuotientO.symbolic(N) for N in (1, 2, 3)

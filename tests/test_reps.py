@@ -35,6 +35,17 @@ def test_alphas_from_factorized_prefactor_n2():
     assert alphas[2] == Fraction(1)
 
 
+def test_integral_alphas_are_ints():
+    for ws in ([2, 3], [Fraction(3, 2)], ["w"]):
+        alphas = rep_alphas(ws)
+        integral = [
+            a for a in alphas if isinstance(a, (int, Fraction)) and a.denominator == 1
+        ]
+        assert integral, ws
+        assert all(type(a) is int for a in integral), (ws, alphas)
+    assert rep_alphas([2, 3]) == [Fraction(31, 3), Fraction(-35, 6), 1]
+
+
 def test_rep_n1_matches_the_closed_form():
     q, rep = rep_build(["w"])
     w = lvar("w")

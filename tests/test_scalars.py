@@ -10,6 +10,7 @@ from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
     accumulate,
+    as_coeff,
     as_ratfunc,
     coeff_div,
     decode_monomial,
@@ -95,12 +96,6 @@ def test_ratfunc_arithmetic_and_zero_division():
         RatFunc(1, LaurentPoly())
 
 
-def test_ratfunc_evaluate():
-    u, v = lvar("u"), lvar("v")
-    f = RatFunc(u - v, u * v - LaurentPoly.const(1))
-    assert f.evaluate({"u": Fraction(2), "v": Fraction(3)}) == Fraction(-1, 5)
-
-
 def test_rename_and_invert():
     p = lvar("u", 2) + lvar("v")
     q = p.rename({"u": "u1", "v": "u3"})
@@ -123,9 +118,25 @@ def test_truncate_bounds():
 
 def test_monomial_division_stays_polynomial():
     p = lvar("u", 2) + lvar("u")
-    q = p / lvar("u")
+    q = coeff_div(p, lvar("u"))
     assert isinstance(q, LaurentPoly)
     assert q == lvar("u") + LaurentPoly.const(1)
+
+
+def test_a_polynomial_has_no_division_operator():
+    with pytest.raises(TypeError):
+        lvar("u") / lvar("v")
+    with pytest.raises(TypeError):
+        lvar("u") / 2
+    with pytest.raises(TypeError):
+        1 / lvar("u")
+
+
+def test_as_coeff_stores_integral_rationals_as_int():
+    half = Fraction(-3, 2)
+    for value, expected in ((3, 3), (Fraction(6, 2), 3), (half, half)):
+        got = as_coeff(value)
+        assert got == expected and type(got) is type(expected), value
 
 
 def test_unit_inverse_inverts_rationals_and_monomials_only():
@@ -184,7 +195,7 @@ def test_kernel_stores_integral_coefficients_as_int():
             p + q,
             p - q,
             p * q,
-            p / divisor,
+            coeff_div(p, divisor),
             p.subs("x", rng.choice([2, Fraction(1, 2), Fraction(-3, 2)])),
             p**2,
         ]
@@ -235,15 +246,10 @@ def test_accumulate_never_leaves_a_zero():
     assert emptied
 
 
-def test_mixed_coefficients_make_no_reverse_fraction_call(monkeypatch):
+def test_mixed_int_and_fraction_coefficients_combine_exactly():
     from onsaw.altpres import Wm, convert_to_ons
     from onsaw.onsager import A, bracket
 
-    def refuse(*args):
-        raise AssertionError("int on the left of a Fraction")
-
-    monkeypatch.setattr(Fraction, "__radd__", refuse)
-    monkeypatch.setattr(Fraction, "__rmul__", refuse)
     half = Fraction(1, 2)
     assert accumulate({"a": 1, "b": half}, {"a": half, "b": 2}) == {
         "a": Fraction(3, 2),
@@ -274,7 +280,6 @@ def test_values_leaving_the_kernel_are_fractions():
         LaurentPoly().evaluate(bindings),
         LaurentPoly.const(7).evaluate({}),
         1 / p.evaluate(bindings),
-        RatFunc(p, LaurentPoly.const(2)).evaluate(bindings),
     ):
         assert type(value) is Fraction, value
     assert 1 / p.evaluate(bindings) == Fraction(1, 13)
@@ -283,7 +288,7 @@ def test_values_leaving_the_kernel_are_fractions():
 def test_as_ratfunc_coercions():
     assert ratfunc_equal(as_ratfunc(Fraction(1, 2)) * 2, 1)
     u = lvar("u")
-    assert ratfunc_equal(1 / as_ratfunc(u), RatFunc(1, u))
+    assert ratfunc_equal(as_ratfunc(1) / as_ratfunc(u), RatFunc(1, u))
 
 
 def test_coefficients_in_splits_by_powers_and_keeps_int_coefficients():

@@ -9,7 +9,7 @@ from onsaw.matrices import Matrix
 from onsaw.onsager import A, G
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
-from onsaw.scalars import LaurentPoly, RatFunc, lvar, ratfunc_equal
+from onsaw.scalars import LaurentPoly, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
     build_B_alt,
@@ -22,7 +22,6 @@ from onsaw.yangbaxter import (
     m_matrix,
     p_poly,
     p_tilde_poly,
-    r_matrix,
     r_matrix_num,
     reD_survey,
     verify_commuting,
@@ -35,19 +34,22 @@ from onsaw.yangbaxter import (
 
 
 def test_r_matrix_entries():
-    r = r_matrix()
+    num, den = r_matrix_num()
     u, v = lvar("u"), lvar("v")
     one = LaurentPoly.const(1)
-    den = (u - v) * (u * v - one)
-    assert ratfunc_equal(r[0, 0], RatFunc(u * (one - v * v), den))
-    assert ratfunc_equal(r[0, 3], RatFunc(LaurentPoly.const(-2), u * v - one))
-    assert ratfunc_equal(r[1, 2], RatFunc(v * (u * v - one) * Fraction(-2), den))
-    assert not r[0, 1]
-    assert ratfunc_equal(r[3, 3], r[0, 0])
+    assert den == (u - v) * (u * v - one)
+    assert num[0, 0] == u * (one - v * v)
+    assert num[0, 3] == (u - v) * -2
+    assert num[1, 2] == v * (u * v - one) * -2
+    assert not num[0, 1]
+    assert num[3, 3] == num[0, 0]
 
 
 def test_r_matrix_numeric_values():
-    values = r_matrix().evaluate({"u": Fraction(2), "v": Fraction(3)})
+    num, den = r_matrix_num()
+    bindings = {"u": Fraction(2), "v": Fraction(3)}
+    assert den.evaluate(bindings) == -5
+    values = num.evaluate(bindings).scale(1 / den.evaluate(bindings))
     assert values[0, 0] == Fraction(16, 5)
     assert values[0, 3] == Fraction(-2, 5)
     assert values[1, 2] == 6
@@ -105,10 +107,9 @@ def test_b_matrix_entries_have_no_scalar_part_and_balanced_diagonal():
 def test_operator_matrix_entry_accessor_divides_by_the_prefactor():
     q = QuotientO.symbolic(1)
     B = build_B_onsager(q)
-    entry = B.entry(0, 0)
-    coeff = entry.coeff(("G", 1))
-    assert isinstance(coeff, RatFunc)
-    assert ratfunc_equal(coeff, RatFunc(1, B.den))
+    # the (0, 0) entry is G(1)/p(u): numerator G(1) over the prefactor
+    assert B.entries[0][0] == G(1)
+    assert B.den == lvar("u") + lvar("alpha") + lvar("u", -1)
     renamed = B.rename_spectral("v")
     assert renamed.u == "v"
     assert renamed.den == lvar("v") + lvar("alpha") + lvar("v", -1)
@@ -136,20 +137,11 @@ def test_alt_operator_matrix_is_integral_and_equals_the_unscaled_formula():
             (i, j, sym): c
             for i in range(2)
             for j in range(2)
-            for sym, c in B.entry(i, j).terms.items()
+            for sym, c in B.entries[i][j].terms.items()
         }
         assert got.keys() == expected.keys()
         for key, num in expected.items():
-            assert ratfunc_equal(got[key], RatFunc(num, den)), key
-
-
-def test_frt_alt_builds_no_rational_function(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("a RatFunc was built")
-
-    monkeypatch.setattr(RatFunc, "__init__", refuse)
-    for N in (1, 2, 3):
-        assert verify_frt(build_B_alt(QuotientA.symbolic(N))).status == "pass"
+            assert got[key] * den == num * B.den, key
 
 
 def test_f_poly_instances():
