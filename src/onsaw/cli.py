@@ -356,7 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--trunc", type=int)
-    p_verify.add_argument("--w", metavar="W1,W2,...")
+    p_verify.add_argument(
+        "--w",
+        metavar="W1,W2,...",
+        help="a list starting with '-' must be written --w=-1/2,5",
+    )
     p_verify.add_argument("--interpretation", choices=RED_INTERPRETATIONS + ("all",))
     p_verify.add_argument(
         "--timing",

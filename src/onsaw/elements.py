@@ -6,9 +6,8 @@ Tuples compare lexicographically, which happens to give exactly the normal
 ordering used for PBW words (A's by index, then G's by index).
 
 Coefficients follow the rule of `scalars`: an int when integral, else a
-Fraction, or a LaurentPoly (negative exponents allowed); a RatFunc only in the
-`aw3_fit` solve of `envelope`.  Mixed coefficients combine through the
-arithmetic dunders of those types.
+Fraction, or a LaurentPoly (negative exponents allowed).  Mixed coefficients
+combine through the arithmetic dunders of those types.
 
 Sums, differences and scalings, and the linear and bilinear extensions of
 per-symbol maps (brackets, automorphisms, quotient reduction, change of

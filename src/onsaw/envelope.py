@@ -17,7 +17,7 @@ from .elements import AlgElem, SparseCombination, accumulate, linear_extension
 from .onsager import A, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import as_ratfunc, lvar, ratfunc_equal
+from .scalars import RatFunc, coeff_div, lvar
 
 
 class EnvElem(SparseCombination):
@@ -198,10 +198,13 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
         [K1, K2] = B K1 + C0 K0 + D0
 
     are affine in A0, A1, 1 after reduction, so the constants follow from a
-    linear solve.  Returns (constants, report); the report records the
+    linear solve that divides only by a0 and a1.  These must be units of the
+    Laurent ring (nonzero rationals or monomials, as `QuotientA` requires of
+    beta_N; anything else raises ValueError), so every constant is a
+    LaurentPoly.  Returns (constants, report); the report records the
     consistency of the two B values, structural facts about the solution, and
-    the comparison against the reference constant list, whose disagreements
-    are recorded as discrepancies.
+    the comparison against the printed reference constants (the only
+    `RatFunc`s built here), whose disagreements are recorded as discrepancies.
     """
     a0 = lvar("a0") if a0 is None else a0
     a1 = lvar("a1") if a1 is None else a1
@@ -223,18 +226,18 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
     report = Report("aw3-fit")
     lhs1 = env.commutator(k2, k0)
     ca0, ca1, cu = affine_parts(lhs1)
-    B = as_ratfunc(ca0) / as_ratfunc(a0)
-    C1 = as_ratfunc(ca1) / as_ratfunc(a1)
-    D1 = as_ratfunc(cu) - B * b0 - C1 * b1
+    B = coeff_div(ca0, a0)
+    C1 = coeff_div(ca1, a1)
+    D1 = cu - B * b0 - C1 * b1
 
     lhs2 = env.commutator(k1, k2)
     da0, da1, du = affine_parts(lhs2)
-    B_other = as_ratfunc(da1) / as_ratfunc(a1)
-    C0 = as_ratfunc(da0) / as_ratfunc(a0)
-    D0 = as_ratfunc(du) - B_other * b1 - C0 * b0
+    B_other = coeff_div(da1, a1)
+    C0 = coeff_div(da0, a0)
+    D0 = du - B_other * b1 - C0 * b0
     report.add(
         "aw3-fit:B-consistent",
-        ratfunc_equal(B, B_other),
+        B == B_other,
         f"B from relation 2 is {B} but from relation 3 is {B_other}",
     )
 
@@ -256,23 +259,23 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
     report.add("aw3-fit:relation3-solved", residual2.is_zero(), residual2)
 
     reference = {
-        "K2": as_ratfunc(a0) * a1 * Fraction(-1, 4),
-        "B": as_ratfunc(-8 * alpha) / (as_ratfunc(a0) * a1),
-        "C0": as_ratfunc(-16) / (as_ratfunc(a0) * a0),
-        "C1": as_ratfunc(-16) / (as_ratfunc(a1) * a1),
-        "D0": as_ratfunc(-(8 * alpha * b0 + 16 * b1)) / (as_ratfunc(a0) * a0 * a1),
-        "D1": as_ratfunc(-(8 * alpha * b1 + 16 * b0)) / (as_ratfunc(a1) * a1 * a0),
+        "K2": RatFunc(a0 * a1 * Fraction(-1, 4)),
+        "B": RatFunc(-8 * alpha, a0 * a1),
+        "C0": RatFunc(-16, a0 * a0),
+        "C1": RatFunc(-16, a1 * a1),
+        "D0": RatFunc(-(8 * alpha * b0 + 16 * b1), a0 * a0 * a1),
+        "D1": RatFunc(-(8 * alpha * b1 + 16 * b0), a1 * a1 * a0),
     }
     fitted_k2 = k2.coeff([("G", 1)])
     report.add_discrepancy(
         "aw3-fit:vs-reference:K2",
-        ratfunc_equal(as_ratfunc(fitted_k2), reference["K2"]),
+        reference["K2"] == fitted_k2,
         f"[K0,K1] carries {fitted_k2}*G(1) but the reference displays {reference['K2']}*G(1)",
     )
     for name in ("B", "C0", "C1", "D0", "D1"):
         report.add_discrepancy(
             f"aw3-fit:vs-reference:{name}",
-            ratfunc_equal(constants[name], reference[name]),
+            reference[name] == constants[name],
             f"fitted {name} = {constants[name]} but reference {name} = {reference[name]}",
         )
     return constants, report

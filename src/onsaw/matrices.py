@@ -1,8 +1,9 @@
 """Dense ring-generic matrices plus tensor-leg embedding and partial traces.
 
 Entries may be rationals (int when integral, per the coefficient rule of
-`scalars`), Laurent polynomials, rational functions, or algebra elements;
-anything supporting +, -, * and truth testing works.  All matrices
+`scalars`), Laurent polynomials or algebra elements; anything supporting
++, -, * and truth testing works.  A matrix over rational functions is kept
+as a pair (numerator matrix, common denominator).  All matrices
 in this project are small (2x2 up to 16x16), so a dense tuple-of-tuples
 representation is used and values are immutable after construction.
 """

@@ -24,8 +24,7 @@ from math import prod
 
 from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg
-from .onsager import bracket
-from .quotient import QuotientO
+from .quotient import QuotientO, defining_relations
 from .reports import Report
 from .scalars import LaurentPoly, as_coeff, lvar, unit_inverse
 from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
@@ -165,16 +164,11 @@ def rep_apply(rep: dict, x: AlgElem, dim: int) -> Matrix:
 def rep_check(q: QuotientO, rep: dict) -> Report:
     """Every defining relation of the quotient holds for the extracted matrices."""
     report = Report("rep", params={"N": q.N})
-    syms = q.basis_syms()
-    dim = rep[syms[0]].rows
+    dim = rep[q.basis_syms()[0]].rows
     bad = []
-    for b in range(len(syms)):
-        for a in range(b):
-            x, y = AlgElem.basis(syms[b]), AlgElem.basis(syms[a])
-            lhs = commutator(rep[syms[b]], rep[syms[a]])
-            rhs = rep_apply(rep, q.reduce(bracket(x, y)), dim)
-            if lhs != rhs:
-                bad.append((syms[b], syms[a]))
+    for (s, t), rhs in defining_relations(q):
+        if commutator(rep[s], rep[t]) != rep_apply(rep, rhs, dim):
+            bad.append((s, t))
     report.add(
         f"rep:relations:N{q.N}",
         not bad,

@@ -1,17 +1,15 @@
 """Exact coefficient arithmetic: rationals, sparse Laurent polynomials, rational functions.
 
-Everything here is exact.  The scalars are the rationals: sparse multivariate
-Laurent polynomials (integer exponents of either sign) over them, and
-fractions of those.  Rational functions are *not* reduced to a canonical form:
-equality is decided by cross multiplication, and a cheap normalisation (strip
-common monomial content, scale the denominator's leading coefficient to 1)
-keeps growth bounded.
+Everything here is exact.  The scalars are the rationals and sparse
+multivariate Laurent polynomials (integer exponents of either sign) over
+them; every value a check computes is one of these.
 
 Division stays in the Laurent ring: ``unit_inverse`` inverts its units, the
 nonzero rationals and one-term polynomials, and ``coeff_div``, the one
 division path, divides by them only; a ``LaurentPoly`` has no ``/``.
-``RatFunc`` is kept for the one real quotient, the fitted three-generator
-constants of ``aw3_fit``.
+``RatFunc`` is a numerator/denominator pair with no normal form, equal by
+cross multiplication; it is built only for the reference constants of
+``aw3_fit`` as the paper prints them.
 
 Coefficient rule: an integral coefficient is an ``int``; any other is a
 ``fractions.Fraction`` (lowest terms, positive denominator); ``as_coeff``
@@ -39,10 +37,10 @@ entry point that makes exponents (``var``, ``monomial``,
 exponent with ``|e| >= 2**31``, so a field can overflow only after more
 than ``2**32`` successive products.  Code that needs names or their order
 decodes a key to the sorted ``(name, exp)`` tuple first (memoised), so
-rendering and the choice of a leading term do not depend on the order in
-which names were registered.  Only this module builds or reads keys; the
-public pair ``encode_monomial``/``decode_monomial`` converts them to and
-from exponent dicts.
+rendering does not depend on the order in which names were registered.
+Only this module builds or reads keys; the public pair
+``encode_monomial``/``decode_monomial`` converts them to and from exponent
+dicts.
 """
 
 import threading
@@ -87,11 +85,10 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     loop of `LaurentPoly.__mul__` for the product of two polynomials, inline
     for speed.
 
-    Values may be rationals, or (for algebra elements) LaurentPolys, and
-    RatFuncs in the `aw3_fit` solve; a `LaurentPoly` term map takes only a
-    rational `k`.  `acc` must be a dict the caller owns, never the `terms` of
-    a polynomial or an element: those are shared (elements, quotient caches,
-    `ZERO`, `P_ONE`).
+    Values may be rationals or (for algebra elements) LaurentPolys; a
+    `LaurentPoly` term map takes only a rational `k`.  `acc` must be a dict
+    the caller owns, never the `terms` of a polynomial or an element: those
+    are shared (elements, quotient caches, `ZERO`, `P_ONE`).
     """
     for key, c in terms.items():
         if k is not None:
@@ -294,7 +291,10 @@ class LaurentPoly:
         """self**n for n >= 0; raises ValueError when n times the largest
         |exponent| reaches 2**31."""
         if n < 0:
-            raise ValueError("negative power of a polynomial; use RatFunc")
+            raise ValueError(
+                "negative power of a polynomial; use lvar(name, -k) for a"
+                " variable or unit_inverse for a monomial"
+            )
         top = max((abs(e) for m in self.terms for _, e in _decode(m)), default=0)
         if n * top >= _EXP_BOUND:
             raise ValueError(f"power {n} takes an exponent out of range (|e| < 2**31)")
@@ -450,55 +450,21 @@ def lvar(name, exp: int = 1) -> LaurentPoly:
     return LaurentPoly.var(name, exp)
 
 
-P_ZERO = LaurentPoly()
 P_ONE = LaurentPoly.const(1)
 
 
-def _strip_content(num: LaurentPoly, den: LaurentPoly):
-    """Divide num and den by the common monomial content of den and num and
-    scale so the denominator's leading coefficient is 1."""
-    if not den.terms:
-        raise ZeroDivisionError("rational function with zero denominator")
-    if not num.terms:
-        return P_ZERO, P_ONE
-    # The smallest exponent of each variable over all monomials, 0 for a
-    # variable that some monomial lacks.
-    low: dict = {}
-    hits: dict = {}
-    for mono in (*num.terms, *den.terms):
-        for name, e in _decode(mono):
-            if name in low:
-                hits[name] += 1
-                if e < low[name]:
-                    low[name] = e
-            else:
-                low[name] = e
-                hits[name] = 1
-    count = len(num.terms) + len(den.terms)
-    shift = {
-        name: e for name, e in low.items() if e < 0 or (e and hits[name] == count)
-    }
-    if shift:
-        low_key = _encode(shift.items())
-        num = LaurentPoly({m - low_key: c for m, c in num.terms.items()})
-        den = LaurentPoly({m - low_key: c for m, c in den.terms.items()})
-    lead = den.terms[max(den.terms, key=_decode)]
-    if lead != 1:
-        inv = _inverse(lead)
-        num, den = num * inv, den * inv
-    return num, den
-
-
 class RatFunc:
-    """Fraction of Laurent polynomials.  No canonical form: equality is by
-    cross multiplication (num*den' - num'*den == 0)."""
+    """A numerator/denominator pair of Laurent polynomials, stored as given
+    with no normal form; equality is by cross multiplication
+    (num*den' - num'*den == 0).  Only the printed `aw3_fit` reference
+    constants are built as one."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=P_ONE):
-        num = as_poly(num)
-        den = as_poly(den)
-        self.num, self.den = _strip_content(num, den)
+        self.num, self.den = as_poly(num), as_poly(den)
+        if not self.den:
+            raise ZeroDivisionError("rational function with zero denominator")
 
     def __bool__(self):
         return bool(self.num)
@@ -507,6 +473,7 @@ class RatFunc:
         other = _as_ratfunc_or_none(other)
         if other is None:
             return NotImplemented
+        # With no normal form, this shortcut keeps repeated sums from growing.
         if self.den.terms == other.den.terms:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(

@@ -7,7 +7,7 @@ import pytest
 from onsaw.envelope import EnvElem, PBW, aw3_fit, pbw_lie_compat_report, verify_quartic
 from onsaw.onsager import A
 from onsaw.quotient import QuotientO
-from onsaw.scalars import RatFunc, as_ratfunc, lvar, ratfunc_equal
+from onsaw.scalars import LaurentPoly, as_ratfunc, lvar, ratfunc_equal
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,17 @@ def test_aw3_fit_symbolic():
     assert by_id["aw3-fit:vs-reference:B"].status == "discrepancy"
 
 
+def test_aw3_fit_constants_are_laurent_polynomials():
+    constants, _ = aw3_fit()
+    assert all(type(c) is LaurentPoly for c in constants.values())
+    assert constants["B"] == lvar("a0") * lvar("a1") * lvar("alpha") * -8
+
+
+def test_aw3_fit_divides_by_units_only():
+    with pytest.raises(ValueError, match="cannot divide"):
+        aw3_fit(a0=lvar("a0") + 1)
+
+
 def test_aw3_fit_without_affine_shifts():
     constants, report = aw3_fit(b0=Fraction(0), b1=Fraction(0))
     assert report.ok
@@ -116,12 +127,12 @@ def test_aw3_fit_without_affine_shifts():
 def test_aw3_fit_rescaling_leaves_k2_invariant():
     lam = lvar("lam")
     a0 = lam * lvar("a0")
-    a1 = RatFunc(lvar("a1"), lam)
+    a1 = lvar("a1") * lvar("lam", -1)
     scaled, report = aw3_fit(a0=a0, a1=a1)
     assert report.ok
     plain, _ = aw3_fit()
     # K2 = [K0, K1] and B = -8 alpha a0 a1 are invariant under
     # (a0, a1) -> (lam a0, a1/lam); the C's pick up lam^(+-2)
     assert ratfunc_equal(scaled["B"], plain["B"])
-    assert ratfunc_equal(scaled["C0"], plain["C0"] / (lam * lam))
-    assert ratfunc_equal(scaled["C1"], plain["C1"] * (lam * lam))
+    assert scaled["C0"] * lam * lam == plain["C0"]
+    assert scaled["C1"] == plain["C1"] * lam * lam

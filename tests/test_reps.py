@@ -69,6 +69,16 @@ def test_rep_check_n1_and_n2_symbolic():
         assert rep_check(q, rep).status == "pass"
 
 
+def test_rep_check_rejects_a_wrong_generator_matrix():
+    q, rep = rep_build(["w"])
+    rep[("A", 1)] = rep[("A", 1)].scale(2)
+    report = rep_check(q, rep)
+    assert report.status == FAIL
+    (check,) = report.checks
+    assert check.id == "rep:relations:N1"
+    assert "(('A', 1), ('A', 0))" in check.residual
+
+
 def test_rep_block_identity():
     for ws in (["w"], ["w1", "w2"], [2, 3]):
         q, rep = rep_build(ws)

@@ -391,8 +391,6 @@ def test_rendering_and_lead_term_follow_names_not_the_registry():
     den = q2 + q1 * 2
     assert str(den) == "2*fresh_q1 + fresh_q2"
     assert str(q2 * q1 * 3) == "3*fresh_q1*fresh_q2"
-    # the lead term of the denominator is fresh_q2 (coefficient 1), so
-    # nothing is rescaled
     f = RatFunc(LaurentPoly.const(1), den)
     assert str(f) == "(1)/(2*fresh_q1 + fresh_q2)"
     assert f.den == den
