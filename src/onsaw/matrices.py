@@ -80,8 +80,8 @@ class Matrix:
                         continue
                     term = a * b
                     acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = row[0] * 0
+                if acc is None:  # every pair had a zero, so this product is zero
+                    acc = row[0] * col[0]
                 out_row.append(acc)
             out.append(out_row)
         return Matrix(out)

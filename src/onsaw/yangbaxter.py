@@ -10,6 +10,24 @@ collapse to Lie brackets, so the left side stays inside the Lie algebra.  All
 checks clear every denominator first ((u-v)(uv-1) from the r-matrix and the
 scalar prefactors of the operator matrices), leaving residual entries whose
 coefficients are plain Laurent polynomials required to vanish identically.
+
+The cleared residual C(u,v) of an operator matrix B satisfies the leg-flip
+identity C(u,v) = P C(v,u) P, where P swaps the two tensor legs, so the
+exchange checks build 10 of its 16 entries and rename u <-> v for the other 6.
+The identity rests on three hypotheses, each checked elsewhere:
+
+- the bracket is antisymmetric: test_bracket_antisymmetry and
+  test_structure_constant_tables_are_antisymmetric check it, and the `dg`
+  suite checks the structure constants of the Onsager bracket;
+- r21(v,u) = P r12(v,u) P: r21 is r12 embedded on the legs (2, 1), which
+  test_swapped_legs_equal_flip_conjugation checks is conjugation by P, and
+  the `cybe` suite checks the r-matrix itself;
+- Dr(v,u) = -Dr(u,v) for Dr = (u-v)(uv-1), the denominator of
+  r_matrix_num that test_r_matrix_entries pins and `cybe` uses.
+
+The renaming is sound only when u != v and neither occurs in a coefficient
+of the quotient; verify_frt and verify_frt_series_onsager raise ValueError
+otherwise.
 """
 
 from dataclasses import dataclass
@@ -213,47 +231,73 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 # --- exchange-relation checks ------------------------------------------------------
 
 
-def _exchange_residual(bu, bv, den_u, den_v, u, v, bracket_fn):
+_FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
+
+
+def _exchange_residual(bu, bv, den_u, den_v, u, v, bracket_fn, finish):
     """All denominators cleared, the exchange relation reads
 
-        Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
+        C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
     with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B1 = B(u) (x) I
-    and B2 = I (x) B(v) place the entries of B; nothing is multiplied."""
+    and B2 = I (x) B(v) place the entries of B; nothing is multiplied.
+    Returns {(r, c): entry of C passed through `finish`}, in row-major order.
+
+    When bv and den_v are bu and den_u with u renamed to v, C(u,v) =
+    P C(v,u) P (see the module docstring): entry (sigma r, sigma c) is entry
+    (r,c) with u and v swapped, sigma = _FLIP.  So only the 10 entries with
+    (r,c) <= (sigma r, sigma c) are built, the 4 fixed by sigma and one of
+    each mirror pair; the other 6 are renamed mirrors.  This needs the three
+    hypotheses of the module docstring (an antisymmetric bracket_fn,
+    r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and a `finish`
+    that commutes with swapping u and v; the callers check the names."""
     rhat_12, dr = r_matrix_num(u, v)
     rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
-    lie = Matrix([[bracket_fn(bu[i][j], bv[k][l]) for j, l in pairs] for i, k in pairs])
     b1 = Matrix([[bu[i][j] if k == l else ZERO for j, l in pairs] for i, k in pairs])
     b2 = Matrix([[bv[k][l] if i == j else ZERO for j, l in pairs] for i, k in pairs])
-    term1 = commutator(rhat_21, b1).scale(den_v)
-    term2 = commutator(b2, rhat_12).scale(den_u)
-    return lie.scale(dr) + term1 - term2
+    t1 = commutator(rhat_21, b1)
+    t2 = commutator(b2, rhat_12)
+    swap = {u: v, v: u}
+    out = {}
+    for r, (i, k) in enumerate(pairs):
+        for c, (j, l) in enumerate(pairs):
+            mirror = (_FLIP[r], _FLIP[c])
+            if mirror < (r, c):
+                out[r, c] = out[mirror].map_coeffs(lambda p: p.rename(swap))
+            else:
+                lie = bracket_fn(bu[i][j], bv[k][l])
+                out[r, c] = finish(lie * dr + t1[r, c] * den_v - t2[r, c] * den_u)
+    return out
 
 
 def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
-    """Exact exchange-relation check for a finite quotient operator matrix."""
+    """Exact exchange-relation check for a finite quotient operator matrix.
+
+    Raises ValueError when v is B.u or a quotient coefficient uses B.u or v."""
+    q = B.algebra
+    _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
     report = Report("frt", params={"label": B.label})
     Bv = B.rename_spectral(v)
     residual = _exchange_residual(
-        B.entries,
-        Bv.entries,
-        B.den,
-        Bv.den,
-        B.u,
-        v,
-        B.algebra.bracket_reduced,
+        B.entries, Bv.entries, B.den, Bv.den, B.u, v, q.bracket_reduced, q.reduce
     )
-    reduce = B.algebra.reduce
-    for r in range(4):
-        for c in range(4):
-            entry = reduce(residual[r, c])
-            report.add(
-                f"frt:{B.label}:entry{r}{c}",
-                entry.is_zero(),
-                entry,
-            )
+    for (r, c), entry in residual.items():
+        report.add(f"frt:{B.label}:entry{r}{c}", entry.is_zero(), entry)
     return report
+
+
+def _check_spectral_names(u: str, v: str, coeffs=()) -> None:
+    """ValueError unless u and v are two names that no coefficient uses."""
+    if u == v:
+        raise ValueError(f"the two spectral variables must differ, both are {u!r}")
+    for c in coeffs:
+        if isinstance(c, LaurentPoly) and any(
+            e for name in (u, v) for e in c.coefficients_in(name)
+        ):
+            raise ValueError(
+                f"a quotient coefficient {c} uses a spectral variable ({u!r} or {v!r})"
+            )
 
 
 def _truncation_filter(x: AlgElem, bounds: dict) -> AlgElem:
@@ -267,10 +311,11 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
 
     All residual coefficients of total u-degree <= D and v-degree <= D are
     exact and must vanish; higher monomials are truncation artefacts and are
-    dropped.
+    dropped.  Raises ValueError for D < 2 or u == v.
     """
     if D < 2:
         raise ValueError("need truncation degree D >= 2")
+    _check_spectral_names(u, v)
     report = Report("frt-series-onsager", params={"D": D})
 
     def currents(var):
@@ -281,14 +326,19 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
         return ((g, a_minus), (a_plus, -g))
 
     one = LaurentPoly.const(1)
-    residual = _exchange_residual(
-        currents(u), currents(v), one, one, u, v, bracket
-    )
     bounds = {u: D, v: D}
-    for r in range(4):
-        for c in range(4):
-            entry = _truncation_filter(residual[r, c], bounds)
-            report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry.is_zero(), entry)
+    residual = _exchange_residual(
+        currents(u),
+        currents(v),
+        one,
+        one,
+        u,
+        v,
+        bracket,
+        lambda x: _truncation_filter(x, bounds),
+    )
+    for (r, c), entry in residual.items():
+        report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry.is_zero(), entry)
     return report
 
 

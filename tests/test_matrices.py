@@ -12,6 +12,8 @@ from onsaw.matrices import (
     kron,
     partial_trace,
 )
+from onsaw.elements import ZERO, AlgElem
+from onsaw.onsager import A
 from onsaw.scalars import lvar
 from onsaw.yangbaxter import ChargeParams, m_matrix, r_matrix_num
 
@@ -106,6 +108,14 @@ def test_commutator_and_trace_shapes():
         Matrix.zeros(2, 3).trace()
     with pytest.raises(ValueError):
         frac_matrix([[1, 2]]) * frac_matrix([[1, 2]])
+
+
+def test_an_entry_with_every_pair_zero_is_a_zero_of_the_product_type():
+    # a polynomial row times an algebra-element column: each pair has a zero
+    product = Matrix([[lvar("u"), 0]]) * Matrix([[ZERO], [A(1)]])
+    entry = product[0, 0]
+    assert isinstance(entry, AlgElem) and entry.is_zero()
+    assert entry + A(1) == A(1)
 
 
 def test_matrix_over_polynomials():

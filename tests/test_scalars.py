@@ -382,7 +382,7 @@ def test_packed_products_agree_with_exponent_dicts():
     assert decode_monomial(encode_monomial({})) == {}
 
 
-def test_rendering_and_lead_term_follow_names_not_the_registry():
+def test_rendering_and_denominator_follow_names_not_the_registry():
     # q2 is registered before q1, so its field lies below q1's and the raw
     # keys order the two monomials against their names.
     assert "fresh_q1" not in scalars._shift_of and "fresh_q2" not in scalars._shift_of

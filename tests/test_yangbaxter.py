@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from onsaw.altpres import QuotientA, beta_from_alpha
-from onsaw.matrices import Matrix
+from onsaw.elements import ZERO, AlgElem
+from onsaw.matrices import Matrix, commutator, embed_leg
 from onsaw.onsager import A, G
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
@@ -246,6 +247,143 @@ def test_frt_series_detects_corrupted_bracket():
         assert yb.verify_frt_series_onsager(3).status == FAIL
     finally:
         yb.bracket = original
+
+
+# --- the exchange residual against the full-matrix formula ----------------------
+
+
+def full_residual(bu, bv, den_u, den_v, u, v, bracket_fn, finish):
+    """All 16 entries of the cleared exchange residual, row-major, each passed
+    through `finish`, built as whole matrices with no leg-flip mirror."""
+    rhat_12, dr = r_matrix_num(u, v)
+    rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
+    pairs = [(i, k) for i in range(2) for k in range(2)]
+    lie = Matrix([[bracket_fn(bu[i][j], bv[k][l]) for j, l in pairs] for i, k in pairs])
+    b1 = Matrix([[bu[i][j] if k == l else ZERO for j, l in pairs] for i, k in pairs])
+    b2 = Matrix([[bv[k][l] if i == j else ZERO for j, l in pairs] for i, k in pairs])
+    residual = (
+        lie.scale(dr)
+        + commutator(rhat_21, b1).scale(den_v)
+        - commutator(b2, rhat_12).scale(den_u)
+    )
+    return [finish(residual[r, c]) for r in range(4) for c in range(4)]
+
+
+def frt_reference(B, v="v"):
+    Bv = B.rename_spectral(v)
+    q = B.algebra
+    return full_residual(
+        B.entries, Bv.entries, B.den, Bv.den, B.u, v, q.bracket_reduced, q.reduce
+    )
+
+
+def series_reference(D, bracket_fn, u="u", v="v"):
+    def currents(var):
+        powers = [lvar(var, n) for n in range(D + 1)]
+        g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
+        a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
+        a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
+        return ((g, a_minus), (a_plus, -g))
+
+    one = LaurentPoly.const(1)
+    bounds = {u: D, v: D}
+
+    def finish(x):
+        return AlgElem({s: c.truncate(bounds) for s, c in x.terms.items()})
+
+    return full_residual(currents(u), currents(v), one, one, u, v, bracket_fn, finish)
+
+
+def verdicts(entries):
+    return [("pass", "") if e.is_zero() else (FAIL, str(e)) for e in entries]
+
+
+def operator_matrices_and_corruptions(N):
+    """B-onsager and B-alt at N, each with its four one-entry-times-3 corruptions."""
+    for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+        yield B
+        for i in range(2):
+            for j in range(2):
+                yield B.with_entry(i, j, B.entries[i][j] * 3)
+
+
+def is_flip_mirror(entries, sign, u="u", v="v"):
+    """Entry (r, c) equals sign times entry (sigma r, sigma c) with u <-> v."""
+    flip = (0, 2, 1, 3)
+    swap = {u: v, v: u}
+    return all(
+        entries[4 * flip[r] + flip[c]]
+        == entries[4 * r + c].map_coeffs(lambda p: p.rename(swap)) * sign
+        for r in range(4)
+        for c in range(4)
+    )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_verify_frt_matches_the_full_matrix_residual(N):
+    failing = 0
+    for B in operator_matrices_and_corruptions(N):
+        expected = verdicts(frt_reference(B))
+        assert [(c.status, c.residual) for c in verify_frt(B).checks] == expected
+        failing += sum(status == FAIL for status, _ in expected)
+    assert failing > 0
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_frt_series_matches_the_full_matrix_residual(D, monkeypatch):
+    import onsaw.yangbaxter as yb
+    from onsaw.onsager import bracket, sym_bracket
+
+    assert verdicts(series_reference(D, bracket)) == [
+        (c.status, c.residual) for c in verify_frt_series_onsager(D).checks
+    ]
+
+    def scaled(s, t):  # still antisymmetric, so the mirror still holds
+        value = sym_bracket(s, t)
+        return value * Fraction(5, 4) if s[0] == t[0] == "A" else value
+
+    def corrupted(x, y):
+        return bracket(x, y, sym_bracket=scaled)
+
+    monkeypatch.setattr(yb, "bracket", corrupted)
+    expected = verdicts(series_reference(D, corrupted))
+    assert FAIL in {status for status, _ in expected}
+    assert [(c.status, c.residual) for c in yb.verify_frt_series_onsager(D).checks] == expected
+
+
+def test_the_cleared_residual_is_its_own_leg_flip_mirror():
+    nonzero = 0
+    for N in (1, 2, 3):
+        for B in operator_matrices_and_corruptions(N):
+            entries = frt_reference(B)
+            assert is_flip_mirror(entries, 1)
+            if any(entries):
+                nonzero += 1
+                assert not is_flip_mirror(entries, -1)
+    assert nonzero > 0
+
+
+def test_verify_frt_rejects_v_equal_to_u():
+    B = build_B_onsager(QuotientO.symbolic(1))
+    for target in (B, B.with_entry(0, 1, B.entries[0][1] * 3)):
+        with pytest.raises(ValueError, match="must differ"):
+            verify_frt(target, v="u")
+
+
+def test_frt_series_rejects_equal_spectral_names():
+    with pytest.raises(ValueError, match="must differ"):
+        verify_frt_series_onsager(3, "w", "w")
+
+
+def test_verify_frt_rejects_spectral_names_in_the_quotient_coefficients():
+    for B, v in (
+        (build_B_onsager(QuotientO((lvar("u"), 1))), "v"),
+        (build_B_onsager(QuotientO((lvar("v"), 1))), "v"),
+        (build_B_alt(QuotientA((lvar("w") * lvar("u"), 1))), "w"),
+        (build_B_alt(QuotientA((1, lvar("u", 2)))), "v"),
+    ):
+        with pytest.raises(ValueError, match="spectral variable"):
+            verify_frt(B, v=v)
 
 
 def test_charges_first_element():
