@@ -249,27 +249,14 @@ def beta_from_alpha(q: QuotientO) -> QuotientA:
     alone; its coefficients are the betas.  The companion Wp relation is
     checked to carry the same vector.
     """
-    relation_m = {}
-    relation_p = {}
-    for n in range(-q.N, q.N + 1):
-        accumulate(relation_m, A(-n).terms, q.alpha(n))
-        accumulate(relation_p, A(n + 1).terms, q.alpha(n))
-    alt_m = convert_to_alt(AlgElem(relation_m))
-    alt_p = convert_to_alt(AlgElem(relation_p))
+    alt_m = convert_to_alt(q.relation(A, 0))  # alpha is symmetric: n -> -n
+    alt_p = convert_to_alt(q.relation(A, 1))
     betas = [alt_m.coeff(("Wm", k)) for k in range(q.N + 1)]
-    expect_m = {}
-    expect_p = {}
-    for k, b in enumerate(betas):
-        accumulate(expect_m, Wm(k).terms, b)
-        accumulate(expect_p, Wp(k).terms, b)
-    expect_m = AlgElem(expect_m)
-    expect_p = AlgElem(expect_p)
-    if alt_m != expect_m or alt_p != expect_p:
-        raise ValueError(
-            "converted quotient relations are not a pure beta combination"
-        )
-    if not betas[-1]:
-        raise ValueError("degenerate quotient: leading beta vanishes")
+    for kind, alt in (("Wm", alt_m), ("Wp", alt_p)):
+        if alt != AlgElem({(kind, k): b for k, b in enumerate(betas)}):
+            raise ValueError(
+                "converted quotient relations are not a pure beta combination"
+            )
     return QuotientA(betas)
 
 
@@ -316,11 +303,10 @@ def beta_alpha_report(q: QuotientO) -> Report:
     return report
 
 
-def reduction_diagram_report(q: QuotientO, kmax: int | None = None) -> Report:
+def reduction_diagram_report(q: QuotientO) -> Report:
     """convert_to_alt then reduce_alt equals reduce then convert_to_alt."""
     qa = beta_from_alpha(q)
-    if kmax is None:
-        kmax = q.N + 4
+    kmax = q.N + 4
     report = Report("beta-alpha-diagram", params={"N": q.N, "kmax": kmax})
     syms = [("A", n) for n in range(-kmax, kmax + 1)] + [
         ("G", m) for m in range(1, kmax + 1)
@@ -376,14 +362,15 @@ def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
             if lhs != rhs:
                 bad.append((s, t))
     report.add("iso:bracket-intertwine", not bad, f"failing pairs {bad[:4]}")
-    report.extend(triangular_basis_report(12))
+    report.extend(triangular_basis_report())
     return report
 
 
-def triangular_basis_report(kmax: int) -> Report:
+def triangular_basis_report() -> Report:
     """The three sector-by-sector changes of basis are triangular with nonzero
     diagonal: Wm(j) against {A_0, A_i + A_{-i}}, Wp(j) against
     {A_1, A_{1+i} + A_{1-i}}, Gt(j) against {G_{j+1}}."""
+    kmax = 12
     report = Report("triangular", params={"kmax": kmax})
 
     def check(kind, paired):
@@ -415,8 +402,9 @@ def triangular_basis_report(kmax: int) -> Report:
     return report
 
 
-def averaged_shift_report(kmax: int = 8) -> Report:
+def averaged_shift_report() -> Report:
     """The averaged shift generates the whole family from Wm(0), Wp(0)."""
+    kmax = 8
     report = Report("averaged-shift", params={"kmax": kmax})
     for k in range(kmax + 1):
         got = averaged_shift(Wm(0), k)

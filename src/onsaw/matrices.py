@@ -157,8 +157,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(out)
 
 
-def flip_matrix(d: int = 2) -> Matrix:
-    """Permutation matrix exchanging the two tensor factors of dimension d."""
+def flip_matrix() -> Matrix:
+    """Permutation matrix exchanging the two tensor factors of dimension 2."""
+    d = 2
     n = d * d
     rows = []
     for i in range(d):
@@ -209,8 +210,9 @@ def embed_leg(m: Matrix, legs, total: int) -> Matrix:
     return Matrix(rows)
 
 
-def partial_trace(m: Matrix, leg: int, d: int = 2) -> Matrix:
-    """Trace out tensor leg `leg` (1-based) of a matrix on n legs of dimension d."""
+def partial_trace(m: Matrix, leg: int) -> Matrix:
+    """Trace out tensor leg `leg` (1-based) of a matrix on n legs of dimension 2."""
+    d = 2
     size = m.rows
     n = 0
     s = 1

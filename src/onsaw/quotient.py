@@ -92,6 +92,13 @@ class QuotientO:
     def bracket_reduced(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return self.reduce(bracket(x, y))
 
+    def relation(self, make, p: int) -> AlgElem:
+        """The quotient relation sum(alpha_|n| X_{n+p}, n = -N..N), X = make."""
+        combo = {}
+        for n in range(-self.N, self.N + 1):
+            accumulate(combo, make(n + p).terms, self.alpha(n))
+        return AlgElem(combo)
+
     def __repr__(self):
         return f"QuotientO(N={self.N})"
 
@@ -190,13 +197,8 @@ def implied_relations_report(q: QuotientO, pmax: int = 6) -> Report:
     """All shifted relation instances must reduce to zero, |p| <= pmax."""
     report = Report("dav2", params={"N": q.N, "pmax": pmax})
     for p in range(-pmax, pmax + 1):
-        ra = {}
-        rg = {}
-        for n in range(-q.N, q.N + 1):
-            accumulate(ra, A(n + p).terms, q.alpha(n))
-            accumulate(rg, G(n + p).terms, q.alpha(n))
-        ra = q.reduce(AlgElem(ra))
-        rg = q.reduce(AlgElem(rg))
+        ra = q.reduce(q.relation(A, p))
+        rg = q.reduce(q.relation(G, p))
         report.add(f"dav2:A:N{q.N}:p{p}", ra.is_zero(), ra)
         report.add(f"dav2:G:N{q.N}:p{p}", rg.is_zero(), rg)
     return report

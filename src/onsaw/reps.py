@@ -34,12 +34,12 @@ def _as_point(w):
     return lvar(w) if isinstance(w, str) else w
 
 
-def rep_alphas(ws, u: str = "u") -> list:
+def rep_alphas(ws) -> list:
     """Quotient coefficients from the factorized prefactor; alpha_N comes out 1."""
     ws = [_as_point(w) for w in ws]
     product = LaurentPoly.const(1)
-    uu = lvar(u)
-    uinv = lvar(u, -1)
+    uu = lvar("u")
+    uinv = lvar("u", -1)
     for w in ws:
         w_inv = unit_inverse(w)
         if w_inv is None:
@@ -49,8 +49,8 @@ def rep_alphas(ws, u: str = "u") -> list:
         product = product * (uu + uinv - w - w_inv)
     alphas = []
     for p in range(len(ws) + 1):
-        coeff = product.coefficient_of(u, -p)
-        if coeff != product.coefficient_of(u, p):
+        coeff = product.coefficient_of("u", -p)
+        if coeff != product.coefficient_of("u", p):
             raise ValueError("prefactor expansion is not symmetric")
         alphas.append(as_coeff(coeff.const_value()) if coeff.is_const() else coeff)
     return alphas
@@ -60,13 +60,14 @@ def rep_quotient(ws) -> QuotientO:
     return QuotientO(rep_alphas(ws))
 
 
-def _peel_solve(rows, nunknowns, entry_count):
+def _peel_solve(rows):
     """Solve sum_k row.coeffs[k] X_k = row.rhs by repeatedly peeling rows that
     carry a single unsolved unknown with an invertible (monomial) coefficient.
 
-    rows: list of (coeffs list, rhs list); returns list of rhs-shaped
-    solutions.  Leftover equations are verified exactly.
+    rows: nonempty list of (coeffs list, rhs list), all of one shape; returns
+    list of rhs-shaped solutions.  Leftover equations are verified exactly.
     """
+    nunknowns = len(rows[0][0])
     solution = [None] * nunknowns
     rows = [
         (list(coeffs), list(rhs)) for coeffs, rhs in rows
@@ -87,7 +88,7 @@ def _peel_solve(rows, nunknowns, entry_count):
         for coeffs2, rhs2 in rows:
             c = coeffs2[k]
             if c:
-                for e in range(entry_count):
+                for e in range(len(rhs2)):
                     rhs2[e] = rhs2[e] - c * solution[k][e]
                 coeffs2[k] = 0
     for coeffs, rhs in rows:
@@ -106,12 +107,13 @@ def _cleared_sum(nums, dens):
     return total
 
 
-def rep_build(ws, u: str = "u"):
+def rep_build(ws):
     """Extract the generator matrices; returns (quotient, {symbol: Matrix})."""
     ws = [_as_point(w) for w in ws]
     N = len(ws)
     dim = 2**N
-    q = QuotientO(rep_alphas(ws, u))
+    u = "u"
+    q = QuotientO(rep_alphas(ws))
     B = build_B_onsager(q, u)
 
     nums = []
@@ -140,7 +142,7 @@ def rep_build(ws, u: str = "u"):
             coeffs = [table.get(e, zero) for table in coeff_tables]
             rhs = [table.get(e, zero) for table in rhs_tables]
             rows.append((coeffs, rhs))
-        flat = _peel_solve(rows, len(syms), dim * dim)
+        flat = _peel_solve(rows)
         return [
             Matrix([values[s * dim : (s + 1) * dim] for s in range(dim)])
             for values in flat
@@ -154,7 +156,8 @@ def rep_build(ws, u: str = "u"):
     return q, rep
 
 
-def rep_apply(rep: dict, x: AlgElem, dim: int) -> Matrix:
+def rep_apply(rep: dict, x: AlgElem) -> Matrix:
+    dim = next(iter(rep.values())).rows
     out = Matrix.zeros(dim, dim, LaurentPoly())
     for sym, c in x.terms.items():
         out = out + rep[sym].scale(c)
@@ -164,10 +167,9 @@ def rep_apply(rep: dict, x: AlgElem, dim: int) -> Matrix:
 def rep_check(q: QuotientO, rep: dict) -> Report:
     """Every defining relation of the quotient holds for the extracted matrices."""
     report = Report("rep", params={"N": q.N})
-    dim = rep[q.basis_syms()[0]].rows
     bad = []
     for (s, t), rhs in defining_relations(q):
-        if commutator(rep[s], rep[t]) != rep_apply(rep, rhs, dim):
+        if commutator(rep[s], rep[t]) != rep_apply(rep, rhs):
             bad.append((s, t))
     report.add(
         f"rep:relations:N{q.N}",
@@ -183,14 +185,15 @@ _SAMPLE_VALUES = [Fraction(n) for n in (2, 3, 5, 7, 11, 13)] + [
 ]
 
 
-def rep_matrix_identity_report(ws, q: QuotientO, rep: dict, u: str = "u") -> Report:
+def rep_matrix_identity_report(ws, q: QuotientO, rep: dict) -> Report:
     """Independent cross-check at a rational sample value of u: the identity
     p(u) S(u) = pi(B-hat(u)) holds for all four blocks at once, cleared of the
     leg denominators D_j: p sum_j N_j prod_{i != j} D_i = prod_i D_i pi(B-hat).
 
-    (q, rep) is the representation rep_build(ws, u) extracted."""
+    (q, rep) is the representation rep_build(ws) extracted."""
     ws = [_as_point(w) for w in ws]
     N = len(ws)
+    u = "u"
     B = build_B_onsager(q, u)
     p_of_u = p_poly(q, u)
     dim = 2**N
@@ -215,7 +218,7 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict, u: str = "u") -> Rep
     for a in range(2):
         for b in range(2):
             expected = rep_apply(
-                rep, B.entries[a][b].map_coeffs(lambda c: c.subs(u, value)), dim
+                rep, B.entries[a][b].map_coeffs(lambda c: c.subs(u, value))
             )
             for s in range(dim):
                 for t in range(dim):

@@ -26,8 +26,9 @@ The identity rests on three hypotheses, each checked elsewhere:
   r_matrix_num that test_r_matrix_entries pins and `cybe` uses.
 
 The renaming is sound only when u != v and neither occurs in a coefficient
-of the quotient; verify_frt and verify_frt_series_onsager raise ValueError
-otherwise.
+of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
+names from their caller and raise ValueError otherwise; verify_cybe,
+verify_reD and expand_b run at the fixed names u and v.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import Report
-from .scalars import LaurentPoly, accumulate, lvar, sum_terms
+from .scalars import P_ONE, LaurentPoly, accumulate, lvar, sum_terms
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -66,7 +67,7 @@ def r_matrix_num(u: str = "u", v="v"):
     return num, den
 
 
-def verify_cybe(r: tuple | None = None, u: str = "u", v: str = "v") -> Report:
+def verify_cybe(r: tuple | None = None) -> Report:
     """The non-standard classical Yang-Baxter equation for a candidate r-matrix:
 
         [r_13, r_23] - [r_21, r_13] - [r_23, r_12] = 0
@@ -80,10 +81,10 @@ def verify_cybe(r: tuple | None = None, u: str = "u", v: str = "v") -> Report:
     a numeric spot check on evaluated N_ab / d_ab confirms the verdict.
     """
     report = Report("cybe")
-    num, den = r_matrix_num(u, v) if r is None else r
+    num, den = r_matrix_num() if r is None else r
 
     def at(a, b, legs):
-        mapping = {u: a, v: b}
+        mapping = {"u": a, "v": b}
         renamed = num.map(lambda e: e.rename(mapping))
         return embed_leg(renamed, legs, 3), den.rename(mapping)
 
@@ -117,9 +118,9 @@ def verify_cybe(r: tuple | None = None, u: str = "u", v: str = "v") -> Report:
     return report
 
 
-def corrupted_r_matrix(u: str = "u", v: str = "v") -> tuple:
+def corrupted_r_matrix() -> tuple:
     """The r-matrix pair with the (1,4) numerator shifted by +1 (negative control)."""
-    num, den = r_matrix_num(u, v)
+    num, den = r_matrix_num()
     rows = [list(row) for row in num.entries]
     rows[0][3] = rows[0][3] + LaurentPoly.const(1)
     return Matrix(rows), den
@@ -144,12 +145,8 @@ class OperatorMatrix:
 
     def rename_spectral(self, v: str) -> "OperatorMatrix":
         mapping = {self.u: v}
-
-        def rename(c):
-            return c.rename(mapping) if hasattr(c, "rename") else c
-
         entries = tuple(
-            tuple(e.map_coeffs(rename) for e in row) for row in self.entries
+            tuple(_renamed(e, mapping) for e in row) for row in self.entries
         )
         return OperatorMatrix(entries, self.den.rename(mapping), v, self.algebra, self.label)
 
@@ -159,6 +156,13 @@ class OperatorMatrix:
         return OperatorMatrix(
             tuple(tuple(row) for row in rows), self.den, self.u, self.algebra, self.label
         )
+
+
+def _renamed(x: AlgElem, mapping: dict) -> AlgElem:
+    """x with the variables of its polynomial coefficients renamed."""
+    return x.map_coeffs(
+        lambda c: c.rename(mapping) if isinstance(c, LaurentPoly) else c
+    )
 
 
 def f_poly(q: QuotientO, p: int, u: str) -> LaurentPoly:
@@ -234,23 +238,26 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 
 
-def _exchange_residual(bu, bv, den_u, den_v, u, v, bracket_fn, finish):
-    """All denominators cleared, the exchange relation reads
+def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
+    """All denominators cleared, the exchange relation for B(u) = bu/den_u reads
 
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
-    with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B1 = B(u) (x) I
-    and B2 = I (x) B(v) place the entries of B; nothing is multiplied.
-    Returns {(r, c): entry of C passed through `finish`}, in row-major order.
+    with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B(v) = bv/den_v
+    is B(u) with u renamed to v.  B1 = B(u) (x) I and B2 = I (x) B(v) place the
+    entries of B; nothing is multiplied.  Returns {(r, c): entry of C passed
+    through `finish`}, in row-major order.
 
-    When bv and den_v are bu and den_u with u renamed to v, C(u,v) =
-    P C(v,u) P (see the module docstring): entry (sigma r, sigma c) is entry
-    (r,c) with u and v swapped, sigma = _FLIP.  So only the 10 entries with
-    (r,c) <= (sigma r, sigma c) are built, the 4 fixed by sigma and one of
-    each mirror pair; the other 6 are renamed mirrors.  This needs the three
-    hypotheses of the module docstring (an antisymmetric bracket_fn,
-    r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and a `finish`
-    that commutes with swapping u and v; the callers check the names."""
+    C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
+    is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
+    entries with (r,c) <= (sigma r, sigma c) are built, the 4 fixed by sigma
+    and one of each mirror pair; the other 6 are renamed mirrors.  This needs
+    the three hypotheses of the module docstring (an antisymmetric
+    bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and
+    a `finish` that commutes with swapping u and v; the callers check the
+    names."""
+    bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
+    den_v = den_u.rename({u: v})
     rhat_12, dr = r_matrix_num(u, v)
     rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
@@ -264,7 +271,7 @@ def _exchange_residual(bu, bv, den_u, den_v, u, v, bracket_fn, finish):
         for c, (j, l) in enumerate(pairs):
             mirror = (_FLIP[r], _FLIP[c])
             if mirror < (r, c):
-                out[r, c] = out[mirror].map_coeffs(lambda p: p.rename(swap))
+                out[r, c] = _renamed(out[mirror], swap)
             else:
                 lie = bracket_fn(bu[i][j], bv[k][l])
                 out[r, c] = finish(lie * dr + t1[r, c] * den_v - t2[r, c] * den_u)
@@ -278,10 +285,7 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     q = B.algebra
     _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
     report = Report("frt", params={"label": B.label})
-    Bv = B.rename_spectral(v)
-    residual = _exchange_residual(
-        B.entries, Bv.entries, B.den, Bv.den, B.u, v, q.bracket_reduced, q.reduce
-    )
+    residual = _exchange_residual(B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce)
     for (r, c), entry in residual.items():
         report.add(f"frt:{B.label}:entry{r}{c}", entry.is_zero(), entry)
     return report
@@ -318,20 +322,14 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     _check_spectral_names(u, v)
     report = Report("frt-series-onsager", params={"D": D})
 
-    def currents(var):
-        powers = [lvar(var, n) for n in range(D + 1)]
-        g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
-        a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
-        a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
-        return ((g, a_minus), (a_plus, -g))
-
-    one = LaurentPoly.const(1)
+    powers = [lvar(u, n) for n in range(D + 1)]
+    g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
+    a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
+    a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
     bounds = {u: D, v: D}
     residual = _exchange_residual(
-        currents(u),
-        currents(v),
-        one,
-        one,
+        ((g, a_minus), (a_plus, -g)),
+        P_ONE,
         u,
         v,
         bracket,
@@ -407,8 +405,8 @@ def m_matrix(c: ChargeParams, x: str = "x") -> Matrix:
     xinv = lvar(x, -1)
     return Matrix(
         [
-            [xinv * c.mu, xinv * c.kappas + c.kappa * LaurentPoly.const(1)],
-            [xx * c.kappas + c.kappa * LaurentPoly.const(1), xx * c.mu],
+            [xinv * c.mu, xinv * c.kappas + c.kappa],
+            [xx * c.kappas + c.kappa, xx * c.mu],
         ]
     )
 
@@ -442,13 +440,14 @@ def verify_commuting(q: QuotientO, charge_list=None, c=None) -> Report:
     return report
 
 
-def expand_b(q: QuotientO, c: ChargeParams, u: str = "u"):
+def expand_b(q: QuotientO, c: ChargeParams):
     """Decompose tr(M(u) B(u)) over the charges.
 
     Returns (factors, report): factors[p] is the Laurent polynomial
     f_p(u) - f_p(1/u) multiplying I_p once the common prefactor 1/p(u) is
     cleared; the report asserts the cleared identity coefficientwise.
     """
+    u = "u"
     B = build_B_onsager(q, u)
     M = m_matrix(c, u)
     residual = {}  # tr(M B) - sum(I_p h_p)
@@ -485,10 +484,10 @@ def _transpose_leg1(m: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-def _red_candidate(interpretation: str, u: str, v: str) -> Matrix:
-    """The numerator of one reading of rbar; its denominator is dropped."""
-    base = r_matrix_num(u, v)[0]
-    swapped = r_matrix_num(v, u)[0]
+def _red_candidate(interpretation: str) -> Matrix:
+    """The numerator of one reading of rbar(u, v); its denominator is dropped."""
+    base = r_matrix_num("u", "v")[0]
+    swapped = r_matrix_num("v", "u")[0]
     if interpretation == "r12":
         return base
     if interpretation == "r21":
@@ -504,12 +503,7 @@ def _red_candidate(interpretation: str, u: str, v: str) -> Matrix:
     )
 
 
-def verify_reD(
-    c: ChargeParams | None = None,
-    interpretation: str = "r12",
-    u: str = "u",
-    v: str = "v",
-) -> Report:
+def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Report:
     """[tr_1(rbar_12(u,v) M_1(u)), M_2(v)] for one candidate reading of rbar.
 
     The overlined matrix is not pinned down by its source; each reading is a
@@ -523,7 +517,7 @@ def verify_reD(
     if c is None:
         c = ChargeParams.symbolic()
     report = Report("reD", params={"interpretation": interpretation})
-    matrices = (_red_candidate(interpretation, u, v), m_matrix(c, u), m_matrix(c, v))
+    matrices = (_red_candidate(interpretation), m_matrix(c, "u"), m_matrix(c, "v"))
 
     def identity_lhs(rbar, m_u, m_v):
         traced = partial_trace(rbar * kron(m_u, Matrix.identity(2)), 1)
@@ -537,8 +531,8 @@ def verify_reD(
         f"nonzero commutator entries at {bad}",
     )
     bindings = {
-        u: Fraction(2),
-        v: Fraction(3),
+        "u": Fraction(2),
+        "v": Fraction(3),
         "kappa": Fraction(1),
         "kappas": Fraction(2),
         "mu": Fraction(5),

@@ -99,7 +99,7 @@ def test_alt_auto_intertwines_with_conversion():
 
 
 def test_averaged_shift_formulas():
-    assert averaged_shift_report(8).status == "pass"
+    assert averaged_shift_report().status == "pass"
 
 
 def test_dolan_grady_in_alt_presentation():
@@ -260,7 +260,7 @@ def test_a_warm_cache_cannot_hide_a_broken_map(monkeypatch):
 
 
 def test_triangular_change_of_basis():
-    assert triangular_basis_report(12).status == "pass"
+    assert triangular_basis_report().status == "pass"
 
 
 def test_generating_series_of_inverse_chebyshev_powers():

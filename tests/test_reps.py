@@ -7,6 +7,7 @@ import pytest
 from onsaw.matrices import Matrix, commutator
 from onsaw.reports import FAIL
 from onsaw.reps import (
+    _peel_solve,
     rep_alphas,
     rep_apply,
     rep_build,
@@ -107,7 +108,7 @@ def test_rep_apply_linearity():
 
     q, rep = rep_build(["w"])
     x = A(0) * Fraction(2) + A(1)
-    m = rep_apply(rep, x, 2)
+    m = rep_apply(rep, x)
     assert m == rep[("A", 0)].scale(Fraction(2)) + rep[("A", 1)]
 
 
@@ -158,3 +159,18 @@ def test_rep_rejects_zero_point():
 def test_rep_quotient_has_unit_leading_alpha():
     q = rep_quotient(["w1", "w2"])
     assert q.alphas[-1] == Fraction(1)
+
+
+def test_peel_solve_peels_one_unknown_at_a_time():
+    w = lvar("w")
+    assert _peel_solve([([1, 0], [3]), ([1, w], [5])]) == [[3], [2 * lvar("w", -1)]]
+
+
+def test_peel_solve_rejects_an_inconsistent_system():
+    with pytest.raises(ValueError, match="inconsistent extraction system"):
+        _peel_solve([([1], [1]), ([1], [2])])
+
+
+def test_peel_solve_rejects_a_non_unit_coefficient():
+    with pytest.raises(ValueError, match="singular extraction system"):
+        _peel_solve([([lvar("a") + 1], [1])])

@@ -363,6 +363,40 @@ def test_the_cleared_residual_is_its_own_leg_flip_mirror():
     assert nonzero > 0
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_verify_frt_at_another_second_spectral_name(N):
+    failing = 0
+    for B in operator_matrices_and_corruptions(N):
+        at_w = verify_frt(B, v="w").checks
+        at_v = verify_frt(B).checks
+        assert [c.status for c in at_w] == [c.status for c in at_v]
+        entries = frt_reference(B, v="w")
+        assert [c.residual for c in at_w] == [r for _, r in verdicts(entries)]
+        back = [e.map_coeffs(lambda p: p.rename({"w": "v"})) for e in entries]
+        assert [c.residual for c in at_v] == [r for _, r in verdicts(back)]
+        failing += sum(c.status == FAIL for c in at_w)
+    assert failing > 0
+
+
+def test_frt_series_at_other_spectral_names(monkeypatch):
+    import onsaw.yangbaxter as yb
+    from onsaw.onsager import bracket, sym_bracket
+
+    def outcome(*names):
+        checks = yb.verify_frt_series_onsager(3, *names).checks
+        return [(c.id, c.status) for c in checks]
+
+    assert outcome("x", "y") == outcome()
+
+    def scaled(s, t):
+        value = sym_bracket(s, t)
+        return value * Fraction(5, 4) if s[0] == t[0] == "A" else value
+
+    monkeypatch.setattr(yb, "bracket", lambda x, y: bracket(x, y, sym_bracket=scaled))
+    assert FAIL in {status for _, status in outcome()}
+    assert outcome("x", "y") == outcome()
+
+
 def test_verify_frt_rejects_v_equal_to_u():
     B = build_B_onsager(QuotientO.symbolic(1))
     for target in (B, B.with_entry(0, 1, B.entries[0][1] * 3)):
