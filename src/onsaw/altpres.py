@@ -17,9 +17,10 @@ and read-only, as `linear_extension` only reads them.
 
 Finite quotients are cut out by a coefficient vector (beta_0, ..., beta_N):
 every family index >= N rewrites onto indices 0..N-1 through the single
-upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N).  beta_N is a
-nonzero rational or a monomial, so 1/beta_N is one too and reduction stays
-in the Laurent ring.
+upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N), applied by
+`quotient.divide` to the highest index first: no per-symbol cache, no
+recursion.  beta_N is a nonzero rational or a monomial, so 1/beta_N is one
+too and reduction stays in the Laurent ring.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from math import comb, factorial
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
-from .quotient import QuotientO
+from .quotient import QuotientO, divide
 from .reports import Report
 from .scalars import coeff_div, lvar, sum_terms, unit_inverse
 
@@ -202,8 +203,7 @@ class QuotientA:
             )
         self.betas = betas
         self.N = len(betas) - 1
-        self._monic = tuple(coeff_div(-b, betas[-1]) for b in betas[:-1])
-        self._reduced: dict = {}
+        self._monic = tuple(coeff_div(b, betas[-1]) for b in betas[:-1]) + (1,)
 
     @classmethod
     def symbolic(cls, N: int) -> "QuotientA":
@@ -217,23 +217,17 @@ class QuotientA:
         )
 
     def reduce(self, x: AlgElem) -> AlgElem:
-        return linear_extension(self._reduce_sym, x)
+        return divide(x, self._excess, self._divisor)
 
-    def _reduce_sym(self, sym) -> AlgElem:
-        """X(m) = sum_k monic[k] X(k + m - N), monic[k] = -beta_k / beta_N."""
-        cached = self._reduced.get(sym)
-        if cached is not None:
-            return cached
+    def _excess(self, sym) -> int:
+        if sym[0] not in ("Wm", "Wp", "Gt"):
+            raise TypeError(f"not an alternative-presentation symbol: {sym}")
+        return sym[1] - self.N + 1
+
+    def _divisor(self, sym) -> AlgElem:
+        """sum_k monic[k] X(k + m - N), monic[k] = beta_k / beta_N, led by X(m)."""
         kind, m = sym
-        if m < self.N:
-            out = AlgElem.basis(sym)
-        else:
-            p = m - self.N
-            out = self.reduce(
-                AlgElem({(kind, k + p): c for k, c in enumerate(self._monic)})
-            )
-        self._reduced[sym] = out
-        return out
+        return AlgElem({(kind, k + m - self.N): c for k, c in enumerate(self._monic)})
 
     def bracket_reduced(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return self.reduce(bracket_alt(x, y))

@@ -408,7 +408,7 @@ def main(argv=None) -> int:
         if args.command == "upoly":
             q = _quotient(args.N, args.params, args.alphas)
             value = u_poly(q, args.p, args.j)
-            oracle = u_poly_oracle(q, args.p, args.j)
+            oracle = u_poly_oracle(q, args.p).coeff(("A", args.j))
             print(f"U[p={args.p}, j={args.j}] (N={args.N}) = {value}")
             if value == oracle:
                 return 0

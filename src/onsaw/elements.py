@@ -9,8 +9,8 @@ Coefficients follow the rule of `scalars`: an int when integral, else a
 Fraction, or a LaurentPoly (negative exponents allowed).  Mixed coefficients
 combine through the arithmetic dunders of those types.
 
-Sums, differences and scalings, and the linear and bilinear extensions of
-per-symbol maps (brackets, automorphisms, quotient reduction, change of
+Sums, differences, scalings, quotient division, and the linear and bilinear
+extensions of per-symbol maps (brackets, automorphisms, change of
 presentation, PBW ordering), go through `scalars.accumulate`, which adds into
 one dict in place under the coefficient rule instead of copying a dict per
 term.  It is imported here, so `from onsaw.elements import accumulate` works.

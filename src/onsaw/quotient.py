@@ -3,22 +3,38 @@
 A quotient is fixed by N >= 1 and coefficients (alpha_0, ..., alpha_N) with
 alpha_N = 1 and the implicit symmetric extension alpha_{-n} = alpha_n.  The
 imposed relations make every A_m and G_m a combination of the 3N independent
-elements {A_{-N+1}, ..., A_N, G_1, ..., G_N}; `reduce` rewrites onto that
-normal-form span using the two one-sided recurrences
+elements {A_{-N+1}, ..., A_N, G_1, ..., G_N}; `reduce` divides onto that
+normal-form span, the farthest symbol first, by the one-sided recurrences
 
     A_{N+p} = -sum_{n=-N}^{N-1} alpha_n A_{n+p}
     A_{p-N} = -sum_{n=-N+1}^{N} alpha_n A_{n+p}
 
-and the G analogue.  The recursion table u_poly reproduces the same reduction
-coefficients through an independent recurrence; the two are compared by
-u_poly_report and any mismatch is a documented discrepancy (the reduction
-oracle wins).
+and the G analogue, with no per-symbol cache and no recursion.  The table
+u_poly reproduces the same reduction coefficients through an independent
+recurrence; the two are compared by u_poly_report and any mismatch is a
+documented discrepancy (the reduction oracle wins).
 """
 
-from .elements import AlgElem, accumulate, linear_extension
+from .elements import AlgElem, accumulate
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from .reports import Report
 from .scalars import lvar
+
+
+def divide(x: AlgElem, excess, divisor) -> AlgElem:
+    """The normal form of x: its remainder on division by a monic relation.
+
+    excess(sym) > 0 outside the normal-form window (TypeError on a foreign
+    symbol); divisor(sym) is the relation instance led by 1*sym, its other
+    symbols of strictly smaller excess.  Symbols are eliminated farthest
+    first, by subtracting their coefficient times divisor(sym), so no level
+    gains a symbol once it is cleared; within a level, order does not matter.
+    """
+    acc = dict(x.terms)
+    for level in range(max(map(excess, acc), default=0), 0, -1):
+        for sym in [s for s in acc if excess(s) == level]:
+            accumulate(acc, divisor(sym).terms, -acc[sym])  # cancels sym
+    return AlgElem(acc)
 
 
 class QuotientO:
@@ -32,7 +48,6 @@ class QuotientO:
             raise ValueError("normalization requires alpha_N = 1")
         self.alphas = alphas
         self.N = len(alphas) - 1
-        self._reduced: dict = {}
         self._upoly: dict = {}
 
     @staticmethod
@@ -62,32 +77,19 @@ class QuotientO:
     # -- normal form -----------------------------------------------------
 
     def reduce(self, x: AlgElem) -> AlgElem:
-        return linear_extension(self._reduce_sym, x)
+        return divide(x, self._excess, self._divisor)
 
-    def _reduce_sym(self, sym) -> AlgElem:
-        cached = self._reduced.get(sym)
-        if cached is not None:
-            return cached
+    def _excess(self, sym) -> int:
         kind, idx = sym
-        N = self.N
-        make = {"A": A, "G": G}.get(kind)
-        if make is None:
+        if kind not in ("A", "G"):
             raise TypeError(f"not an Onsager basis symbol: {sym}")
-        if idx > N:
-            out = self._recurrence(make, range(-N, N), idx - N)
-        elif kind == "A" and idx < -N + 1:
-            out = self._recurrence(make, range(-N + 1, N + 1), idx + N)
-        else:
-            out = AlgElem.basis(sym)
-        self._reduced[sym] = out
-        return out
+        return max(idx - self.N, -self.N + 1 - idx if kind == "A" else 0)
 
-    def _recurrence(self, make, ns, p) -> AlgElem:
-        """reduce(-sum alpha_n X_{n+p}, n in ns), one side of a recurrence."""
-        combo = {}
-        for n in ns:
-            accumulate(combo, make(n + p).terms, -self.alphas[abs(n)])
-        return self.reduce(AlgElem(combo))
+    def _divisor(self, sym) -> AlgElem:
+        """The relation instance led by sym, at its top or bottom end."""
+        kind, idx = sym
+        p = idx - self.N if idx > self.N else idx + self.N
+        return self.relation(A if kind == "A" else G, p)
 
     def bracket_reduced(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return self.reduce(bracket(x, y))
@@ -96,7 +98,7 @@ class QuotientO:
         """The quotient relation sum(alpha_|n| X_{n+p}, n = -N..N), X = make."""
         combo = {}
         for n in range(-self.N, self.N + 1):
-            accumulate(combo, make(n + p).terms, self.alpha(n))
+            accumulate(combo, make(n + p, self.alpha(n)).terms)
         return AlgElem(combo)
 
     def __repr__(self):
@@ -115,48 +117,40 @@ def u_poly(q: QuotientO, p: int, j: int):
         U_{p,j} = sum_{k=0}^{p-1} (-1)^k alpha_{k-N+1} U_{p-1-k,j}
                   + (-1)^{N+p-1} alpha_{j+p} * [ j <= N-p ]
 
-    with symmetric alpha lookup vanishing beyond index N.
+    with symmetric alpha lookup vanishing beyond index N (so k < 2N).  The
+    column j of q._upoly fills bottom-up; an entry already there is kept.
     """
     N = q.N
     if p < 0 or not (-N + 1 <= j <= N):
         raise ValueError(f"u_poly indices out of range: p={p}, j={j}")
-    key = (p, j)
-    cached = q._upoly.get(key)
-    if cached is not None:
-        return cached
-    if p == 0:
-        out = q.alpha(j) * (-1) ** (N + 1)
-    else:
-        out = 0
-        for k in range(p):
-            a = q.alpha(k - N + 1)
-            if a:
-                out = out + a * (u_poly(q, p - 1 - k, j) * (-1) ** k)
-        if j <= N - p and q.alpha(j + p):
-            out = out + q.alpha(j + p) * (-1) ** (N + p - 1)
-    q._upoly[key] = out
-    return out
+    table = q._upoly
+    for r in range(p + 1):
+        if (r, j) in table:
+            continue
+        out = q.alpha(j + r) * (-1) ** (N + r - 1) if j <= N - r else 0
+        for k in range(min(r, 2 * N)):
+            if a := q.alpha(k - N + 1):
+                out = out + a * (table[(r - 1 - k, j)] * (-1) ** k)
+        table[(r, j)] = out
+    return table[(p, j)]
 
 
-def u_poly_oracle(q: QuotientO, p: int, j: int):
-    """The same coefficient read directly off reduce(A_{-N-p})."""
-    reduced = q.reduce(A(-q.N - p))
-    sign = (-1) ** (p + q.N)
-    return reduced.coeff(("A", j)) * sign
+def u_poly_oracle(q: QuotientO, p: int) -> AlgElem:
+    """Row p of the table read directly off reduce(A_{-N-p}), signed so that
+    its coefficient of A_j is U_{p,j}."""
+    return q.reduce(A(-q.N - p)) * (-1) ** (p + q.N)
 
 
 def u_poly_report(q: QuotientO, pmax: int) -> Report:
     """Recursion versus reduction oracle for all p <= pmax; the oracle wins."""
     report = Report("upoly", params={"N": q.N, "pmax": pmax})
     for p in range(pmax + 1):
+        row = u_poly_oracle(q, p)
         for j in range(-q.N + 1, q.N + 1):
-            rec = u_poly(q, p, j)
-            ora = u_poly_oracle(q, p, j)
-            report.add_discrepancy(
-                f"upoly:N{q.N}:p{p}:j{j}",
-                rec == ora,
-                f"recursion {rec} but oracle {ora}",
-            )
+            rec, ora = u_poly(q, p, j), row.coeff(("A", j))
+            agrees = rec == ora  # print the two only when they differ
+            detail = "" if agrees else f"recursion {rec} but oracle {ora}"
+            report.add_discrepancy(f"upoly:N{q.N}:p{p}:j{j}", agrees, detail)
     return report
 
 

@@ -88,7 +88,7 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     Values may be rationals or (for algebra elements) LaurentPolys; a
     `LaurentPoly` term map takes only a rational `k`.  `acc` must be a dict
     the caller owns, never the `terms` of a polynomial or an element: those
-    are shared (elements, quotient caches, `ZERO`, `P_ONE`).
+    are shared (elements, memoised images, `ZERO`, `P_ONE`).
     """
     for key, c in terms.items():
         if k is not None:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from onsaw.altpres import (
+    QuotientA,
     alt_auto,
     alt_sym_bracket,
     beta_from_alpha,
@@ -191,16 +192,22 @@ def test_involutions():
 
 def test_reduce_idempotent_linear_and_ideal_compatible():
     rng = random.Random(110)
-    quotients = [QuotientO.symbolic(N) for N in (1, 2, 3)]
-    for _ in range(CASES):
-        q = rng.choice(quotients)
-        x = rand_elem(rng, rand_onsager_sym, 8)
-        y = rand_elem(rng, rand_onsager_sym, 8)
-        rx = q.reduce(x)
-        assert q.reduce(rx) == rx
-        c = rand_fraction(rng)
-        assert q.reduce(x * c + y) == rx * c + q.reduce(y)
-        assert q.reduce(bracket(x, y)) == q.reduce(bracket(rx, q.reduce(y)))
+    families = (
+        ([QuotientO.symbolic(N) for N in (1, 2, 3)], rand_onsager_sym, bracket),
+        ([QuotientA.symbolic(N) for N in (1, 2, 3)], rand_alt_sym, bracket_alt),
+    )
+    for quotients, sym_gen, bracket_fn in families:
+        for _ in range(CASES):
+            q = rng.choice(quotients)
+            x = rand_elem(rng, sym_gen, 8)
+            y = rand_elem(rng, sym_gen, 8)
+            rx = q.reduce(x)
+            assert set(rx.terms) <= set(q.basis_syms())
+            assert q.reduce(rx) == rx
+            c = rand_fraction(rng)
+            assert q.reduce(x * c + y) == rx * c + q.reduce(y)
+            ry = q.reduce(y)
+            assert q.reduce(bracket_fn(x, y)) == q.reduce(bracket_fn(rx, ry))
 
 
 def test_embedded_operators_on_disjoint_legs_commute():

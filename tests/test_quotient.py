@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from onsaw.altpres import Gt, QuotientA, Wm, Wp
 from onsaw.elements import AlgElem
 from onsaw.onsager import A, G, bracket, s_n_autopoly
 from onsaw.quotient import (
@@ -86,7 +87,27 @@ def test_u_poly_against_reduction_oracle(q1, q2):
 
 def test_u_poly_oracle_direct(q1):
     alpha = q1.alphas[0]
-    assert u_poly_oracle(q1, 2, 0) == alpha * alpha * alpha - 2 * alpha
+    assert u_poly_oracle(q1, 2).coeff(("A", 0)) == alpha * alpha * alpha - 2 * alpha
+
+
+def test_deep_indices_reduce_without_recursion():
+    assert QuotientA((2, 1)).reduce(Wp(3000)) == Wp(0, (-2) ** 3000)
+    q = QuotientO((3, 1))
+    row = u_poly_oracle(q, 1200)
+    assert set(row.terms) == {("A", 0), ("A", 1)}
+    for j in (0, 1):
+        assert row.coeff(("A", j)) == u_poly(q, 1200, j)
+
+
+def test_foreign_symbols_are_rejected():
+    with pytest.raises(TypeError, match="not an alternative-presentation symbol"):
+        QuotientA.symbolic(1).reduce(A(5))
+    with pytest.raises(TypeError, match="not an alternative-presentation symbol"):
+        QuotientA.symbolic(1).reduce(A(0))
+    with pytest.raises(TypeError, match="not an Onsager basis symbol"):
+        QuotientO.symbolic(1).reduce(Wm(5))
+    with pytest.raises(TypeError, match="not an Onsager basis symbol"):
+        QuotientO.symbolic(1).reduce(Gt(0))
 
 
 def test_integer_alphas_give_an_integer_table():
