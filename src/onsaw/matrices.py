@@ -117,9 +117,6 @@ class Matrix:
             acc = a if acc is None else acc + a
         return acc
 
-    def transpose(self):
-        return Matrix(tuple(zip(*self.entries)))
-
     def map(self, f):
         return Matrix([[f(a) for a in row] for row in self.entries])
 

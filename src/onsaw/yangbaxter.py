@@ -394,10 +394,6 @@ class ChargeParams:
     def symbolic(cls) -> "ChargeParams":
         return cls(lvar("kappa"), lvar("kappas"), lvar("mu"))
 
-    @classmethod
-    def rational(cls, kappa, kappas, mu) -> "ChargeParams":
-        return cls(Fraction(kappa), Fraction(kappas), Fraction(mu))
-
 
 def m_matrix(c: ChargeParams, x: str = "x") -> Matrix:
     """[[mu/x, kappa + kappas/x], [kappa + kappas x, mu x]]."""

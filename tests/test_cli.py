@@ -263,7 +263,8 @@ def test_integral_rationals_are_ints(tmp_path):
 
 
 # Mixed int/Fraction coefficients through upoly, an alternative-presentation
-# reduce and a conversion, paths the golden report does not cover.
+# reduce, a conversion and the printed matrices of a rational, negative,
+# ordered pair of evaluation points: paths the golden report does not cover.
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -279,6 +280,26 @@ def test_integral_rationals_are_ints(tmp_path):
         (
             ("convert", "--dir", "to-ons", "--expr", "Gt(2)+1/2*W(-3)"),
             "1/16*A(-3) + 3/16*A(-1) + 3/16*A(1) + 1/16*A(3) + -G(1) + -G(3)\n",
+        ),
+        (
+            ("verify", "rep", "--w=-1/2,5"),
+            "suite rep: pass\n"
+            "  param w = -1/2,5\n"
+            "  [       pass] rep:relations:N2\n"
+            "  [       pass] rep:block-identity:N2\n"
+            "  [       pass] rep:matrix:A(-1)  residual: "
+            "[0, 10, -1, 0]; [2/5, 0, 0, -1]; [-4, 0, 0, 10]; [0, -4, 2/5, 0]\n"
+            "  [       pass] rep:matrix:A(0)  residual: "
+            "[0, 2, 2, 0]; [2, 0, 0, 2]; [2, 0, 0, 2]; [0, 2, 2, 0]\n"
+            "  [       pass] rep:matrix:A(1)  residual: "
+            "[0, 2/5, -4, 0]; [10, 0, 0, -4]; [-1, 0, 0, 2/5]; [0, -1, 10, 0]\n"
+            "  [       pass] rep:matrix:A(2)  residual: "
+            "[0, 2/25, 8, 0]; [50, 0, 0, 8]; [1/2, 0, 0, 2/25]; [0, 1/2, 50, 0]\n"
+            "  [       pass] rep:matrix:G(1)  residual: "
+            "[-63/10, 0, 0, 0]; [0, 33/10, 0, 0]; [0, 0, -33/10, 0]; [0, 0, 0, 63/10]\n"
+            "  [       pass] rep:matrix:G(2)  residual: "
+            "[-2121/100, 0, 0, 0]; [0, 2871/100, 0, 0]; [0, 0, -2871/100, 0]; "
+            "[0, 0, 0, 2121/100]\n"
         ),
     ],
 )

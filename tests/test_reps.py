@@ -7,13 +7,11 @@ import pytest
 from onsaw.matrices import Matrix, commutator
 from onsaw.reports import FAIL
 from onsaw.reps import (
-    _peel_solve,
     rep_alphas,
     rep_apply,
     rep_build,
     rep_check,
     rep_matrix_identity_report,
-    rep_quotient,
 )
 from onsaw.scalars import LaurentPoly, lvar
 
@@ -95,6 +93,24 @@ def test_rep_block_identity_rejects_a_wrong_generator_matrix(ws):
     assert rep_matrix_identity_report(ws, q, rep).status == FAIL
 
 
+@pytest.mark.parametrize("ws", [["w"], ["w1", "w2"], [2, 3]])
+def test_rep_block_identity_rejects_a_doubled_G1_matrix(ws):
+    # G(1) sits in the diagonal blocks, A(0) only in the off-diagonal ones
+    q, rep = rep_build(ws)
+    rep[("G", 1)] = rep[("G", 1)].scale(2)
+    report = rep_matrix_identity_report(ws, q, rep)
+    assert report.status == FAIL
+    (check,) = report.checks
+    assert check.residual == "block identity fails in blocks [(0, 0), (1, 1)]"
+
+
+def test_rep_symbolic_n3_passes_both_checks():
+    ws = ["w1", "w2", "w3"]
+    q, rep = rep_build(ws)
+    assert rep_check(q, rep).status == "pass"
+    assert rep_matrix_identity_report(ws, q, rep).status == "pass"
+
+
 def test_rep_concrete_point():
     q, rep = rep_build([Fraction(3, 2)])
     assert rep[("A", 1)] == Matrix(
@@ -157,20 +173,5 @@ def test_rep_rejects_zero_point():
 
 
 def test_rep_quotient_has_unit_leading_alpha():
-    q = rep_quotient(["w1", "w2"])
+    q, _ = rep_build(["w1", "w2"])
     assert q.alphas[-1] == Fraction(1)
-
-
-def test_peel_solve_peels_one_unknown_at_a_time():
-    w = lvar("w")
-    assert _peel_solve([([1, 0], [3]), ([1, w], [5])]) == [[3], [2 * lvar("w", -1)]]
-
-
-def test_peel_solve_rejects_an_inconsistent_system():
-    with pytest.raises(ValueError, match="inconsistent extraction system"):
-        _peel_solve([([1], [1]), ([1], [2])])
-
-
-def test_peel_solve_rejects_a_non_unit_coefficient():
-    with pytest.raises(ValueError, match="singular extraction system"):
-        _peel_solve([([lvar("a") + 1], [1])])

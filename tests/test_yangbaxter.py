@@ -506,7 +506,7 @@ def test_reD_survey_records_each_reading():
 
 
 def test_reD_trivial_for_vanishing_parameters():
-    c = ChargeParams.rational(0, 0, 0)
+    c = ChargeParams(Fraction(0), Fraction(0), Fraction(0))
     for name in ("r12", "r21", "r12-swapped"):
         assert verify_reD(c, name).status == "pass"
 
