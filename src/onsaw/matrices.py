@@ -6,6 +6,11 @@ Entries may be rationals (int when integral, per the coefficient rule of
 as a pair (numerator matrix, common denominator).  All matrices
 in this project are small (2x2 up to 16x16), so a dense tuple-of-tuples
 representation is used and values are immutable after construction.
+`scale` is the one way to multiply by a scalar; `*` is the matrix product.
+
+Every tensor leg has dimension 2, and leg 1 is the most significant bit of
+an index: on n legs, bit n - k of an index is the state of leg k.
+`embed_leg` and `partial_trace` read and write indices this way.
 """
 
 from fractions import Fraction
@@ -59,12 +64,9 @@ class Matrix:
             ]
         )
 
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.entries])
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            return self.scale(other)
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -85,9 +87,6 @@ class Matrix:
                 out_row.append(acc)
             out.append(out_row)
         return Matrix(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, c):
         return Matrix([[c * a for a in row] for row in self.entries])
@@ -167,78 +166,50 @@ def flip_matrix() -> Matrix:
     return Matrix(rows)
 
 
-def _digits(x: int, n: int, d: int):
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        out[k] = x % d
-        x //= d
-    return out
-
-
 def embed_leg(m: Matrix, legs, total: int) -> Matrix:
-    """Place a two-leg operator on tensor positions legs=(i, j) of `total` legs.
+    """Place an operator on tensor positions `legs` of `total` legs.
 
-    The first factor of m acts on leg i, the second on leg j (1-based, i != j);
-    all other legs carry the identity.  Each leg has dimension d, where m is
-    d^2 x d^2.
+    `legs` is one leg (j,) or two distinct legs (i, j), 1-based, and m is
+    2^len(legs) square; its first factor acts on legs[0].  Entry (x, y) is m
+    at the bits of x and y on `legs` when x and y agree on every other bit,
+    and m's typed zero otherwise.
     """
-    i, j = legs
-    if i == j or not (1 <= i <= total) or not (1 <= j <= total):
+    if not 1 <= len(legs) <= 2 or len(set(legs)) != len(legs) or not all(
+        1 <= k <= total for k in legs
+    ):
         raise ValueError(f"invalid legs {legs} for {total} tensor factors")
-    d = round(m.rows**0.5)
-    if m.rows != d * d or m.cols != d * d:
-        raise ValueError("operator must be d^2 x d^2")
+    width = 1 << len(legs)
+    if m.rows != width or m.cols != width:
+        raise ValueError(f"an operator on {len(legs)} legs must be {width}x{width}")
+    shifts = [total - k for k in legs]  # leg k is bit total - k of an index
+    spread = [0]  # index b of m -> its bits placed on `legs`, legs[0] highest
+    for s in shifts:
+        spread = [bits | bit << s for bits in spread for bit in (0, 1)]
+    on_legs = sum(1 << s for s in shifts)
     zero = m[0, 0] * 0
-    size = d**total
-    i -= 1
-    j -= 1
+    size = 1 << total
     rows = []
     for x in range(size):
-        xd = _digits(x, total, d)
         row = [zero] * size
-        for y in range(size):
-            yd = _digits(y, total, d)
-            if any(
-                xd[k] != yd[k] for k in range(total) if k != i and k != j
-            ):
-                continue
-            row[y] = m[xd[i] * d + xd[j], yd[i] * d + yd[j]]
+        a = spread.index(x & on_legs)
+        rest = x & ~on_legs
+        for b, bits in enumerate(spread):
+            row[rest | bits] = m[a, b]
         rows.append(row)
     return Matrix(rows)
 
 
 def partial_trace(m: Matrix, leg: int) -> Matrix:
-    """Trace out tensor leg `leg` (1-based) of a matrix on n legs of dimension 2."""
-    d = 2
+    """Trace out tensor leg `leg` (1-based) of a matrix on n legs."""
     size = m.rows
-    n = 0
-    s = 1
-    while s < size:
-        s *= d
-        n += 1
-    if s != size or m.cols != size:
-        raise ValueError("matrix size is not a power of the leg dimension")
-    if not (1 <= leg <= n):
+    if not size or size & (size - 1) or m.cols != size:
+        raise ValueError("matrix size is not a power of 2")
+    n = size.bit_length() - 1
+    if not 1 <= leg <= n:
         raise ValueError(f"leg {leg} out of range for {n} tensor factors")
-    leg -= 1
-    out_size = size // d
-    rows = []
-    for x in range(out_size):
-        xd = _digits(x, n - 1, d)
-        row = []
-        for y in range(out_size):
-            yd = _digits(y, n - 1, d)
-            acc = None
-            for s_ in range(d):
-                xfull = xd[:leg] + [s_] + xd[leg:]
-                yfull = yd[:leg] + [s_] + yd[leg:]
-                xi = 0
-                yi = 0
-                for a, b in zip(xfull, yfull):
-                    xi = xi * d + a
-                    yi = yi * d + b
-                term = m[xi, yi]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(row)
-    return Matrix(rows)
+    s = n - leg  # the bit of `leg` in an index of m
+    lifts = []  # index x of the result -> the indices of m with bit s at 0 and 1
+    for x in range(size >> 1):
+        x0 = (x >> s << (s + 1)) | (x & ((1 << s) - 1))
+        lifts.append((x0, x0 | 1 << s))
+    return Matrix([[m[x0, y0] + m[x1, y1] for y0, y1 in lifts] for x0, x1 in lifts])

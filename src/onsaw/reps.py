@@ -22,14 +22,14 @@ all four blocks as Laurent polynomials in u,
 It holds for every u, and it pins the representation down: the
 u-coefficients of B-hat's entries are independent (each extreme power of u
 carries a single generator with a monomial coefficient), so no other
-matrices satisfy it.  Sizes beyond N = 2 are supported but exercised only
-experimentally.
+matrices satisfy it.  The tests run both checks up to N = 3, where the
+points w1, w2, w3 are symbols.
 """
 
 from math import prod
 
 from .elements import AlgElem
-from .matrices import Matrix, commutator, embed_leg, kron
+from .matrices import Matrix, commutator, embed_leg
 from .quotient import QuotientO, defining_relations
 from .reports import Report
 from .scalars import LaurentPoly, as_coeff, as_poly, lvar, unit_inverse
@@ -80,8 +80,7 @@ def rep_build(ws):
                 leg = Matrix([[zero, 2 * tk], [2 * tk_inv, zero]])
             else:
                 leg = Matrix([[tk - tk_inv, zero], [zero, tk_inv - tk]])
-            leg = kron(Matrix.identity(2**j), leg)
-            leg = kron(leg, Matrix.identity(2 ** (N - 1 - j)))
+            leg = embed_leg(leg, (j + 1,), N)
             total = leg if total is None else total + leg
         rep[kind, k] = total
     return q, rep

@@ -374,11 +374,9 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def truncate(self, bounds: dict) -> "LaurentPoly":
-        """Drop monomials whose exponent of any listed variable exceeds its bound
-        (or lies below it, for negative bounds given as (lo, hi) pairs)."""
-        named = {}
-        for v, b in bounds.items():
-            named[str(v)] = b if isinstance(b, tuple) else (None, b)
+        """Drop monomials whose exponent of a listed variable v lies outside
+        bounds[v] = (lo, hi); a bound of None leaves that side open."""
+        named = {str(v): b for v, b in bounds.items()}
         out = {}
         for mono, coeff in self.terms.items():
             exps = dict(_decode(mono))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .altpres import QuotientA, bracket_alt
-from .elements import ZERO, AlgElem
+from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
@@ -244,9 +244,9 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
     with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B(v) = bv/den_v
-    is B(u) with u renamed to v.  B1 = B(u) (x) I and B2 = I (x) B(v) place the
-    entries of B; nothing is multiplied.  Returns {(r, c): entry of C passed
-    through `finish`}, in row-major order.
+    is B(u) with u renamed to v.  embed_leg places B1 = B(u) (x) I and
+    B2 = I (x) B(v), with algebra-element zeros off the blocks.  Returns
+    {(r, c): entry of C passed through `finish`}, in row-major order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
     is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
@@ -261,10 +261,8 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
     rhat_12, dr = r_matrix_num(u, v)
     rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
-    b1 = Matrix([[bu[i][j] if k == l else ZERO for j, l in pairs] for i, k in pairs])
-    b2 = Matrix([[bv[k][l] if i == j else ZERO for j, l in pairs] for i, k in pairs])
-    t1 = commutator(rhat_21, b1)
-    t2 = commutator(b2, rhat_12)
+    t1 = commutator(rhat_21, embed_leg(Matrix(bu), (1,), 2))
+    t2 = commutator(embed_leg(Matrix(bv), (2,), 2), rhat_12)
     swap = {u: v, v: u}
     out = {}
     for r, (i, k) in enumerate(pairs):
@@ -326,7 +324,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
     a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
     a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
-    bounds = {u: D, v: D}
+    bounds = {u: (None, D), v: (None, D)}
     residual = _exchange_residual(
         ((g, a_minus), (a_plus, -g)),
         P_ONE,

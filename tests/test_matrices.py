@@ -13,7 +13,7 @@ from onsaw.matrices import (
     partial_trace,
 )
 from onsaw.elements import ZERO, AlgElem
-from onsaw.onsager import A
+from onsaw.onsager import A, G
 from onsaw.scalars import lvar
 from onsaw.yangbaxter import ChargeParams, m_matrix, r_matrix_num
 
@@ -51,6 +51,22 @@ def test_swapped_legs_equal_flip_conjugation_inside_larger_product():
     assert embed_leg(m, (3, 2), 3) == p23 * embed_leg(m, (2, 3), 3) * p23
 
 
+def test_one_leg_embedding_is_kron_with_identities():
+    u = lvar("u")
+    fractions = frac_matrix([[1, -2], [Fraction(3, 4), 5]])
+    polys = Matrix([[u, u * u + 1], [lvar("u", -1), u * 0]])
+    elems = Matrix([[A(0), A(1) * 2], [G(1) + A(-1), A(0) * Fraction(1, 3)]])
+    for n in (1, 2, 3):
+        for j in range(1, n + 1):
+            left = Matrix.identity(2 ** (j - 1))
+            right = Matrix.identity(2 ** (n - j))
+            for m in (fractions, polys, elems):
+                assert embed_leg(m, (j,), n) == kron(kron(left, m), right)
+            # the exchange check relies on AlgElem zeros off the block
+            got = embed_leg(elems, (j,), n)
+            assert all(isinstance(a, AlgElem) for row in got.entries for a in row)
+
+
 def test_embed_leg_rejects_bad_legs():
     m = Matrix.identity(4)
     with pytest.raises(ValueError):
@@ -59,6 +75,10 @@ def test_embed_leg_rejects_bad_legs():
         embed_leg(m, (0, 2), 2)
     with pytest.raises(ValueError):
         embed_leg(m, (1, 4), 3)
+    with pytest.raises(ValueError):
+        embed_leg(m, (1,), 2)
+    with pytest.raises(ValueError):
+        embed_leg(Matrix.identity(2), (1, 2), 2)
 
 
 def test_partial_trace_identity():
@@ -72,6 +92,8 @@ def test_partial_trace_of_product_state():
     y = frac_matrix([[5, 6], [7, 8]])
     assert partial_trace(kron(x, y), 1) == y.scale(x.trace())
     assert partial_trace(kron(x, y), 2) == x.scale(y.trace())
+    z = frac_matrix([[0, 1], [-2, 9]])
+    assert partial_trace(kron(kron(x, y), z), 2) == kron(x, z).scale(y.trace())
 
 
 def test_partial_trace_over_both_legs_is_full_trace():
@@ -108,6 +130,13 @@ def test_commutator_and_trace_shapes():
         Matrix.zeros(2, 3).trace()
     with pytest.raises(ValueError):
         frac_matrix([[1, 2]]) * frac_matrix([[1, 2]])
+
+
+def test_scalars_multiply_through_scale_only():
+    m = frac_matrix([[1, 2], [3, 4]])
+    assert m.scale(3) == frac_matrix([[3, 6], [9, 12]])
+    with pytest.raises(TypeError):
+        m * 3
 
 
 def test_an_entry_with_every_pair_zero_is_a_zero_of_the_product_type():

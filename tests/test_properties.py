@@ -222,6 +222,19 @@ def test_embedded_operators_on_disjoint_legs_commute():
         a = embed_leg(m1, (1, 2), 4)
         b = embed_leg(m2, (3, 4), 4)
         assert commutator(a, b).is_zero()
+    # a one-leg operator against a two-leg operator on the other two legs
+    for _ in range(CASES):
+        m1 = Matrix(
+            [[rand_fraction(rng, 5) for _ in range(2)] for _ in range(2)]
+        )
+        m2 = Matrix(
+            [[rand_fraction(rng, 5) for _ in range(4)] for _ in range(4)]
+        )
+        legs = [1, 2, 3]
+        rng.shuffle(legs)
+        a = embed_leg(m1, (legs[0],), 3)
+        b = embed_leg(m2, (legs[1], legs[2]), 3)
+        assert commutator(a, b).is_zero()
 
 
 def test_pbw_confluence_randomized():
@@ -230,7 +243,7 @@ def test_pbw_confluence_randomized():
     strategies = {
         N: (PBW(q, "first"), PBW(q, "last")) for N, q in quotients.items()
     }
-    for _ in range(120):
+    for _ in range(CASES):
         N = rng.choice([1, 2])
         q = quotients[N]
         syms = q.basis_syms()

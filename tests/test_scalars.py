@@ -112,7 +112,7 @@ def test_subs_partial():
 
 def test_truncate_bounds():
     p = lvar("u", 3) + lvar("u") + lvar("u", -2)
-    assert p.truncate({"u": 2}) == lvar("u") + lvar("u", -2)
+    assert p.truncate({"u": (None, 2)}) == lvar("u") + lvar("u", -2)
     assert p.truncate({"u": (-1, None)}) == lvar("u", 3) + lvar("u")
 
 

@@ -286,7 +286,7 @@ def series_reference(D, bracket_fn, u="u", v="v"):
         return ((g, a_minus), (a_plus, -g))
 
     one = LaurentPoly.const(1)
-    bounds = {u: D, v: D}
+    bounds = {u: (None, D), v: (None, D)}
 
     def finish(x):
         return AlgElem({s: c.truncate(bounds) for s, c in x.terms.items()})
