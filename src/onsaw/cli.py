@@ -291,6 +291,8 @@ def _report_params(opts) -> dict:
     out = {k: str(v) for k, v in opts.params.items()}
     if opts.N is not None:
         out["N"] = str(opts.N)
+        if opts.alphas is not None:  # _quotients uses the vector only with N
+            out["alphas"] = ",".join(str(a) for a in opts.alphas)
     if opts.trunc is not None:
         out["trunc"] = str(opts.trunc)
     if opts.w:

@@ -95,14 +95,11 @@ class AlgElem(SparseCombination):
     def map_coeffs(self, f) -> "AlgElem":
         return AlgElem({s: f(c) for s, c in self.terms.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0])
-
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for sym, coeff in self.sorted_terms():
+        for sym, coeff in sorted(self.terms.items(), key=lambda t: t[0]):
             name = f"{sym[0]}({sym[1]})"
             cs = str(coeff)
             if cs == "1":

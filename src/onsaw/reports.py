@@ -60,9 +60,6 @@ class Report:
         )
         return self
 
-    def failures(self):
-        return [c for c in self.checks if c.status == FAIL]
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

@@ -53,9 +53,10 @@ def rep_alphas(ws) -> list:
                 "evaluation points must be nonzero rationals or plain variables"
             )
         product = product * (uu + uinv - w - w_inv)
+    split = product.coefficients_in("u")
     alphas = []
     for p in range(len(ws) + 1):
-        coeff = product.coefficient_of("u", -p)
+        coeff = split.get(-p, LaurentPoly())
         alphas.append(as_coeff(coeff.const_value()) if coeff.is_const() else coeff)
     return alphas
 

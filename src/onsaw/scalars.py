@@ -31,8 +31,8 @@ is seen) and each exponent sits in a signed 64-bit field.  The constant
 monomial is ``0``, multiplying two monomials is one integer addition and
 dividing by one is a subtraction (Monagan & Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", 2007).  Every
-entry point that makes exponents (``var``, ``monomial``,
-``encode_monomial``, ``**`` and the re-encoding in ``subs``, ``rename``,
+entry point that makes exponents (``lvar``, ``monomial``,
+``encode_monomial``, ``**`` and the re-encodings in ``rename``,
 ``invert_var`` and ``coefficients_in``) raises ``ValueError`` for an
 exponent with ``|e| >= 2**31``, so a field can overflow only after more
 than ``2**32`` successive products.  Code that needs names or their order
@@ -75,11 +75,11 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     """Add the term map `terms`, scaled by `k` (unscaled when `k` is None),
     into the term map `acc` in place, and return `acc`.
 
-    This is the one sparse-sum loop: `LaurentPoly` sums, differences,
-    products with a rational and substitution, and every sum of algebra
-    elements, go through it.  Each value it computes follows the coefficient
-    rule: an integral Fraction is stored as an int, a zero product is skipped
-    and a key whose sum cancels is removed, so `acc` never holds a zero.  A
+    This is the one sparse-sum loop: `LaurentPoly` sums, differences and
+    products with a rational, and every sum of algebra elements, go through
+    it.  Each value it computes follows the coefficient rule: an integral
+    Fraction is stored as an int, a zero product is skipped and a key whose
+    sum cancels is removed, so `acc` never holds a zero.  A
     key that `acc` lacks takes its value from `terms` as it is when `k` is
     None (a plain store).  The only other loop under the rule is the inner
     loop of `LaurentPoly.__mul__` for the product of two polynomials, inline
@@ -209,11 +209,6 @@ class LaurentPoly:
         return cls({0: c} if c else {})
 
     @classmethod
-    def var(cls, v, exp: int = 1) -> "LaurentPoly":
-        """v**exp; raises ValueError for |exp| >= 2**31."""
-        return cls({_encode(((str(v), exp),)): 1})
-
-    @classmethod
     def monomial(cls, coeff, exps: dict) -> "LaurentPoly":
         """coeff times prod v**e over exps; raises ValueError for |e| >= 2**31."""
         coeff = as_coeff(coeff)
@@ -335,18 +330,6 @@ class LaurentPoly:
             total = total + value
         return total
 
-    def subs(self, v, value) -> "LaurentPoly":
-        """Substitute one variable by an exact rational, keeping the others.
-
-        Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
-        value = Fraction(value)
-        out: dict = {}
-        for e, part in self.coefficients_in(v).items():
-            if value == 0 and e < 0:
-                raise ZeroDivisionError(f"pole: {v} = 0 raised to {e}")
-            accumulate(out, part.terms, value**e if e else None)
-        return LaurentPoly(out)
-
     def rename(self, mapping: dict) -> "LaurentPoly":
         """Rename variables; target names must not collide with survivors.
 
@@ -406,10 +389,6 @@ class LaurentPoly:
             out.setdefault(e, {})[_encode(exps.items()) if e else mono] = coeff
         return {e: LaurentPoly(terms) for e, terms in out.items()}
 
-    def coefficient_of(self, v, exp: int) -> "LaurentPoly":
-        """Polynomial coefficient of v**exp (v removed from the result)."""
-        return self.coefficients_in(v).get(exp, LaurentPoly())
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
@@ -445,7 +424,8 @@ def as_poly(x) -> LaurentPoly:
 
 
 def lvar(name, exp: int = 1) -> LaurentPoly:
-    return LaurentPoly.var(name, exp)
+    """name**exp; raises ValueError for |exp| >= 2**31."""
+    return LaurentPoly({_encode(((str(name), exp),)): 1})
 
 
 P_ONE = LaurentPoly.const(1)
@@ -479,15 +459,6 @@ class RatFunc:
         )
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_ratfunc_or_none(other)

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .altpres import QuotientA, bracket_alt
 from .elements import AlgElem
-from .matrices import Matrix, commutator, embed_leg, kron, partial_trace
+from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import Report
@@ -142,13 +142,6 @@ class OperatorMatrix:
     u: str
     algebra: object
     label: str
-
-    def rename_spectral(self, v: str) -> "OperatorMatrix":
-        mapping = {self.u: v}
-        entries = tuple(
-            tuple(_renamed(e, mapping) for e in row) for row in self.entries
-        )
-        return OperatorMatrix(entries, self.den.rename(mapping), v, self.algebra, self.label)
 
     def with_entry(self, i: int, j: int, value: AlgElem) -> "OperatorMatrix":
         rows = [list(row) for row in self.entries]
@@ -302,12 +295,6 @@ def _check_spectral_names(u: str, v: str, coeffs=()) -> None:
             )
 
 
-def _truncation_filter(x: AlgElem, bounds: dict) -> AlgElem:
-    return AlgElem(
-        {s: c.truncate(bounds) for s, c in x.terms.items()}
-    )
-
-
 def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     """Exchange relation for the full algebra with currents truncated at degree D.
 
@@ -331,7 +318,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
         u,
         v,
         bracket,
-        lambda x: _truncation_filter(x, bounds),
+        lambda x: x.map_coeffs(lambda c: c.truncate(bounds)),
     )
     for (r, c), entry in residual.items():
         report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry.is_zero(), entry)
@@ -374,7 +361,7 @@ def verify_frt_series_alt(D: int) -> Report:
     }
     bounds = {U: (-D, None), V: (-D, None)}
     for name, residual in relations.items():
-        entry = _truncation_filter(residual, bounds)
+        entry = residual.map_coeffs(lambda c: c.truncate(bounds))
         report.add(f"frt-series-alt:{name}:D{D}", entry.is_zero(), entry)
     return report
 
@@ -514,7 +501,7 @@ def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Re
     matrices = (_red_candidate(interpretation), m_matrix(c, "u"), m_matrix(c, "v"))
 
     def identity_lhs(rbar, m_u, m_v):
-        traced = partial_trace(rbar * kron(m_u, Matrix.identity(2)), 1)
+        traced = partial_trace(rbar * embed_leg(m_u, (1,), 2), 1)
         return commutator(traced, m_v)
 
     comm = identity_lhs(*matrices)

@@ -26,7 +26,7 @@ from onsaw.quotient import (
     verify_sn,
 )
 from onsaw.reports import Report
-from onsaw.scalars import RatFunc
+from onsaw.scalars import RatFunc, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
     build_B_alt,
@@ -231,6 +231,38 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
     assert "error: need" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (
+            ("verify", "sn", "--N", "1", "--param", "alpha=1/x"),
+            None,
+            "not an exact rational: '1/x' (Invalid literal for Fraction: '1/x')",
+        ),
+        (("verify", "sn"), "N\n", "{config}:1: expected key=value"),
+        (("verify", "sn"), "N=abc\n", "config N must be an integer"),
+        (
+            ("verify", "sn", "--N", "1"),
+            "alphas=1,2,1\n",
+            "alpha vector must have length N+1 = 2",
+        ),
+        (("reduce", "--N", "1", "--expr", "A(0))"), None, "trailing input ')' (column 5)"),
+    ],
+)
+def test_input_faults_exit_2_with_one_error_line(
+    tmp_path, capsys, argv, config, message
+):
+    if config is not None:
+        path = tmp_path / "onsaw.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ("--config", str(path))
+        message = message.format(config=path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_reduce_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "reduce", "--N", "1", "--expr", "A(1")
     assert code == 2
@@ -345,6 +377,19 @@ def test_upoly_command(capsys):
     assert "-2*alpha + alpha^3" in out
 
 
+def test_upoly_reports_a_table_entry_that_disagrees_with_the_oracle(
+    capsys, monkeypatch
+):
+    argv = ("upoly", "--N", "1", "--p", "2", "--j", "0")
+    monkeypatch.setattr(cli, "u_poly", lambda q, p, j: lvar("alpha", 3))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "U[p=2, j=0] (N=1) = alpha^3\n"
+        "DISCREPANCY: reduction oracle gives -2*alpha + alpha^3\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [("reduce", "--expr", "A(-1)"), ("upoly", "--p", "1", "--j", "0")]
 )
@@ -410,11 +455,17 @@ def test_config_file(tmp_path, capsys):
 def test_config_alphas_vector(tmp_path, capsys):
     config = tmp_path / "onsaw.cfg"
     config.write_text("alphas=3/2,1\n", encoding="utf-8")
-    code, out, _ = run(
-        capsys, "verify", "sn", "--N", "1", "--config", str(config)
-    )
-    assert code == 0
-    assert "suite sn: pass" in out
+    for suite, fmt in itertools.product(("sn", "frt-onsager"), ("text", "json")):
+        argv = ("verify", suite, "--N", "1", "--format", fmt)
+        code, out, _ = run(capsys, *argv, "--config", str(config))
+        assert code == 0
+        if fmt == "text":
+            assert f"suite {suite}: pass" in out
+            assert "param alphas = 3/2,1" in out
+        else:
+            assert json.loads(out)["params"]["alphas"] == "3/2,1"
+        # the symbolic run of the same suite must not print the same report
+        assert run(capsys, *argv)[1] != out
 
 
 def test_missing_config_file(capsys):

@@ -24,6 +24,21 @@ def test_single_rewrite(q1):
     assert product == expected
 
 
+def test_a_doubled_bracket_fails_every_quartic_check(monkeypatch):
+    q = QuotientO.symbolic(1)
+    bracket_reduced = q.bracket_reduced
+    monkeypatch.setattr(q, "bracket_reduced", lambda x, y: bracket_reduced(x, y) * 2)
+    report = verify_quartic(q)
+    assert [c.status for c in report.checks] == ["fail"] * 3
+    (env_check,) = [c for c in report.checks if c.id == "quartic:env-order4"]
+    assert env_check.residual == "(-192*alpha)*G(1)"
+
+
+def test_pbw_rejects_an_unknown_strategy(q1):
+    with pytest.raises(ValueError, match="strategy"):
+        PBW(q1, "middle")
+
+
 def test_already_normal_word(q1):
     env = PBW(q1)
     assert env.normalize_word((("A", 0), ("A", 0))) == EnvElem(

@@ -151,7 +151,7 @@ def test_sn_negative_control(q1):
     corrupted = s_n_autopoly((alpha + 1, Fraction(1)))
     report = verify_sn(q1, autopoly=corrupted)
     assert report.status == "fail"
-    assert report.failures()[0].residual == "A(0)"
+    assert [c for c in report.checks if c.status == "fail"][0].residual == "A(0)"
 
 
 def test_implied_relations(q1, q2):

@@ -105,11 +105,6 @@ def test_rename_and_invert():
         (lvar("u") + lvar("v")).rename({"u": "v"})
 
 
-def test_subs_partial():
-    p = lvar("u", -1) * lvar("w") + lvar("w", 2)
-    assert p.subs("u", Fraction(2)) == lvar("w") * Fraction(1, 2) + lvar("w", 2)
-
-
 def test_truncate_bounds():
     p = lvar("u", 3) + lvar("u") + lvar("u", -2)
     assert p.truncate({"u": (None, 2)}) == lvar("u") + lvar("u", -2)
@@ -196,7 +191,6 @@ def test_kernel_stores_integral_coefficients_as_int():
             p - q,
             p * q,
             coeff_div(p, divisor),
-            p.subs("x", rng.choice([2, Fraction(1, 2), Fraction(-3, 2)])),
             p**2,
         ]
         if q:
@@ -264,7 +258,6 @@ def test_mixed_int_and_fraction_coefficients_combine_exactly():
     }
     p = lvar("x") * 3 + LaurentPoly.const(half)
     assert p + p * half - p == p * half
-    assert (p - 1).subs("x", half) == LaurentPoly.const(1)
     assert bracket(A(0, 3), A(1, half)) == bracket(A(0), A(1)) * Fraction(3, 2)
     quarter = Fraction(1, 4)
     assert convert_to_ons(Wm(2)) == A(2, quarter) + A(0, half) + A(-2, quarter)
@@ -302,29 +295,26 @@ def test_coefficients_in_splits_by_powers_and_keeps_int_coefficients():
     }
     for e in (1, 0):
         assert all(type(c) is int for c in split[e].terms.values()), split[e]
-    assert p.coefficient_of("u", 1) == split[1]
-    assert p.coefficient_of("u", 3) == LaurentPoly()
 
 
 @pytest.mark.parametrize("e", [2**31, -(2**31)])
 def test_exponents_at_the_bound_raise(e):
     with pytest.raises(ValueError):
-        LaurentPoly.var("x", e)
+        lvar("x", e)
     with pytest.raises(ValueError):
         LaurentPoly.monomial(3, {"x": 1, "y": e})
     with pytest.raises(ValueError):
         lvar("x", e // 2) ** 2
     # one below the bound is accepted
     inside = e - 1 if e > 0 else e + 1
-    assert LaurentPoly.var("x", inside) * lvar("x", -inside) == LaurentPoly.const(1)
+    assert lvar("x", inside) * lvar("x", -inside) == LaurentPoly.const(1)
     assert lvar("x", e // 2 - (1 if e > 0 else -1)) ** 2
     # a product may leave the bound; re-encoding such a monomial raises
     big = lvar("x", inside) * lvar("x", 1 if e > 0 else -1) * lvar("y")
     for reencode in (
         lambda: big.rename({"x": "z"}),
         lambda: big.invert_var("y"),
-        lambda: big.subs("y", 2),
-        lambda: big.coefficient_of("y", 1),
+        lambda: big.coefficients_in("y"),
     ):
         with pytest.raises(ValueError):
             reencode()
