@@ -14,9 +14,15 @@ extensions of per-symbol maps (brackets, automorphisms, change of
 presentation, PBW ordering), go through `scalars.accumulate`, which adds into
 one dict in place under the coefficient rule instead of copying a dict per
 term.  It is imported here, so `from onsaw.elements import accumulate` works.
+
+Polynomial coefficients are summed in place as well: `accumulate` updates a
+polynomial it built in the caller's dict without copying it, and copies any
+other (a coefficient of an existing element) on its first update.  The
+constructor, `SparseCombination.__init__`, freezes each such sum into a plain
+LaurentPoly, so an element never changes after it is built.
 """
 
-from .scalars import accumulate
+from .scalars import LaurentPoly, _Sum, accumulate
 
 
 def linear_extension(f, x):
@@ -34,10 +40,13 @@ class SparseCombination:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
+        self.terms = out = {}
         if terms:
-            self.terms = {s: c for s, c in terms.items() if c}
-        else:
-            self.terms = {}
+            for s, c in terms.items():
+                if c:
+                    if type(c) is _Sum:
+                        c.__class__ = LaurentPoly  # freeze a sum accumulate built
+                    out[s] = c
 
     def __bool__(self):
         return bool(self.terms)

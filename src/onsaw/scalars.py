@@ -16,13 +16,17 @@ Coefficient rule: an integral coefficient is an ``int``; any other is a
 puts a rational from outside in that form.  Every operation here that makes
 coefficients returns them in that form; ``3 == Fraction(3)``, their hashes
 and their ``str`` agree, so a term map holding an integral ``Fraction``
-(built by hand) still compares and renders the same.  Every
-sparse sum and every scaling by a rational, of polynomial terms and of
-algebra-element coefficients alike, goes through ``accumulate``, which keeps
-the rule; only the product of two polynomials in ``LaurentPoly.__mul__`` keeps
-its own loop.  Two ``int``s are never divided (that gives a ``float``);
-division goes through the ``Fraction`` inverse.  Values that leave the kernel,
-``const_value`` and ``evaluate``, are always ``Fraction``.
+(built by hand) still compares and renders the same.  Every sparse sum and
+every scaling, of polynomial terms and of algebra-element coefficients
+alike, goes through ``accumulate``, which keeps the rule; every product of
+two polynomials, in ``LaurentPoly.__mul__`` and inside ``accumulate``, goes
+through one multiply-add loop, ``_add_product`` (``out += a*b`` in place).
+``accumulate`` changes in place only a polynomial that it built itself; an
+element constructor freezes such a sum, and any other polynomial is copied
+on its first update, so shared polynomials never change.  Two ``int``s are
+never divided (that gives a ``float``); division goes through the
+``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
+``evaluate``, are always ``Fraction``.
 
 Monomial encoding: a term-map key is one ``int``, ``sum(e_i << (64 * i))``,
 where ``e_i`` is the exponent of the variable with index ``i`` in an
@@ -58,17 +62,36 @@ def as_coeff(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _integral_to_int(terms: dict) -> dict:
-    """Apply the coefficient rule, in place, to a term map the caller owns."""
-    for mono, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[mono] = c.numerator
-    return terms
-
-
 def _inverse(c) -> Fraction:
     """1/c as a Fraction, for a nonzero int or Fraction c."""
     return Fraction(c.denominator, c.numerator)
+
+
+def _add_product(out: dict, a: dict, b: dict) -> None:
+    """out += a*b, in place, for polynomial term maps a and b.
+
+    The one multiply-add loop: each coefficient it stores follows the rule
+    (an integral Fraction becomes an int) and a key whose sum cancels is
+    removed, so `out` never holds a zero.  `a` or `b` may be `out` itself;
+    it is read from a copy then."""
+    if a is out:
+        a = dict(a)
+    if b is out:
+        b = dict(b)
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            old = get(m)
+            c = c1 * c2 if old is None else old + c1 * c2
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            if c:
+                out[m] = c
+            elif old is not None:
+                del out[m]
 
 
 def accumulate(acc: dict, terms: dict, k=None) -> dict:
@@ -79,25 +102,57 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     products with a rational, and every sum of algebra elements, go through
     it.  Each value it computes follows the coefficient rule: an integral
     Fraction is stored as an int, a zero product is skipped and a key whose
-    sum cancels is removed, so `acc` never holds a zero.  A
-    key that `acc` lacks takes its value from `terms` as it is when `k` is
-    None (a plain store).  The only other loop under the rule is the inner
-    loop of `LaurentPoly.__mul__` for the product of two polynomials, inline
-    for speed.
+    sum cancels is removed, so `acc` never holds a zero.  A key that `acc`
+    lacks takes its value from `terms` as it is when `k` is None (a plain
+    store).
 
     Values may be rationals or (for algebra elements) LaurentPolys; a
-    `LaurentPoly` term map takes only a rational `k`.  `acc` must be a dict
-    the caller owns, never the `terms` of a polynomial or an element: those
-    are shared (elements, memoised images, `ZERO`, `P_ONE`).
+    `LaurentPoly` term map takes only a rational `k`.  Where a value or `k`
+    is a LaurentPoly, `_add_product` adds c*k to the key's polynomial without
+    building the product: in place when accumulate built that polynomial in
+    `acc`, else into a copy, so a value of `terms`, `k`, or a shared
+    polynomial that `dict(x.terms)` put in `acc` never changes.  Such a sum
+    reads and prints as a polynomial until `SparseCombination.__init__`
+    freezes it; before that, `acc` must not be copied into a second map that
+    is summed into too.  `k`, and a value at its own key, may be one of
+    those sums: they are read as they were before the call.  A `RatFunc`
+    coefficient is summed by `old + c`.
+
+    `acc` must be a dict the caller owns, never the `terms` of a polynomial
+    or an element: those are shared (elements, memoised images, `ZERO`,
+    `P_ONE`).
     """
+    by_poly = False
+    if k is None:
+        kt = _ONE
+    elif not k:
+        return acc  # every product is zero (embed_leg scales by a typed 0)
+    elif type(k) in _POLY:
+        if type(k) is _Sum:  # it may be acc's own and change below
+            k = LaurentPoly(dict(k.terms))
+        kt, by_poly = k.terms, True
+    else:
+        kt = {0: k}
     for key, c in terms.items():
+        old = acc.get(key)
+        if (by_poly or type(c) in _POLY) and not (
+            type(c) is RatFunc or type(old) is RatFunc or type(k) is RatFunc
+        ):
+            if old is None and k is None and type(c) is LaurentPoly:
+                acc[key] = c  # a plain store; copied on its first update
+                continue
+            if type(old) is not _Sum:
+                old = acc[key] = _Sum(None if old is None else dict(_terms_of(old)))
+            _add_product(old.terms, _terms_of(c), kt)
+            if not old.terms:
+                del acc[key]
+            continue
         if k is not None:
             c = c * k
             if type(c) is Fraction and c.denominator == 1:
                 c = c.numerator
             if not c:
                 continue
-        old = acc.get(key)
         if old is None:
             acc[key] = c
             continue
@@ -259,26 +314,9 @@ class LaurentPoly:
         other = _as_poly_or_none(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly()
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
         out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                p = c1 * c2
-                old = out.get(m)
-                if old is None:
-                    out[m] = p
-                    continue
-                c = old + p
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-        return LaurentPoly(_integral_to_int(out))
+        _add_product(out, self.terms, other.terms)
+        return LaurentPoly(out)
 
     __rmul__ = __mul__
 
@@ -429,6 +467,23 @@ def lvar(name, exp: int = 1) -> LaurentPoly:
 
 
 P_ONE = LaurentPoly.const(1)
+
+
+class _Sum(LaurentPoly):
+    """A polynomial that `accumulate` built and is still summing in place;
+    `SparseCombination.__init__` freezes it into a plain LaurentPoly (see
+    `accumulate`)."""
+
+    __slots__ = ()
+
+
+_POLY = frozenset((LaurentPoly, _Sum))
+_ONE = {0: 1}
+
+
+def _terms_of(c) -> dict:
+    """The term map of a polynomial or of a nonzero rational."""
+    return c.terms if type(c) in _POLY else {0: c}
 
 
 class RatFunc:

@@ -238,7 +238,9 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
 
     with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B(v) = bv/den_v
     is B(u) with u renamed to v.  embed_leg places B1 = B(u) (x) I and
-    B2 = I (x) B(v), with algebra-element zeros off the blocks.  Returns
+    B2 = I (x) B(v), with algebra-element zeros off the blocks.  An entry is
+    summed in one dict by three `accumulate` calls, weighted by Dr, den_v and
+    -den_u, so its polynomial coefficients are added in place.  Returns
     {(r, c): entry of C passed through `finish`}, in row-major order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
@@ -257,6 +259,7 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
     t1 = commutator(rhat_21, embed_leg(Matrix(bu), (1,), 2))
     t2 = commutator(embed_leg(Matrix(bv), (2,), 2), rhat_12)
     swap = {u: v, v: u}
+    minus_den_u = -den_u
     out = {}
     for r, (i, k) in enumerate(pairs):
         for c, (j, l) in enumerate(pairs):
@@ -264,8 +267,10 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
             if mirror < (r, c):
                 out[r, c] = _renamed(out[mirror], swap)
             else:
-                lie = bracket_fn(bu[i][j], bv[k][l])
-                out[r, c] = finish(lie * dr + t1[r, c] * den_v - t2[r, c] * den_u)
+                acc = accumulate({}, bracket_fn(bu[i][j], bv[k][l]).terms, dr)
+                accumulate(acc, t1[r, c].terms, den_v)
+                accumulate(acc, t2[r, c].terms, minus_den_u)
+                out[r, c] = finish(AlgElem(acc))
     return out
 
 

@@ -1,5 +1,6 @@
-"""The in-place accumulation core: agreement with element sums and the
-guarantee that no shared element or cache entry is ever changed."""
+"""The in-place accumulation core: agreement with element sums, sums that
+read themselves, and the guarantee that no shared element, cache entry or
+polynomial is ever changed."""
 
 import random
 from fractions import Fraction
@@ -20,7 +21,8 @@ from onsaw.envelope import PBW, EnvElem
 from onsaw.onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from onsaw.quotient import QuotientO
 from onsaw import scalars
-from onsaw.scalars import LaurentPoly, RatFunc, lvar
+from onsaw.scalars import P_ONE, LaurentPoly, RatFunc, lvar
+from onsaw.yangbaxter import build_B_alt, build_B_onsager, verify_frt
 
 CASES = 500
 KEYS = [("A", n) for n in range(-2, 3)] + [("G", m) for m in range(1, 3)]
@@ -69,6 +71,41 @@ def test_accumulate_equals_a_chain_of_element_sums():
     assert cancelled > 0
 
 
+def test_accumulate_reads_a_sum_it_is_updating_as_it_was():
+    """k, or the added value at its own key, is the very sum being updated."""
+    rng = random.Random(202)
+    aliased = 0
+    for _ in range(CASES):
+        chain = ZERO
+        acc = {}
+        for _ in range(rng.randint(2, 6)):
+            polys = [s for s, c in acc.items() if isinstance(c, LaurentPoly)]
+            if not polys or rng.random() < 0.4:
+                x = rand_elem(rng)
+                k = rng.choice([None, rand_coeff(rng), lvar("x") - 2])
+                chain = chain + (x if k is None else x * k)
+                accumulate(acc, x.terms, k)
+                continue
+            s = rng.choice(polys)
+            aliased += type(acc[s]) is scalars._Sum
+            # s comes first, so the other keys are summed after it changed
+            terms = {s: rand_coeff(rng)}
+            terms.update((t, c) for t, c in rand_elem(rng).terms.items() if t != s)
+            if rng.random() < 0.5:
+                k = chain.terms[s]
+                accumulate(acc, terms, acc[s])
+            else:
+                k = rng.choice([None, Fraction(-1), Fraction(2, 3), lvar("y")])
+                terms[s] = chain.terms[s]
+                accumulate(acc, {**terms, s: acc[s]}, k)
+            x = AlgElem(terms)
+            chain = chain + (x if k is None else x * k)
+            assert all(acc.values())
+            assert shown(acc) == shown(chain.terms)
+        assert str(AlgElem(acc)) == str(chain)
+    assert aliased > CASES // 2
+
+
 def test_accumulate_is_the_kernel_routine():
     assert accumulate is scalars.accumulate
 
@@ -81,6 +118,15 @@ def assert_kept(cache: dict, before: dict):
     after = snapshot(cache)
     for key, value in before.items():
         assert after[key] == value, key
+
+
+def term_maps(x) -> list:
+    """Copies of the term maps of x: an element, a polynomial or a rational."""
+    if isinstance(x, LaurentPoly):
+        return [dict(x.terms)]
+    if not hasattr(x, "terms"):
+        return [x]
+    return [(key, term_maps(c)) for key, c in x.terms.items()]
 
 
 def test_sums_leave_shared_elements_and_caches_unchanged():
@@ -133,3 +179,29 @@ def test_sums_leave_shared_elements_and_caches_unchanged():
     ZERO - G(2)
     bracket(G(1), G(2))
     assert ZERO.terms == {}
+
+    # verify_frt sums polynomial coefficients in place; none of its inputs,
+    # nor the quotient's relations or the shared constants, may change
+    t, s = lvar("t"), lvar("s")
+    quotients = (
+        (QuotientO.symbolic(3), build_B_onsager),
+        (QuotientA.symbolic(2), build_B_alt),
+    )
+    for q, build in quotients:
+        B = build(q)
+        shared = [e for row in B.entries for e in row] + [B.den, P_ONE, ZERO]
+        shared += list(q.alphas if isinstance(q, QuotientO) else q.betas)
+        if isinstance(q, QuotientO):
+            shared += [q.relation(A, p) for p in range(-4, 5)]
+            # A(1), A(2), G(1) lie in the window: reduce seeds its sum with them
+            x = A(6) * t + A(-4) * s + A(1) * (t + 1) + A(2) * s + G(1) * t + G(5)
+        else:
+            x = Wm(4) * t + Wp(3) * s + Wm(1) * (t + 1) + Gt(1) * s + Gt(3)
+        shared.append(x)
+        before = [term_maps(y) for y in shared]
+        reduced = q.reduce(x)
+        assert term_maps(x) == before[-1]
+        assert reduced != x
+        assert verify_frt(B).status == "pass"
+        q.reduce(bracket(A(4), A(-3)) * t if isinstance(q, QuotientO) else Wm(3) * t)
+        assert [term_maps(y) for y in shared] == before

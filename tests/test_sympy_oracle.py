@@ -1,7 +1,9 @@
 """SymPy as an independent oracle for the exact kernel.
 
 Every cleared-denominator check ends in LaurentPoly multiplication, addition
-and a zero test, so those, and ratfunc_equal, are compared here with SymPy's
+and a zero test, and sums of algebra elements with polynomial coefficients
+go through `accumulate`'s in-place multiply-add, so those, and
+ratfunc_equal, are compared here with SymPy's
 sparse polynomial ring and its fraction field, whose elements are kept
 cancelled, on seeded random Laurent polynomials with negative exponents.  A
 Laurent polynomial enters SymPy multiplied by (xyz)^shift, which makes every
@@ -17,6 +19,7 @@ import pytest
 from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
+    accumulate,
     decode_monomial,
     encode_monomial,
     ratfunc_equal,
@@ -84,3 +87,44 @@ def test_ratfunc_equal_agrees_with_sympy_fractions():
         assert got == expected
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_polynomial_accumulation_agrees_with_sympy():
+    """Seeded chains of accumulate over algebra-element term maps whose
+    values and scale k are random Laurent polynomials; each coefficient is
+    checked against SymPy's sum of products, at shift 6 throughout."""
+    rng = random.Random(303)
+    keys = [("A", n) for n in range(-2, 3)] + [("G", 1), ("G", 2)]
+    cube = RING.from_dict({(3, 3, 3): 1})
+    cancelled = 0
+    for _ in range(150):
+        acc, expected, steps = {}, {}, []
+        for _ in range(rng.randint(1, 6)):
+            if steps and rng.random() < 0.25:
+                # undo an earlier step: its contributions cancel
+                terms, k = rng.choice(steps)
+                terms = {
+                    key: LaurentPoly({m: -c for m, c in p.terms.items()})
+                    for key, p in terms.items()
+                }
+            else:
+                size = rng.randint(1, 4)
+                terms = {rng.choice(keys): rand_poly(rng, 3) for _ in range(size)}
+                rational = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                k = rng.choice([None, rational, rand_poly(rng, 3)])
+            steps.append((terms, k))
+            accumulate(acc, terms, k)
+            if k is None:
+                weight = cube
+            elif isinstance(k, LaurentPoly):
+                weight = to_ring(k, 3)
+            else:
+                weight = cube * sympy.QQ(k.numerator, k.denominator)
+            for key, p in terms.items():
+                expected[key] = expected.get(key, RING.zero) + to_ring(p, 3) * weight
+            assert all(acc.values())
+        for key in set(acc) | set(expected):
+            got = to_ring(acc[key], 6) if key in acc else RING.zero
+            assert got == expected[key], key
+        cancelled += any(not expected[key] for key in expected)
+    assert cancelled > 0
