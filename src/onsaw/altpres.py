@@ -30,7 +30,7 @@ from math import comb, factorial
 from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
 from .quotient import QuotientO, divide
-from .reports import Report
+from .reports import InputError, Report
 from .scalars import coeff_div, lvar, sum_terms, unit_inverse
 
 
@@ -42,13 +42,13 @@ def Wm(k: int, coeff=1) -> AlgElem:
 
 def Wp(k: int, coeff=1) -> AlgElem:
     if k < 0:
-        raise ValueError("Wp index must be >= 0")
+        raise InputError("Wp index must be >= 0")
     return AlgElem({("Wp", int(k)): coeff})
 
 
 def Gt(k: int, coeff=1) -> AlgElem:
     if k < 0:
-        raise ValueError("Gt index must be >= 0")
+        raise InputError("Gt index must be >= 0")
     return AlgElem({("Gt", int(k)): coeff})
 
 
@@ -194,9 +194,9 @@ class QuotientA:
     def __init__(self, betas):
         betas = tuple(betas)
         if len(betas) < 2:
-            raise ValueError("need N >= 1, i.e. at least (beta_0, beta_1)")
+            raise InputError("need N >= 1, i.e. at least (beta_0, beta_1)")
         if not betas[-1]:
-            raise ValueError("leading coefficient beta_N must be nonzero")
+            raise InputError("leading coefficient beta_N must be nonzero")
         if unit_inverse(betas[-1]) is None:
             raise ValueError(
                 "leading coefficient beta_N must be a nonzero rational or a monomial"

@@ -7,7 +7,9 @@ fail, which `run_suite` records as the check `<suite>:negative-control`.
 
 Exit codes: 0 on pass (discrepancies against printed reference values are
 recorded in the report but are not failures), 1 on verification failure,
-2 on input errors.
+2 on an `InputError` (a bad option, parameter, config file or expression).
+Any other exception is an internal error: it propagates with its traceback,
+and the interpreter exits 1.
 """
 
 import argparse
@@ -45,7 +47,7 @@ from .quotient import (
     u_poly_report,
     verify_sn,
 )
-from .reports import FAIL, PASS, Check, Report
+from .reports import FAIL, PASS, Check, InputError, Report
 from .reps import rep_build, rep_check, rep_matrix_identity_report
 from .scalars import as_coeff, lvar
 from .yangbaxter import (
@@ -63,9 +65,6 @@ from .yangbaxter import (
     verify_frt_series_onsager,
     verify_reD,
 )
-
-class InputError(Exception):
-    pass
 
 
 def _parse_rational(text: str):
@@ -421,7 +420,7 @@ def main(argv=None) -> int:
         convert = convert_to_alt if args.dir == "to-alt" else convert_to_ons
         print(convert(element))
         return 0
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

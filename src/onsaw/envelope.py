@@ -16,7 +16,7 @@ from fractions import Fraction
 from .elements import AlgElem, SparseCombination, accumulate, linear_extension
 from .onsager import A, bracket
 from .quotient import QuotientO
-from .reports import Report
+from .reports import InputError, Report
 from .scalars import RatFunc, coeff_div, lvar
 
 
@@ -30,11 +30,8 @@ class EnvElem(SparseCombination):
         return cls({(): coeff})
 
     @classmethod
-    def from_alg(cls, x: AlgElem, const=0) -> "EnvElem":
-        terms = {(sym,): c for sym, c in x.terms.items()}
-        if const:
-            terms[()] = const
-        return cls(terms)
+    def from_alg(cls, x: AlgElem) -> "EnvElem":
+        return cls({(sym,): c for sym, c in x.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, EnvElem):
@@ -163,7 +160,7 @@ def verify_quartic(q: QuotientO) -> Report:
             )
             report.add(name, residual.is_zero(), residual)
     else:
-        raise ValueError("quartic presentations are stated for N = 1 and N = 2")
+        raise InputError("quartic presentations are stated for N = 1 and N = 2")
     return report
 
 
@@ -197,14 +194,17 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
         [K2, K0] = B K0 + C1 K1 + D1
         [K1, K2] = B K1 + C0 K0 + D0
 
-    are affine in A0, A1, 1 after reduction, so the constants follow from a
-    linear solve that divides only by a0 and a1.  These must be units of the
-    Laurent ring (nonzero rationals or monomials, as `QuotientA` requires of
-    beta_N; anything else raises ValueError), so every constant is a
-    LaurentPoly.  Returns (constants, report); the report records the
-    consistency of the two B values, structural facts about the solution, and
-    the comparison against the printed reference constants (the only
-    `RatFunc`s built here), whose disagreements are recorded as discrepancies.
+    are brackets in the quotient's Lie algebra, because b0 and b1 are
+    central: K2 = [a0 A0, a1 A1], and both left sides are combinations of A0
+    and A1.  B, C0 and C1 are read off those coefficients, dividing only by
+    a0 and a1, and the constant terms give D1 = -B b0 - C1 b1 and
+    D0 = -B b1 - C0 b0.  a0 and a1 must be units of the Laurent ring
+    (nonzero rationals or monomials, as `QuotientA` requires of beta_N;
+    anything else raises ValueError), so every constant is a LaurentPoly.
+    Returns (constants, report); the report records the consistency of the
+    two B values, structural facts about the solution, and the comparison
+    against the printed reference constants (the only `RatFunc`s built
+    here), whose disagreements are recorded as discrepancies.
     """
     a0 = lvar("a0") if a0 is None else a0
     a1 = lvar("a1") if a1 is None else a1
@@ -212,49 +212,31 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
     b1 = lvar("b1") if b1 is None else b1
     q = QuotientO.symbolic(1)
     alpha = q.alphas[0]
-    env = PBW(q)
-    k0 = EnvElem.from_alg(A(0) * a0, const=b0)
-    k1 = EnvElem.from_alg(A(1) * a1, const=b1)
-    k2 = env.commutator(k0, k1)
-
-    def affine_parts(e: EnvElem):
-        extra = set(e.terms) - {(), (("A", 0),), (("A", 1),)}
-        if extra:
-            raise ValueError(f"element is not affine in A0, A1: extra words {extra}")
-        return e.coeff([("A", 0)]), e.coeff([("A", 1)]), e.coeff([])
+    k0, k1 = A(0) * a0, A(1) * a1  # K0 and K1 less their central constants
+    k2 = q.bracket_reduced(k0, k1)
 
     report = Report("aw3-fit")
-    lhs1 = env.commutator(k2, k0)
-    ca0, ca1, cu = affine_parts(lhs1)
-    B = coeff_div(ca0, a0)
-    C1 = coeff_div(ca1, a1)
-    D1 = cu - B * b0 - C1 * b1
-
-    lhs2 = env.commutator(k1, k2)
-    da0, da1, du = affine_parts(lhs2)
-    B_other = coeff_div(da1, a1)
-    C0 = coeff_div(da0, a0)
-    D0 = du - B_other * b1 - C0 * b0
+    lhs1 = q.bracket_reduced(k2, k0)
+    B = coeff_div(lhs1.coeff(("A", 0)), a0)
+    C1 = coeff_div(lhs1.coeff(("A", 1)), a1)
+    lhs2 = q.bracket_reduced(k1, k2)
+    B_other = coeff_div(lhs2.coeff(("A", 1)), a1)
+    C0 = coeff_div(lhs2.coeff(("A", 0)), a0)
     report.add(
         "aw3-fit:B-consistent",
         B == B_other,
         f"B from relation 2 is {B} but from relation 3 is {B_other}",
     )
 
-    constants = {"B": B, "C0": C0, "C1": C1, "D0": D0, "D1": D1}
-
-    residual1 = (
-        lhs1
-        - k0.scale(B)
-        - k1.scale(C1)
-        - EnvElem.unit().scale(D1)
-    )
-    residual2 = (
-        lhs2
-        - k1.scale(B)
-        - k0.scale(C0)
-        - EnvElem.unit().scale(D0)
-    )
+    constants = {
+        "B": B,
+        "C0": C0,
+        "C1": C1,
+        "D0": -B * b1 - C0 * b0,
+        "D1": -B * b0 - C1 * b1,
+    }
+    residual1 = lhs1 - k0 * B - k1 * C1
+    residual2 = lhs2 - k1 * B - k0 * C0
     report.add("aw3-fit:relation2-solved", residual1.is_zero(), residual1)
     report.add("aw3-fit:relation3-solved", residual2.is_zero(), residual2)
 
@@ -266,7 +248,7 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
         "D0": RatFunc(-(8 * alpha * b0 + 16 * b1), a0 * a0 * a1),
         "D1": RatFunc(-(8 * alpha * b1 + 16 * b0), a1 * a1 * a0),
     }
-    fitted_k2 = k2.coeff([("G", 1)])
+    fitted_k2 = k2.coeff(("G", 1))
     report.add_discrepancy(
         "aw3-fit:vs-reference:K2",
         reference["K2"] == fitted_k2,

@@ -28,6 +28,7 @@ from fractions import Fraction
 from .altpres import Gt, Wm, Wp, bracket_alt
 from .elements import AlgElem
 from .onsager import A, G, bracket
+from .reports import InputError
 from .scalars import as_coeff, lvar
 
 _ATOMS = ("A", "G", "W", "Wp", "Gt")
@@ -37,7 +38,7 @@ _ALT_ATOMS = {"W", "Wp", "Gt"}
 MAX_DEPTH = 100
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     """Syntax or evaluation error, carrying a character position."""
 
     def __init__(self, message: str, pos: int):
@@ -194,7 +195,7 @@ class _Parser:
             return Wm(-index) if index <= 0 else Wp(index - 1)
         try:
             return Wp(index) if kind == "Wp" else Gt(index)
-        except ValueError as exc:
+        except InputError as exc:
             raise ExprError(str(exc), pos) from None
 
 

@@ -107,15 +107,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not a for row in self.entries for a in row)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = None
-        for i in range(self.rows):
-            a = self.entries[i][i]
-            acc = a if acc is None else acc + a
-        return acc
-
     def map(self, f):
         return Matrix([[f(a) for a in row] for row in self.entries])
 

@@ -17,7 +17,7 @@ documented discrepancy (the reduction oracle wins).
 
 from .elements import AlgElem, accumulate
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
-from .reports import Report
+from .reports import InputError, Report
 from .scalars import lvar
 
 
@@ -43,9 +43,9 @@ class QuotientO:
     def __init__(self, alphas):
         alphas = tuple(alphas)
         if len(alphas) < 2:
-            raise ValueError("need N >= 1, i.e. at least (alpha_0, alpha_1)")
+            raise InputError("need N >= 1, i.e. at least (alpha_0, alpha_1)")
         if alphas[-1] != 1:
-            raise ValueError("normalization requires alpha_N = 1")
+            raise InputError("normalization requires alpha_N = 1")
         self.alphas = alphas
         self.N = len(alphas) - 1
         self._upoly: dict = {}
@@ -122,7 +122,7 @@ def u_poly(q: QuotientO, p: int, j: int):
     """
     N = q.N
     if p < 0 or not (-N + 1 <= j <= N):
-        raise ValueError(f"u_poly indices out of range: p={p}, j={j}")
+        raise InputError(f"u_poly indices out of range: p={p}, j={j}")
     table = q._upoly
     for r in range(p + 1):
         if (r, j) in table:

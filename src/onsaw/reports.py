@@ -4,7 +4,8 @@ A report is a flat list of named checks.  The overall status is "fail" iff any
 check failed; "discrepancy" marks a computed value disagreeing with a printed
 reference value (this is recorded, never silently dropped, but is not a
 verification failure).  Timing is 0 by default so that rendered reports are
-byte-identical across runs; callers opt in to real timings.
+byte-identical across runs; callers opt in to real timings.  `InputError`
+is the one input-fault type of the library.
 """
 
 import json
@@ -13,6 +14,14 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 DISCREPANCY = "discrepancy"
+
+
+class InputError(ValueError):
+    """A value from outside (an option, a parameter, a config file or an
+    expression) that its command cannot take.  A library check raises it
+    only where a command line can make it fail, and `onsaw` reports it as
+    exit 2; any other ValueError is an internal invariant or an API
+    precondition, and propagates."""
 
 
 @dataclass

@@ -31,9 +31,9 @@ from math import prod
 from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg
 from .quotient import QuotientO, defining_relations
-from .reports import Report
+from .reports import InputError, Report
 from .scalars import LaurentPoly, as_coeff, as_poly, lvar, unit_inverse
-from .yangbaxter import build_B_onsager, p_poly, r_matrix_num
+from .yangbaxter import build_B_onsager, r_matrix_num
 
 
 def _as_point(w):
@@ -49,7 +49,7 @@ def rep_alphas(ws) -> list:
     for w in ws:
         w_inv = unit_inverse(w)
         if w_inv is None:
-            raise ValueError(
+            raise InputError(
                 "evaluation points must be nonzero rationals or plain variables"
             )
         product = product * (uu + uinv - w - w_inv)
@@ -123,10 +123,9 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict) -> Report:
     legs = [r_matrix_num("u", w) for w in ws]
     dens = [den for _, den in legs]
     one = LaurentPoly.const(1)
-    p_of_u = p_poly(q, "u")
     total = None
     for j, (num, _) in enumerate(legs):
-        factor = p_of_u * prod(dens[:j] + dens[j + 1 :], start=one)
+        factor = B.den * prod(dens[:j] + dens[j + 1 :], start=one)
         leg = embed_leg(num.scale(factor), (1, j + 2), N + 1)
         total = leg if total is None else total + leg
     den_all = prod(dens, start=one)

@@ -115,8 +115,7 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     reads and prints as a polynomial until `SparseCombination.__init__`
     freezes it; before that, `acc` must not be copied into a second map that
     is summed into too.  `k`, and a value at its own key, may be one of
-    those sums: they are read as they were before the call.  A `RatFunc`
-    coefficient is summed by `old + c`.
+    those sums: they are read as they were before the call.
 
     `acc` must be a dict the caller owns, never the `terms` of a polynomial
     or an element: those are shared (elements, memoised images, `ZERO`,
@@ -135,9 +134,7 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
         kt = {0: k}
     for key, c in terms.items():
         old = acc.get(key)
-        if (by_poly or type(c) in _POLY) and not (
-            type(c) is RatFunc or type(old) is RatFunc or type(k) is RatFunc
-        ):
+        if by_poly or type(c) in _POLY:
             if old is None and k is None and type(c) is LaurentPoly:
                 acc[key] = c  # a plain store; copied on its first update
                 continue

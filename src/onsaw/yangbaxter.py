@@ -39,7 +39,7 @@ from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
-from .reports import Report
+from .reports import InputError, Report
 from .scalars import P_ONE, LaurentPoly, accumulate, lvar, sum_terms
 
 
@@ -305,10 +305,10 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
 
     All residual coefficients of total u-degree <= D and v-degree <= D are
     exact and must vanish; higher monomials are truncation artefacts and are
-    dropped.  Raises ValueError for D < 2 or u == v.
+    dropped.  Raises InputError for D < 2 and ValueError for u == v.
     """
     if D < 2:
-        raise ValueError("need truncation degree D >= 2")
+        raise InputError("need truncation degree D >= 2")
     _check_spectral_names(u, v)
     report = Report("frt-series-onsager", params={"D": D})
 

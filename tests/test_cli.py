@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import onsaw.cli as cli
+import onsaw.quotient
 from onsaw.altpres import (
     QuotientA,
     beta_alpha_report,
@@ -17,6 +21,7 @@ from onsaw.altpres import (
     sprime_report,
 )
 from onsaw.envelope import pbw_lie_compat_report, verify_quartic
+from onsaw.exprs import ExprError
 from onsaw.onsager import verify_dolan_grady
 from onsaw.quotient import (
     QuotientO,
@@ -25,7 +30,7 @@ from onsaw.quotient import (
     u_poly_report,
     verify_sn,
 )
-from onsaw.reports import Report
+from onsaw.reports import InputError, Report
 from onsaw.scalars import RatFunc, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
@@ -112,6 +117,54 @@ def test_internal_key_error_is_not_reported_as_an_input_error(capsys, monkeypatc
     monkeypatch.setitem(cli._SUITE_RUNNERS, "dg", broken)
     with pytest.raises(KeyError):
         cli.main(["verify", "dg"])
+
+
+def test_one_input_error_type_lives_in_the_library():
+    assert issubclass(InputError, ValueError)
+    assert issubclass(ExprError, InputError)
+    assert cli.InputError is InputError
+    defined_in_cli = [
+        name
+        for name, value in vars(cli).items()
+        if isinstance(value, type) and value.__module__ == cli.__name__
+    ]
+    assert defined_in_cli == []
+
+
+_BROKEN_DIVIDE = """
+import sys
+import onsaw.quotient
+from onsaw import cli
+
+
+def broken(*args):
+    raise ValueError("internal invariant broken")
+
+
+onsaw.quotient.divide = broken
+sys.exit(cli.main(["verify", "sn", "--N", "1"]))
+"""
+
+
+def test_an_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr(onsaw.quotient, "divide", broken)
+    with pytest.raises(ValueError, match="internal invariant broken") as exc:
+        cli.main(["verify", "sn", "--N", "1"])
+    assert not isinstance(exc.value, InputError)
+    assert capsys.readouterr().err == ""
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BROKEN_DIVIDE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback")
+    assert proc.stderr.endswith("ValueError: internal invariant broken\n")
 
 
 def test_unknown_suite_is_an_input_error(capsys):
@@ -247,6 +300,48 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             "alpha vector must have length N+1 = 2",
         ),
         (("reduce", "--N", "1", "--expr", "A(0))"), None, "trailing input ')' (column 5)"),
+        (
+            ("verify", "sn", "--N", "0"),
+            None,
+            "need N >= 1, i.e. at least (alpha_0, alpha_1)",
+        ),
+        (("verify", "sn", "--N", "1"), "alphas=1,2\n", "normalization requires alpha_N = 1"),
+        (
+            ("verify", "frt-alt", "--N", "0"),
+            None,
+            "need N >= 1, i.e. at least (beta_0, beta_1)",
+        ),
+        (
+            ("verify", "frt-alt", "--N", "1", "--param", "beta1=0"),
+            None,
+            "leading coefficient beta_N must be nonzero",
+        ),
+        (
+            ("verify", "quartic", "--N", "3"),
+            None,
+            "quartic presentations are stated for N = 1 and N = 2",
+        ),
+        (
+            ("verify", "rep", "--w", "0"),
+            None,
+            "evaluation points must be nonzero rationals or plain variables",
+        ),
+        (("verify", "frt-series", "--trunc", "1"), None, "need truncation degree D >= 2"),
+        (
+            ("upoly", "--N", "1", "--p", "-1", "--j", "0"),
+            None,
+            "u_poly indices out of range: p=-1, j=0",
+        ),
+        (
+            ("reduce", "--N", "1", "--presentation", "alt", "--expr", "Wp(-1)"),
+            None,
+            "Wp index must be >= 0 (column 1)",
+        ),
+        (
+            ("convert", "--dir", "to-ons", "--expr", "Gt(-1)"),
+            None,
+            "Gt index must be >= 0 (column 1)",
+        ),
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(

@@ -48,7 +48,7 @@ def test_already_normal_word(q1):
 
 def test_unit_distributes(q1):
     env = PBW(q1)
-    shifted = EnvElem.from_alg(A(0), const=Fraction(1))
+    shifted = EnvElem.from_alg(A(0)) + EnvElem.unit(Fraction(1))
     product = env.multiply(shifted, EnvElem.from_alg(A(1)))
     expected = EnvElem(
         {(("A", 0), ("A", 1)): Fraction(1), (("A", 1),): Fraction(1)}

@@ -262,7 +262,9 @@ def test_pbw_commutator_matches_reduced_bracket_random_pairs():
         x, y = AlgElem.basis(s), AlgElem.basis(t)
         lhs = env.commutator(EnvElem.from_alg(x), EnvElem.from_alg(y))
         assert lhs == EnvElem.from_alg(q.bracket_reduced(x, y))
-        other = EnvElem.from_alg(x * rand_fraction(rng), rand_fraction(rng))
+        other = EnvElem.from_alg(x * rand_fraction(rng)) + EnvElem.unit(
+            rand_fraction(rng)
+        )
         assert lhs - other == lhs + (-other)
 
 
