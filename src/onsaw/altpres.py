@@ -284,7 +284,7 @@ def beta_formula(q: QuotientO, k: int):
 
 def beta_alpha_report(q: QuotientO) -> Report:
     """Oracle betas against the closed formulas, term conventions as above."""
-    report = Report("beta-alpha", params={"N": q.N})
+    report = Report()
     qa = beta_from_alpha(q)
     for k in range(q.N + 1):
         formula = beta_formula(q, k)
@@ -301,7 +301,7 @@ def reduction_diagram_report(q: QuotientO) -> Report:
     """convert_to_alt then reduce_alt equals reduce then convert_to_alt."""
     qa = beta_from_alpha(q)
     kmax = q.N + 4
-    report = Report("beta-alpha-diagram", params={"N": q.N, "kmax": kmax})
+    report = Report()
     syms = [("A", n) for n in range(-kmax, kmax + 1)] + [
         ("G", m) for m in range(1, kmax + 1)
     ]
@@ -320,9 +320,7 @@ def reduction_diagram_report(q: QuotientO) -> Report:
 
 def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
     """Round trips, bracket intertwining, and the triangular change of basis."""
-    report = Report(
-        "iso", params={"kmax_bracket": kmax_bracket, "kmax_round": kmax_round}
-    )
+    report = Report()
     ons_syms = [("A", n) for n in range(-kmax_round, kmax_round + 1)] + [
         ("G", m) for m in range(1, kmax_round + 1)
     ]
@@ -365,7 +363,7 @@ def triangular_basis_report() -> Report:
     diagonal: Wm(j) against {A_0, A_i + A_{-i}}, Wp(j) against
     {A_1, A_{1+i} + A_{1-i}}, Gt(j) against {G_{j+1}}."""
     kmax = 12
-    report = Report("triangular", params={"kmax": kmax})
+    report = Report()
 
     def check(kind, paired):
         for j in range(kmax + 1):
@@ -399,7 +397,7 @@ def triangular_basis_report() -> Report:
 def averaged_shift_report() -> Report:
     """The averaged shift generates the whole family from Wm(0), Wp(0)."""
     kmax = 8
-    report = Report("averaged-shift", params={"kmax": kmax})
+    report = Report()
     for k in range(kmax + 1):
         got = averaged_shift(Wm(0), k)
         report.add(f"avg-shift:Wm:{k}", got == Wm(k), got - Wm(k))
@@ -419,7 +417,7 @@ def sprime_report(qa: QuotientA) -> Report:
     failure; the halved version is the one implied by the shift action
     (tau0 Phi + tau1 Phi doubles each step) and must hold.
     """
-    report = Report("sprime", params={"N": qa.N})
+    report = Report()
     for label, halved in (("displayed", False), ("halved", True)):
         for gen_name, gen in (("W0", Wm(0)), ("W1", Wp(0))):
             total = {}
@@ -495,7 +493,7 @@ def appendix_fixtures_report() -> Report:
     Gt(0)/4 gives -G(3) - G(1), not -G(3) - 2 G(1)), so that comparison is
     recorded as a discrepancy rather than asserted.
     """
-    report = Report("fixtures-appendix-a")
+    report = Report()
     for label, sym, alt_terms in APPENDIX_FIXTURES:
         x = AlgElem.basis(sym)
         expected = AlgElem(dict(alt_terms))

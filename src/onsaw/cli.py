@@ -4,6 +4,11 @@ reduction-coefficient table, and basis conversion.
 The suite table `_SUITE_RUNNERS` maps each suite to its runner, in the order of
 `verify all`; `_NEGATIVE_CONTROLS` maps a suite to a corrupted run that must
 fail, which `run_suite` records as the check `<suite>:negative-control`.
+`run_suite` is the one place that names a report and lists its params.  A
+runner reads each option through `_opt` and each coefficient binding through
+`_coeffs`, which record the names asked for; a `verify` run given one that no
+runner read is the input error `suite <name> does not read <names>`, so a
+report's params are exactly the options that took part in its verdict.
 
 Exit codes: 0 on pass (discrepancies against printed reference values are
 recorded in the report but are not failures), 1 on verification failure,
@@ -93,36 +98,50 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _coeffs(params: dict, names) -> tuple:
+# The options of a run besides its bindings: the flags and the config `alphas`.
+_OPTIONS = ("N", "trunc", "w", "interpretation", "alphas")
+
+
+def _opt(opts, name: str, default=None):
+    """The option `name`, or `default` if not given; recorded in `opts.read`."""
+    opts.read.add(name)
+    value = getattr(opts, name)
+    return default if value is None else value
+
+
+def _coeffs(opts, names) -> tuple:
     """The value of each named coefficient from --param or the config, or
-    else the symbol of that name."""
+    else the symbol of that name; each name is recorded in `opts.bound`."""
+    opts.bound.update(names)
+    params = opts.params
     return tuple(params[name] if name in params else lvar(name) for name in names)
 
 
-def _quotient(N: int, params: dict, alphas) -> QuotientO:
+def _quotient(opts, N: int, alphas) -> QuotientO:
     if alphas is not None:
         if len(alphas) != N + 1:
             raise InputError(f"alpha vector must have length N+1 = {N + 1}")
         return QuotientO(alphas)
-    return QuotientO(_coeffs(params, QuotientO.alpha_names(N)) + (1,))
+    return QuotientO(_coeffs(opts, QuotientO.alpha_names(N)) + (1,))
 
 
-def _quotient_alt(N: int, params: dict) -> QuotientA:
-    return QuotientA(_coeffs(params, [f"beta{i}" for i in range(N + 1)]))
+def _quotient_alt(opts, N: int) -> QuotientA:
+    return QuotientA(_coeffs(opts, [f"beta{i}" for i in range(N + 1)]))
 
 
 # --- suites -------------------------------------------------------------------
 
 
 def _ns(opts, default):
-    return [opts.N] if opts.N is not None else default
+    N = _opt(opts, "N")
+    return default if N is None else [N]
 
 
 def _quotients(opts, default):
     """The quotient for --N (with the configured alphas, if any), or a
     symbolic quotient for each N in `default`."""
-    for N in _ns(opts, default):
-        yield _quotient(N, opts.params, opts.alphas if opts.N is not None else None)
+    alphas = None if opts.N is None else _opt(opts, "alphas")
+    return [_quotient(opts, N, alphas) for N in _ns(opts, default)]
 
 
 def _per_quotient(default, *checks):
@@ -130,7 +149,7 @@ def _per_quotient(default, *checks):
     quotient `_quotients` gives."""
 
     def runner(opts) -> Report:
-        report = Report("")
+        report = Report()
         for q in _quotients(opts, default):
             for check in checks:
                 report.extend(check(q))
@@ -140,40 +159,41 @@ def _per_quotient(default, *checks):
 
 
 def _frt_alt(opts) -> Report:
-    report = Report("")
+    report = Report()
     for N in _ns(opts, [1, 2, 3]):
-        report.extend(verify_frt(build_B_alt(_quotient_alt(N, opts.params))))
+        report.extend(verify_frt(build_B_alt(_quotient_alt(opts, N))))
     return report
 
 
 def _frt_series(opts) -> Report:
-    D = opts.trunc if opts.trunc is not None else 8
+    D = _opt(opts, "trunc", 8)
     return verify_frt_series_onsager(D).extend(verify_frt_series_alt(D))
 
 
 def _charges(opts) -> Report:
-    report = Report("")
+    report = Report()
     for q in _quotients(opts, [1, 2, 3, 4]):
         report.extend(verify_commuting(q))
         if q.N <= 3:
-            report.extend(expand_b(q, _charge_params(opts.params))[1])
+            report.extend(expand_b(q, _charge_params(opts))[1])
     return report
 
 
-def _charge_params(params: dict) -> ChargeParams:
-    return ChargeParams(*_coeffs(params, ("kappa", "kappas", "mu")))
+def _charge_params(opts) -> ChargeParams:
+    return ChargeParams(*_coeffs(opts, ("kappa", "kappas", "mu")))
 
 
 def _reD(opts) -> Report:
-    c = _charge_params(opts.params)
-    if opts.interpretation == "all":
-        report = Report("")
+    c = _charge_params(opts)
+    interpretation = _opt(opts, "interpretation")
+    if interpretation == "all":
+        report = Report()
         for name, holds in reD_survey(c).items():
             report.add_discrepancy(
                 f"reD:{name}", holds, "identity does not hold for this reading"
             )
         return report
-    return verify_reD(c, opts.interpretation or "r12")
+    return verify_reD(c, interpretation or "r12")
 
 
 def _quartic(opts) -> Report:
@@ -188,12 +208,13 @@ def _quartic(opts) -> Report:
 
 
 def _rep(opts) -> Report:
-    report = Report("")
-    for ws in [opts.w] if opts.w else [["w"], ["w1", "w2"]]:
+    report = Report()
+    w = _opt(opts, "w")
+    for ws in [["w"], ["w1", "w2"]] if w is None else [w]:
         q, rep = rep_build(ws)
         report.extend(rep_check(q, rep))
         report.extend(rep_matrix_identity_report(ws, q, rep))
-        if opts.w:
+        if w is not None:
             for kind, k in q.basis_syms():
                 rows = str(rep[kind, k]).replace("\n", "; ")
                 report.checks.append(Check(f"rep:matrix:{kind}({k})", PASS, rows))
@@ -206,9 +227,7 @@ _SUITE_RUNNERS = {
     "frt-onsager": _per_quotient([1, 2, 3], lambda q: verify_frt(build_B_onsager(q))),
     "frt-alt": _frt_alt,
     "frt-series": _frt_series,
-    "sn": _per_quotient(
-        [1, 2, 3, 4], verify_sn, partial(implied_relations_report, pmax=6)
-    ),
+    "sn": _per_quotient([1, 2, 3, 4], verify_sn, implied_relations_report),
     "charges": _charges,
     "reD": _reD,
     "iso": lambda opts: verify_iso()
@@ -233,10 +252,7 @@ _SUITE_RUNNERS = {
 
 
 def _corrupted_sym_bracket(s, t):
-    value = sym_bracket(s, t)
-    if s[0] == "A" and t[0] == "A":
-        return value * Fraction(5, 4)
-    return value
+    return sym_bracket(s, t) * (Fraction(5, 4) if s[0] == t[0] == "A" else 1)
 
 
 def _corrupted_frt() -> Report:
@@ -264,41 +280,26 @@ SUITES = tuple(_SUITE_RUNNERS) + ("all",)
 
 def run_suite(name: str, opts) -> Report:
     if name == "all":
-        report = Report("all")
+        report = Report()
         for sub in _SUITE_RUNNERS:
             report.extend(run_suite(sub, opts))
     else:
-        runner = _SUITE_RUNNERS.get(name)
-        if runner is None:
-            raise InputError(
-                f"unknown suite {name!r}; choose from {', '.join(SUITES)}"
-            )
         start = time.perf_counter()
-        report = runner(opts)
+        report = _SUITE_RUNNERS[name](opts)
         if name in _NEGATIVE_CONTROLS:
             control, residual = _NEGATIVE_CONTROLS[name]
             report.add(f"{name}:negative-control", control().status == FAIL, residual)
         if opts.timing and report.checks:
             report.checks[-1].millis = int((time.perf_counter() - start) * 1000)
-        report.suite = name
-    report.params = _report_params(opts)
+    report.suite = name
+    report.params = {k: str(v) for k, v in opts.params.items()}
+    for key in _OPTIONS:
+        value = getattr(opts, key)
+        if value is not None:
+            seq = isinstance(value, (list, tuple))
+            report.params[key] = ",".join(map(str, value)) if seq else str(value)
     report.version = __version__
     return report
-
-
-def _report_params(opts) -> dict:
-    out = {k: str(v) for k, v in opts.params.items()}
-    if opts.N is not None:
-        out["N"] = str(opts.N)
-        if opts.alphas is not None:  # _quotients uses the vector only with N
-            out["alphas"] = ",".join(str(a) for a in opts.alphas)
-    if opts.trunc is not None:
-        out["trunc"] = str(opts.trunc)
-    if opts.w:
-        out["w"] = ",".join(str(w) for w in opts.w)
-    if opts.interpretation:
-        out["interpretation"] = opts.interpretation
-    return out
 
 
 # --- argument handling -------------------------------------------------------------
@@ -306,8 +307,8 @@ def _report_params(opts) -> dict:
 
 def _apply_config(args, config: dict):
     """Complete the parsed namespace in place: N (when --N is absent), alphas
-    and params from the config, params overridden by --param, and --w parsed
-    into rationals."""
+    and params from the config, params overridden by --param, --w parsed
+    into rationals, and the empty sets `read` and `bound` of a run's reads."""
     if args.N is None and "N" in config:
         try:
             args.N = int(config["N"])
@@ -325,8 +326,9 @@ def _apply_config(args, config: dict):
             raise InputError(f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         args.params[name.strip()] = _parse_rational(value)
-    if args.w:
+    if args.w is not None:
         args.w = [_parse_rational(part) for part in args.w.split(",")]
+    args.read, args.bound = set(), set()
 
 
 def _element(args, presentation: str) -> AlgElem:
@@ -357,11 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--trunc", type=int)
-    p_verify.add_argument(
-        "--w",
-        metavar="W1,W2,...",
-        help="a list starting with '-' must be written --w=-1/2,5",
-    )
+    w_help = "a list starting with '-' must be written --w=-1/2,5"
+    p_verify.add_argument("--w", metavar="W1,W2,...", help=w_help)
     p_verify.add_argument("--interpretation", choices=RED_INTERPRETATIONS + ("all",))
     p_verify.add_argument(
         "--timing",
@@ -396,18 +395,24 @@ def main(argv=None) -> int:
             raise InputError("--N is required (or N in a config file)")
         if args.command == "verify":
             report = run_suite(args.suite, args)
+            given = [key for key in _OPTIONS if getattr(args, key) is not None]
+            unread = [key for key in given if key not in args.read]
+            unread += [name for name in args.params if name not in args.bound]
+            if unread:
+                names = ", ".join(unread)
+                raise InputError(f"suite {args.suite} does not read {names}")
             print(report.to_json() if args.format == "json" else report.to_text())
             return 0 if report.ok else 1
         if args.command == "reduce":
             element = _element(args, args.presentation)
             if args.presentation == "onsager":
-                q = _quotient(args.N, args.params, args.alphas)
+                q = _quotient(args, args.N, args.alphas)
             else:
-                q = _quotient_alt(args.N, args.params)
+                q = _quotient_alt(args, args.N)
             print(q.reduce(element))
             return 0
         if args.command == "upoly":
-            q = _quotient(args.N, args.params, args.alphas)
+            q = _quotient(args, args.N, args.alphas)
             value = u_poly(q, args.p, args.j)
             oracle = u_poly_oracle(q, args.p).coeff(("A", args.j))
             print(f"U[p={args.p}, j={args.j}] (N={args.N}) = {value}")

@@ -130,7 +130,7 @@ def verify_quartic(q: QuotientO) -> Report:
     relation equivalent to alpha G_1 + G_2 = 0, the latter normal-ordered in
     the enveloping algebra.  N = 2: the quintic bracket pair.
     """
-    report = Report("quartic", params={"N": q.N})
+    report = Report()
     a0, a1 = A(0), A(1)
     br = q.bracket_reduced
     if q.N == 1:
@@ -166,7 +166,7 @@ def verify_quartic(q: QuotientO) -> Report:
 
 def pbw_lie_compat_report(q: QuotientO) -> Report:
     """x y - y x in the enveloping algebra equals the reduced bracket."""
-    report = Report("pbw-lie", params={"N": q.N})
+    report = Report()
     env = PBW(q)
     syms = q.basis_syms()
     bad = []
@@ -215,7 +215,7 @@ def aw3_fit(a0=None, a1=None, b0=None, b1=None):
     k0, k1 = A(0) * a0, A(1) * a1  # K0 and K1 less their central constants
     k2 = q.bracket_reduced(k0, k1)
 
-    report = Report("aw3-fit")
+    report = Report()
     lhs1 = q.bracket_reduced(k2, k0)
     B = coeff_div(lhs1.coeff(("A", 0)), a0)
     C1 = coeff_div(lhs1.coeff(("A", 1)), a1)

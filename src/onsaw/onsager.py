@@ -119,7 +119,7 @@ def s_n_autopoly(alphas) -> list:
 def verify_dolan_grady(bracket_fn=bracket, gens=(A(0), A(1)), prefix="dg") -> Report:
     """Check both Dolan-Grady relations on the generator pair exactly; each
     must give residual 0.  Check ids are `<prefix>:0110` and `<prefix>:1001`."""
-    report = Report(prefix)
+    report = Report()
     a0, a1 = gens
     for name, x, y in (("0110", a0, a1), ("1001", a1, a0)):
         nested = bracket_fn(x, bracket_fn(x, bracket_fn(x, y)))

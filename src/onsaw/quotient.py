@@ -143,7 +143,7 @@ def u_poly_oracle(q: QuotientO, p: int) -> AlgElem:
 
 def u_poly_report(q: QuotientO, pmax: int) -> Report:
     """Recursion versus reduction oracle for all p <= pmax; the oracle wins."""
-    report = Report("upoly", params={"N": q.N, "pmax": pmax})
+    report = Report()
     for p in range(pmax + 1):
         row = u_poly_oracle(q, p)
         for j in range(-q.N + 1, q.N + 1):
@@ -156,7 +156,7 @@ def u_poly_report(q: QuotientO, pmax: int) -> Report:
 
 def forward_reduction_report(q: QuotientO, pmax: int) -> Report:
     """reduce(A_{N+p+1}) and reduce(G_{N+p+1}) against the U-table formulas."""
-    report = Report("upoly-forward", params={"N": q.N, "pmax": pmax})
+    report = Report()
     for p in range(pmax + 1):
         sign = (-1) ** (p + q.N)
         expect_a = {}
@@ -178,7 +178,7 @@ def forward_reduction_report(q: QuotientO, pmax: int) -> Report:
 
 def verify_sn(q: QuotientO, autopoly=None) -> Report:
     """The operator sum(alpha_n (tau1 Phi)^n) must annihilate A_0 and A_1."""
-    report = Report("sn", params={"N": q.N})
+    report = Report()
     if autopoly is None:
         autopoly = s_n_autopoly(q.alphas)
     for name, x in (("sn:A0", A(0)), ("sn:A1", A(1))):
@@ -189,7 +189,7 @@ def verify_sn(q: QuotientO, autopoly=None) -> Report:
 
 def implied_relations_report(q: QuotientO, pmax: int = 6) -> Report:
     """All shifted relation instances must reduce to zero, |p| <= pmax."""
-    report = Report("dav2", params={"N": q.N, "pmax": pmax})
+    report = Report()
     for p in range(-pmax, pmax + 1):
         ra = q.reduce(q.relation(A, p))
         rg = q.reduce(q.relation(G, p))

@@ -4,12 +4,12 @@ A report is a flat list of named checks.  The overall status is "fail" iff any
 check failed; "discrepancy" marks a computed value disagreeing with a printed
 reference value (this is recorded, never silently dropped, but is not a
 verification failure).  Timing is 0 by default so that rendered reports are
-byte-identical across runs; callers opt in to real timings.  `InputError`
-is the one input-fault type of the library.
+byte-identical across runs; callers opt in to real timings, which text shows
+as an `(N ms)` suffix.  `InputError` is the one input-fault type of the library.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PASS = "pass"
 FAIL = "fail"
@@ -34,7 +34,7 @@ class Check:
 
 @dataclass
 class Report:
-    suite: str
+    suite: str = ""
     checks: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
     version: str = ""
@@ -51,22 +51,16 @@ class Report:
     def ok(self) -> bool:
         return self.status != FAIL
 
-    def add(self, check_id: str, passed: bool, residual="") -> Check:
-        check = Check(check_id, PASS if passed else FAIL, "" if passed else str(residual))
-        self.checks.append(check)
-        return check
+    def add(self, check_id: str, passed: bool, residual=""):
+        status = PASS if passed else FAIL
+        self.checks.append(Check(check_id, status, "" if passed else str(residual)))
 
-    def add_discrepancy(self, check_id: str, agrees: bool, detail="") -> Check:
-        check = Check(
-            check_id, PASS if agrees else DISCREPANCY, "" if agrees else str(detail)
-        )
-        self.checks.append(check)
-        return check
+    def add_discrepancy(self, check_id: str, agrees: bool, detail=""):
+        status = PASS if agrees else DISCREPANCY
+        self.checks.append(Check(check_id, status, "" if agrees else str(detail)))
 
     def extend(self, other: "Report") -> "Report":
-        self.checks.extend(
-            Check(c.id, c.status, c.residual, c.millis) for c in other.checks
-        )
+        self.checks.extend(replace(c) for c in other.checks)
         return self
 
     def to_dict(self) -> dict:
@@ -97,5 +91,7 @@ class Report:
             line = f"  [{c.status:>11}] {c.id}"
             if c.residual:
                 line += f"  residual: {c.residual}"
+            if c.millis:
+                line += f"  ({c.millis} ms)"
             lines.append(line)
         return "\n".join(lines)

@@ -97,7 +97,7 @@ def rep_apply(rep: dict, x: AlgElem) -> Matrix:
 
 def rep_check(q: QuotientO, rep: dict) -> Report:
     """Every defining relation of the quotient holds for the matrices."""
-    report = Report("rep", params={"N": q.N})
+    report = Report()
     bad = []
     for (s, t), rhs in defining_relations(q):
         if commutator(rep[s], rep[t]) != rep_apply(rep, rhs):
@@ -139,7 +139,7 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict) -> Report:
                 for t in range(dim)
             ):
                 bad.append((a, b))
-    report = Report("rep-identity", params={"N": N})
+    report = Report()
     report.add(
         f"rep:block-identity:N{N}",
         not bad,

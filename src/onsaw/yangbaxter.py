@@ -80,7 +80,7 @@ def verify_cybe(r: tuple | None = None) -> Report:
 
     a numeric spot check on evaluated N_ab / d_ab confirms the verdict.
     """
-    report = Report("cybe")
+    report = Report()
     num, den = r_matrix_num() if r is None else r
 
     def at(a, b, legs):
@@ -280,7 +280,7 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     Raises ValueError when v is B.u or a quotient coefficient uses B.u or v."""
     q = B.algebra
     _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
-    report = Report("frt", params={"label": B.label})
+    report = Report()
     residual = _exchange_residual(B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce)
     for (r, c), entry in residual.items():
         report.add(f"frt:{B.label}:entry{r}{c}", entry.is_zero(), entry)
@@ -310,7 +310,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     if D < 2:
         raise InputError("need truncation degree D >= 2")
     _check_spectral_names(u, v)
-    report = Report("frt-series-onsager", params={"D": D})
+    report = Report()
 
     powers = [lvar(u, n) for n in range(D + 1)]
     g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
@@ -340,7 +340,7 @@ def verify_frt_series_alt(D: int) -> Report:
     """
     if D < 2:
         raise ValueError("need truncation degree D >= 2")
-    report = Report("frt-series-alt", params={"D": D})
+    report = Report()
     U, V = "U", "V"
 
     def currents(var):
@@ -416,7 +416,7 @@ def verify_commuting(q: QuotientO, charge_list=None, c=None) -> Report:
         c = ChargeParams.symbolic()
     if charge_list is None:
         charge_list = charges(q, c)
-    report = Report("charges", params={"N": q.N})
+    report = Report()
     for i in range(len(charge_list)):
         for j in range(i + 1, len(charge_list)):
             residual = q.bracket_reduced(charge_list[i], charge_list[j])
@@ -447,7 +447,7 @@ def expand_b(q: QuotientO, c: ChargeParams):
         factors.append(h)
         accumulate(residual, charge.terms, -h)
     residual = AlgElem(residual)
-    report = Report("charges-expansion", params={"N": q.N})
+    report = Report()
     report.add(f"charges:expansion:N{q.N}", residual.is_zero(), residual)
     return factors, report
 
@@ -502,7 +502,7 @@ def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Re
     """
     if c is None:
         c = ChargeParams.symbolic()
-    report = Report("reD", params={"interpretation": interpretation})
+    report = Report()
     matrices = (_red_candidate(interpretation), m_matrix(c, "u"), m_matrix(c, "v"))
 
     def identity_lhs(rbar, m_u, m_v):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -211,6 +212,14 @@ def test_timing_stamps_the_last_check_of_a_suite(capsys, monkeypatch):
     assert millis[-1] == 7 and not any(millis[:-1])
 
 
+def test_timing_shows_in_text_only_on_the_stamped_check(capsys, monkeypatch):
+    plain = run(capsys, "verify", "dg")[1].splitlines()
+    _fake_clock(monkeypatch)
+    code, out, _ = run(capsys, "verify", "dg", "--timing")
+    assert code == 0
+    assert out.splitlines() == plain[:-1] + [plain[-1] + "  (7 ms)"]
+
+
 def test_timing_of_all_stamps_one_check_per_suite(capsys, monkeypatch):
     _fake_clock(monkeypatch)
     code, out, _ = run(capsys, "verify", "all", "--timing", "--format", "json")
@@ -342,6 +351,43 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             None,
             "Gt index must be >= 0 (column 1)",
         ),
+        (("verify", "dg", "--N", "0"), None, "suite dg does not read N"),
+        (("verify", "iso", "--N", "0"), None, "suite iso does not read N"),
+        (("verify", "aw3-fit", "--N", "0"), None, "suite aw3-fit does not read N"),
+        (
+            ("verify", "fixtures-appendix-a", "--trunc", "0"),
+            None,
+            "suite fixtures-appendix-a does not read trunc",
+        ),
+        (
+            ("verify", "frt-alt", "--N", "1", "--param", "alpha=5/7"),
+            None,
+            "suite frt-alt does not read alpha",
+        ),
+        (
+            ("verify", "frt-alt", "--N", "1"),
+            "alpha=5/7\n",
+            "suite frt-alt does not read alpha",
+        ),
+        (("verify", "frt-alt"), "alphas=3,-2,1\n", "suite frt-alt does not read alphas"),
+        (("verify", "sn"), "alphas=3,-2,1\n", "suite sn does not read alphas"),
+        (("verify", "rep", "--N", "5", "--w", "2"), None, "suite rep does not read N"),
+        (
+            ("verify", "charges", "--N", "4", "--param", "kappa=7"),
+            None,
+            "suite charges does not read kappa",
+        ),
+        (("verify", "sn", "--param", "N=3/2"), None, "suite sn does not read N"),
+        (
+            ("verify", "sn", "--N", "1", "--param", "N=3/2"),
+            None,
+            "suite sn does not read N",
+        ),
+        (
+            ("verify", "rep", "--w="),
+            None,
+            "not an exact rational: '' (Invalid literal for Fraction: '')",
+        ),
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(
@@ -356,6 +402,34 @@ def test_input_faults_exit_2_with_one_error_line(
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, params, code",
+    [
+        (("frt-series", "--trunc", "4"), None, {"trunc": "4"}, 0),
+        (("rep", "--w", "2"), None, {"w": "2"}, 0),
+        (
+            ("reD", "--interpretation", "r21", "--param", "kappa=2"),
+            None,
+            {"interpretation": "r21", "kappa": "2"},
+            1,
+        ),
+        (("charges", "--N", "2", "--param", "kappa=1"), None, {"N": "2", "kappa": "1"}, 0),
+        (("sn", "--N", "1"), "N=1\nalpha=5/7\n", {"N": "1", "alpha": "5/7"}, 0),
+        (("all", "--N", "1", "--param", "alpha=1/2"), None, {"N": "1", "alpha": "1/2"}, 0),
+    ],
+)
+def test_a_report_lists_exactly_the_options_it_was_given(
+    tmp_path, capsys, argv, config, params, code
+):
+    if config is not None:
+        path = tmp_path / "onsaw.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv += ("--config", str(path))
+    got, out, err = run(capsys, "verify", *argv, "--format", "json")
+    assert (got, err) == (code, "")
+    assert json.loads(out)["params"] == params
 
 
 def test_reduce_syntax_error_exit_code(capsys):
@@ -384,9 +458,9 @@ def test_integral_rationals_are_ints(tmp_path):
     config.write_text("alphas = 3,-2,1\n", encoding="utf-8")
     args = cli._build_parser().parse_args(["upoly", "--N", "2", "--p", "0", "--j", "0"])
     cli._apply_config(args, cli._read_config(str(config)))
-    q = cli._quotient(2, args.params, args.alphas)
+    q = cli._quotient(args, 2, args.alphas)
     assert q.alphas == (3, -2, 1) and all(type(a) is int for a in q.alphas)
-    assert type(cli._quotient(2, {}, None).alphas[-1]) is int
+    assert type(cli._quotient(args, 2, None).alphas[-1]) is int
 
 
 # Mixed int/Fraction coefficients through upoly, an alternative-presentation
@@ -604,3 +678,23 @@ def test_verify_all_json_equals_the_golden_report(capsys):
             f"  got:      {a!r}\n  expected: {b!r}"
         )
     assert got == expected
+
+
+def _readme_examples():
+    """Each `onsaw ...` line of README's `Examples:` block, with the value its
+    `# prints ...` comment names (None without one)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        _, printed, value = comment.strip().partition("prints ")
+        argv = shlex.split(command)[1:]
+        yield pytest.param(argv, value if printed else None, id=command.strip())
+
+
+@pytest.mark.parametrize("argv, value", _readme_examples())
+def test_readme_examples_run(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if value is not None:  # the value, after the label upoly prints before it
+        assert out.strip().rpartition("= ")[2] == value
