@@ -4,11 +4,13 @@ reduction-coefficient table, and basis conversion.
 The suite table `_SUITE_RUNNERS` maps each suite to its runner, in the order of
 `verify all`; `_NEGATIVE_CONTROLS` maps a suite to a corrupted run that must
 fail, which `run_suite` records as the check `<suite>:negative-control`.
-`run_suite` is the one place that names a report and lists its params.  A
-runner reads each option through `_opt` and each coefficient binding through
-`_coeffs`, which record the names asked for; a `verify` run given one that no
-runner read is the input error `suite <name> does not read <names>`, so a
-report's params are exactly the options that took part in its verdict.
+`run_suite` is the one place that names a report and lists its params.
+Every command reads each option through `_opt` and each coefficient binding
+(an expression's free symbols included) through `_coeffs`, which record the
+names asked for; a run given one that nothing read is the input error
+`suite <name> does not read <names>` (`<command> does not read <names>` for
+`reduce`, `upoly` and `convert`), so a report's params are exactly the
+options that took part in its verdict.
 
 Exit codes: 0 on pass (discrepancies against printed reference values are
 recorded in the report but are not failures), 1 on verification failure,
@@ -140,7 +142,7 @@ def _ns(opts, default):
 def _quotients(opts, default):
     """The quotient for --N (with the configured alphas, if any), or a
     symbolic quotient for each N in `default`."""
-    alphas = None if opts.N is None else _opt(opts, "alphas")
+    alphas = None if _opt(opts, "N") is None else _opt(opts, "alphas")
     return [_quotient(opts, N, alphas) for N in _ns(opts, default)]
 
 
@@ -332,7 +334,7 @@ def _apply_config(args, config: dict):
 
 
 def _element(args, presentation: str) -> AlgElem:
-    element = eval_expr(args.expr, presentation, args.params)
+    element = eval_expr(args.expr, presentation, lambda name: _coeffs(args, [name])[0])
     if not isinstance(element, AlgElem):
         raise InputError(
             f"expression {args.expr!r} is a scalar, not an algebra element"
@@ -391,40 +393,38 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_config(args, _read_config(args.config) if args.config else {})
-        if args.N is None and args.command in ("reduce", "upoly"):
-            raise InputError("--N is required (or N in a config file)")
         if args.command == "verify":
             report = run_suite(args.suite, args)
-            given = [key for key in _OPTIONS if getattr(args, key) is not None]
-            unread = [key for key in given if key not in args.read]
-            unread += [name for name in args.params if name not in args.bound]
-            if unread:
-                names = ", ".join(unread)
-                raise InputError(f"suite {args.suite} does not read {names}")
-            print(report.to_json() if args.format == "json" else report.to_text())
-            return 0 if report.ok else 1
-        if args.command == "reduce":
-            element = _element(args, args.presentation)
-            if args.presentation == "onsager":
-                q = _quotient(args, args.N, args.alphas)
-            else:
-                q = _quotient_alt(args, args.N)
-            print(q.reduce(element))
-            return 0
-        if args.command == "upoly":
-            q = _quotient(args, args.N, args.alphas)
+            text = report.to_json() if args.format == "json" else report.to_text()
+            code = 0 if report.ok else 1
+        elif args.command == "convert":
+            element = _element(args, "onsager" if args.dir == "to-alt" else "alt")
+            convert = convert_to_alt if args.dir == "to-alt" else convert_to_ons
+            text, code = str(convert(element)), 0
+        elif (N := _opt(args, "N")) is None:
+            raise InputError("--N is required (or N in a config file)")
+        elif args.command == "upoly":
+            q = _quotient(args, N, _opt(args, "alphas"))
             value = u_poly(q, args.p, args.j)
             oracle = u_poly_oracle(q, args.p).coeff(("A", args.j))
-            print(f"U[p={args.p}, j={args.j}] (N={args.N}) = {value}")
-            if value == oracle:
-                return 0
-            print(f"DISCREPANCY: reduction oracle gives {oracle}")
-            return 1
-        # convert: the subcommand is required, so no other is left
-        element = _element(args, "onsager" if args.dir == "to-alt" else "alt")
-        convert = convert_to_alt if args.dir == "to-alt" else convert_to_ons
-        print(convert(element))
-        return 0
+            text, code = f"U[p={args.p}, j={args.j}] (N={N}) = {value}", 0
+            if value != oracle:
+                text, code = f"{text}\nDISCREPANCY: reduction oracle gives {oracle}", 1
+        else:  # reduce: the subcommand is required, so no other is left
+            element = _element(args, args.presentation)
+            if args.presentation == "onsager":
+                q = _quotient(args, N, _opt(args, "alphas"))
+            else:
+                q = _quotient_alt(args, N)
+            text, code = str(q.reduce(element)), 0
+        given = [key for key in _OPTIONS if getattr(args, key) is not None]
+        unread = [key for key in given if key not in args.read]
+        unread += [name for name in args.params if name not in args.bound]
+        if unread:
+            what = f"suite {args.suite}" if args.command == "verify" else args.command
+            raise InputError(f"{what} does not read {', '.join(unread)}")
+        print(text)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,8 +84,8 @@ class AlgElem(SparseCombination):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, sym: tuple, coeff=1) -> "AlgElem":
-        return cls({sym: coeff})
+    def basis(cls, sym: tuple) -> "AlgElem":
+        return cls({sym: 1})
 
     def __add__(self, other):
         if not isinstance(other, AlgElem):

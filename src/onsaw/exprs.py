@@ -8,7 +8,7 @@ Grammar:
               | "[" expr "," expr "]" | "(" expr ")"
     atom     := ("A" | "G" | "W" | "Wp" | "Gt") "(" integer ")"
     rational := integer ("/" positive-integer)?
-    symbol   := identifier   (bound through parameters or left symbolic)
+    symbol   := identifier   (its value is read through `bind`)
 
 Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
@@ -83,12 +83,12 @@ def _tokens(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, presentation: str, params: dict | None):
+    def __init__(self, text: str, presentation: str, bind):
         self.tokens = _tokens(text)
         self.i = 0
         self.depth = 0
         self.presentation = presentation
-        self.params = params or {}
+        self.bind = bind
         self.bracket = bracket if presentation == "onsager" else bracket_alt
 
     def peek(self):
@@ -138,7 +138,7 @@ class _Parser:
                 index = self.integer()
                 self.take(")")
                 return self.atom(value, index, pos)
-            return self.params.get(value, lvar(value))
+            return self.bind(value)
         if kind not in ("-", "[", "("):
             raise ExprError(f"unexpected token {value!r}", pos)
         self.depth += 1
@@ -199,9 +199,10 @@ class _Parser:
             raise ExprError(str(exc), pos) from None
 
 
-def eval_expr(text: str, presentation: str = "onsager", params: dict | None = None):
+def eval_expr(text: str, presentation: str = "onsager", bind=lvar):
     """Evaluate `text` to an AlgElem or a scalar coefficient.
 
-    Unbound symbols stay symbolic; `params` maps names to exact rationals.
+    Each free symbol takes the value `bind(name)`; the default `lvar` leaves
+    it symbolic.  Atom names such as the `A` of `A(0)` are never bound.
     """
-    return _Parser(text, presentation, params).parse()
+    return _Parser(text, presentation, bind).parse()

@@ -388,6 +388,26 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             None,
             "not an exact rational: '' (Invalid literal for Fraction: '')",
         ),
+        (
+            ("reduce", "--presentation", "alt", "--expr", "W(-2)"),
+            "N=1\nalphas=3,1\n",
+            "reduce does not read alphas",
+        ),
+        (
+            ("convert", "--dir", "to-alt", "--expr", "A(3)", "--param", "alpha=2"),
+            None,
+            "convert does not read alpha",
+        ),
+        (
+            ("upoly", "--N", "1", "--p", "1", "--j", "0", "--param", "beta0=5"),
+            None,
+            "upoly does not read beta0",
+        ),
+        (
+            ("convert", "--dir", "to-alt", "--expr", "A(3)"),
+            "N=1\nalphas=3,1\n",
+            "convert does not read N, alphas",
+        ),
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(
@@ -402,6 +422,21 @@ def test_input_faults_exit_2_with_one_error_line(
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("verify", "dg"), "suite dg"),
+        (("reduce", "--N", "1", "--expr", "alpha*A(0)"), "reduce"),
+        (("upoly", "--N", "1", "--p", "1", "--j", "0"), "upoly"),
+        (("convert", "--dir", "to-alt", "--expr", "mu*A(0)"), "convert"),
+    ],
+)
+def test_every_command_refuses_a_binding_it_does_not_read(capsys, argv, what):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--param", "zz=1")
+    assert (code, out, err) == (2, "", f"error: {what} does not read zz\n")
 
 
 @pytest.mark.parametrize(

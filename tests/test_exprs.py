@@ -31,8 +31,23 @@ def test_symbolic_coefficient_reduces_in_quotient():
 
 
 def test_params_bind_symbols():
-    got = eval_expr("alpha*A(0)", params={"alpha": Fraction(3, 2)})
+    got = eval_expr("alpha*A(0)", bind={"alpha": Fraction(3, 2)}.__getitem__)
     assert got == A(0) * Fraction(3, 2)
+
+
+def test_bind_reads_exactly_the_free_symbols():
+    seen = []
+
+    def bind(name):
+        seen.append(name)
+        return lvar(name)
+
+    got = eval_expr("alpha*A(0) + [G(1), kappa*A(1)]", bind=bind)
+    assert got == eval_expr("alpha*A(0) + [G(1), kappa*A(1)]")
+    assert seen == ["alpha", "kappa"]
+    seen.clear()
+    eval_expr("[W(0), Wp(1)] + Gt(2)", presentation="alt", bind=bind)
+    assert seen == []
 
 
 def test_rationals_and_precedence():
@@ -132,7 +147,6 @@ def _atom(rng, presentation):
 
 
 _SYMBOLS = {"alpha": lvar("alpha"), "beta1": lvar("beta1"), "mu": Fraction(1, 3)}
-_PARAMS = {"mu": Fraction(1, 3)}
 
 
 def _factor(rng, presentation, kind, depth):
@@ -188,4 +202,4 @@ def test_random_texts_evaluate_to_the_values_they_were_built_from(presentation):
     rng = random.Random(20240811)
     for _ in range(300):
         text, expected = _expr(rng, presentation, "elem")
-        assert eval_expr(text, presentation, _PARAMS) == expected, text
+        assert eval_expr(text, presentation, _SYMBOLS.__getitem__) == expected, text
