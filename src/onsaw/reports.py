@@ -5,11 +5,13 @@ check failed; "discrepancy" marks a computed value disagreeing with a printed
 reference value (this is recorded, never silently dropped, but is not a
 verification failure).  Timing is 0 by default so that rendered reports are
 byte-identical across runs; callers opt in to real timings, which text shows
-as an `(N ms)` suffix.  `InputError` is the one input-fault type of the library.
+as an `(N ms)` suffix.  `Report.extend` appends the checks of another report
+without copying them, so it takes only a report that its caller has just
+built and then drops.  `InputError` is the one input-fault type of the
+library.
 """
 
 import json
-from dataclasses import dataclass, field, replace
 
 PASS = "pass"
 FAIL = "fail"
@@ -24,20 +26,27 @@ class InputError(ValueError):
     precondition, and propagates."""
 
 
-@dataclass
 class Check:
-    id: str
-    status: str
-    residual: str = ""
-    millis: int = 0
+    """One named verdict: its status, the residual that made it fail (or the
+    detail of a discrepancy), and the time it took in milliseconds."""
+
+    __slots__ = ("id", "status", "residual", "millis")
+
+    def __init__(self, id: str, status: str, residual: str = "", millis: int = 0):
+        self.id = id
+        self.status = status
+        self.residual = residual
+        self.millis = millis
 
 
-@dataclass
 class Report:
-    suite: str = ""
-    checks: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    version: str = ""
+    """The checks of one suite, with the options they read as `params`."""
+
+    def __init__(self, suite: str = "", checks=None, params=None, version: str = ""):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.params = {} if params is None else params
+        self.version = version
 
     @property
     def status(self) -> str:
@@ -60,7 +69,13 @@ class Report:
         self.checks.append(Check(check_id, status, "" if agrees else str(detail)))
 
     def extend(self, other: "Report") -> "Report":
-        self.checks.extend(replace(c) for c in other.checks)
+        """Append the checks of `other` to this report and return it.
+
+        The checks are shared, not copied: a later change to one of them, such
+        as `run_suite` stamping `millis`, shows in both reports.  Every caller
+        passes a report it has just built and then drops it; `run_suite`
+        stamps `millis` on a suite's report before `all` extends by it."""
+        self.checks.extend(other.checks)
         return self
 
     def to_dict(self) -> dict:

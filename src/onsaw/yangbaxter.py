@@ -31,7 +31,6 @@ names from their caller and raise ValueError otherwise; verify_cybe,
 verify_reD and expand_b run at the fixed names u and v.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .altpres import QuotientA, bracket_alt
@@ -129,7 +128,6 @@ def corrupted_r_matrix() -> tuple:
 # --- operator matrices -----------------------------------------------------------
 
 
-@dataclass
 class OperatorMatrix:
     """A 2x2 matrix of algebra elements with a common scalar denominator.
 
@@ -137,11 +135,14 @@ class OperatorMatrix:
     (QuotientO or QuotientA); verify_frt uses its bracket_reduced and reduce.
     """
 
-    entries: tuple
-    den: LaurentPoly
-    u: str
-    algebra: object
-    label: str
+    def __init__(
+        self, entries: tuple, den: LaurentPoly, u: str, algebra, label: str
+    ):
+        self.entries = entries
+        self.den = den
+        self.u = u
+        self.algebra = algebra
+        self.label = label
 
     def with_entry(self, i: int, j: int, value: AlgElem) -> "OperatorMatrix":
         rows = [list(row) for row in self.entries]
@@ -374,11 +375,13 @@ def verify_frt_series_alt(D: int) -> Report:
 # --- commuting charges ----------------------------------------------------------------
 
 
-@dataclass
 class ChargeParams:
-    kappa: object
-    kappas: object
-    mu: object
+    """The coefficients kappa, kappas and mu of M(x) and of the charges."""
+
+    def __init__(self, kappa, kappas, mu):
+        self.kappa = kappa
+        self.kappas = kappas
+        self.mu = mu
 
     @classmethod
     def symbolic(cls) -> "ChargeParams":

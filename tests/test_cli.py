@@ -31,7 +31,7 @@ from onsaw.quotient import (
     u_poly_report,
     verify_sn,
 )
-from onsaw.reports import InputError, Report
+from onsaw.reports import PASS, Check, InputError, Report
 from onsaw.scalars import RatFunc, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
@@ -166,6 +166,59 @@ def test_an_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     assert proc.stdout == ""
     assert proc.stderr.startswith("Traceback")
     assert proc.stderr.endswith("ValueError: internal invariant broken\n")
+
+
+# `dataclasses` and the modules it pulls in, none of which the checks use.
+# Python 3.13 loads linecache at start-up, so only what the import adds counts.
+_START_UP_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "linecache")
+
+
+def test_import_loads_only_the_modules_the_checks_use():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import onsaw, onsaw.cli\n"
+        "added = set(sys.modules) - before\n"
+        f"print(*[m for m in {_START_UP_EXCLUDED!r} if m in added])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_records_keep_their_constructors_and_defaults():
+    check = Check("x", PASS)
+    assert (check.id, check.status, check.residual, check.millis) == ("x", PASS, "", 0)
+    assert Report(suite="x").suite == "x"
+    first, second = Report(), Report()
+    first.add("x", True)
+    first.params["N"] = "1"
+    assert (second.checks, second.params) == ([], {})
+    assert first.extend(second) is first and len(first.checks) == 1
+    assert second.extend(first).checks[0] is first.checks[0]
+
+    c = ChargeParams(1, 2, 3)
+    assert (c.kappa, c.kappas, c.mu) == (1, 2, 3)
+    assert ChargeParams.symbolic().kappas == lvar("kappas")
+
+    B = build_B_onsager(QuotientO.symbolic(1))
+    entries = B.entries
+    flipped = B.with_entry(0, 1, -entries[0][1])
+    assert B.entries is entries and flipped.entries[0][1] == -entries[0][1]
+    assert flipped.entries[0][1] != entries[0][1]
+    assert [flipped.entries[i][j] for i, j in ((0, 0), (1, 0), (1, 1))] == [
+        entries[i][j] for i, j in ((0, 0), (1, 0), (1, 1))
+    ]
+    assert (flipped.den, flipped.u, flipped.algebra, flipped.label) == (
+        B.den,
+        B.u,
+        B.algebra,
+        B.label,
+    )
 
 
 def test_unknown_suite_is_an_input_error(capsys):
