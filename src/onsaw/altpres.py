@@ -11,6 +11,8 @@ family) and Gt(k), all with k >= 0, subject to
 The explicit change of basis to/from the {A_n, G_m} presentation is the pair
 of binomial formulas below; the two maps are mutually inverse and intertwine
 the brackets (verify_iso checks this mechanically on bounded index ranges).
+The image of A_n for n >= 1 is the Phi mirror of that of A_{1-n}: Phi maps
+the paper's W label m (m <= 0 is Wm(-m), m >= 1 is Wp(m-1)) to 1 - m.
 The image of each basis symbol is computed once and memoised for the life of
 the process (`_to_alt_sym`, `_to_ons_sym`); the cached elements are shared
 and read-only, as `linear_extension` only reads them.
@@ -20,7 +22,9 @@ every family index >= N rewrites onto indices 0..N-1 through the single
 upward recurrence X(m) = -(1/beta_N) sum_k beta_k X(k + m - N), applied by
 `quotient.divide` to the highest index first: no per-symbol cache, no
 recursion.  beta_N is a nonzero rational or a monomial, so 1/beta_N is one
-too and reduction stays in the Laurent ring.
+too and reduction stays in the Laurent ring.  `beta_formula` gives the betas
+of aw(3N) in its alphas as the Chebyshev-T expansion of P (t^n + t^-n is
+2 T_n(U)): each beta_k is one sum over the n with n = k (mod 2).
 """
 
 from fractions import Fraction
@@ -31,7 +35,7 @@ from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
 from .quotient import QuotientO, divide
 from .reports import InputError, Report
-from .scalars import coeff_div, lvar, sum_terms, unit_inverse
+from .scalars import as_coeff, coeff_div, lvar, sum_terms, unit_inverse
 
 
 def Wm(k: int, coeff=1) -> AlgElem:
@@ -124,7 +128,7 @@ def c_coeff(p: int, k: int) -> int:
     return -value if p % 2 else value
 
 
-def _w_paper(n: int, coeff) -> AlgElem:
+def _w_paper(n: int, coeff=1) -> AlgElem:
     """W with the paper-style integer label: n <= 0 is Wm(-n), n >= 1 is Wp(n-1)."""
     if n <= 0:
         return Wm(-n, coeff)
@@ -134,24 +138,18 @@ def _w_paper(n: int, coeff) -> AlgElem:
 @cache
 def _to_alt_sym(sym: tuple) -> AlgElem:
     kind, n = sym
-    if kind == "A" and n >= 1:
-        k = n - 1
-        parts = [_w_paper(k - 2 * p + 1, c_coeff(p, k)) for p in range(k // 2 + 1)]
+    if kind == "A":
+        # A_n (n >= 1) is the Phi image of A_{1-n}; Phi maps W label m to 1 - m.
+        k, label = (n - 1, lambda m: 1 - m) if n >= 1 else (-n, lambda m: m)
+        parts = [_w_paper(label(2 * p - k), c_coeff(p, k)) for p in range(k // 2 + 1)]
         parts += [
-            _w_paper(-k + 2 * p + 1, -c_coeff(p, k - 1))
-            for p in range((k - 1) // 2 + 1)
-        ]
-    elif kind == "A":
-        k = -n
-        parts = [_w_paper(2 * p - k, c_coeff(p, k)) for p in range(k // 2 + 1)]
-        parts += [
-            _w_paper(k - 2 * p, -c_coeff(p, k - 1))
+            _w_paper(label(k - 2 * p), -c_coeff(p, k - 1))
             for p in range((k - 1) // 2 + 1)
         ]
     elif kind == "G":
         k = n - 1
         parts = [
-            Gt(k - 2 * p, Fraction(-c_coeff(p, k), 4))
+            Gt(k - 2 * p, as_coeff(Fraction(-c_coeff(p, k), 4)))
             for p in range(k // 2 + 1)
         ]
     else:
@@ -159,20 +157,22 @@ def _to_alt_sym(sym: tuple) -> AlgElem:
     return AlgElem(sum_terms(parts))
 
 
+# kind -> (maker, index offset, index sign, factor): the image of kind(k) is
+# sum_p factor C(k, p)/2^k maker(sign (k - 2p + offset)).
+_ONS_IMAGE = {"Wm": (A, 0, 1, 1), "Wp": (A, 1, 1, 1), "Gt": (G, 1, -1, 4)}
+
+
 @cache
 def _to_ons_sym(sym: tuple) -> AlgElem:
     kind, k = sym
-    if kind == "Wm":
-        scale = Fraction(1, 2**k)
-        parts = [A(k - 2 * p, scale * comb(k, p)) for p in range(k + 1)]
-    elif kind == "Wp":
-        scale = Fraction(1, 2**k)
-        parts = [A(k + 1 - 2 * p, scale * comb(k, p)) for p in range(k + 1)]
-    elif kind == "Gt":
-        scale = Fraction(2**2, 2**k)
-        parts = [G(2 * p - k - 1, scale * comb(k, p)) for p in range(k + 1)]
-    else:
+    if kind not in _ONS_IMAGE:
         raise TypeError(f"not an alternative-presentation symbol: {sym}")
+    make, offset, sign, factor = _ONS_IMAGE[kind]
+    scale = Fraction(factor, 2**k)
+    parts = [
+        make(sign * (k - 2 * p + offset), as_coeff(scale * comb(k, p)))
+        for p in range(k + 1)
+    ]
     return AlgElem(sum_terms(parts))
 
 
@@ -255,30 +255,18 @@ def beta_from_alpha(q: QuotientO) -> QuotientA:
 
 
 def beta_formula(q: QuotientO, k: int):
-    """Closed-form beta_k in the alphas.
+    """Closed-form beta_k in the alphas, the Chebyshev-T expansion of P:
 
-    The k = 0 sum starts with a term whose factorial argument is (-1)!; that
-    term is fixed by the linear-solve oracle to be alpha_0 exactly, and the
-    remaining terms follow the literal formula.
+        beta_k = 2^k/k! sum_{n = k, k+2, ..., N} (-1)^m n (n-m-1)!/m! alpha_n,
+
+    with m = (n - k)/2.  For k = 0 the n = 0 term has factorial argument
+    (-1)!; the linear-solve oracle fixes it to be alpha_0 exactly.
     """
-    N = q.N
-    if k % 2 == 0:
-        half = k // 2
-        total = Fraction(0)
-        for p in range(half, N // 2 + 1):
-            if p == 0 and half == 0:
-                total = total + q.alpha(0)
-                continue
-            num = 2 * p * factorial(half + p - 1)
-            c = Fraction((-1) ** (p - half) * num, factorial(p - half))
-            total = total + q.alpha(2 * p) * c
-        return total * Fraction(2**k, factorial(k))
-    half = (k - 1) // 2
-    total = Fraction(0)
-    for p in range(half + 1, (N + 1) // 2 + 1):
-        num = (2 * p - 1) * factorial(half + p - 1)
-        c = Fraction((-1) ** (p - half - 1) * num, factorial(p - half - 1))
-        total = total + q.alpha(2 * p - 1) * c
+    total = q.alpha(0) if k == 0 else 0
+    for n in range(k or 2, q.N + 1, 2):
+        m = (n - k) // 2
+        c = Fraction((-1) ** m * n * factorial(n - m - 1), factorial(m))
+        total = total + q.alpha(n) * c
     return total * Fraction(2**k, factorial(k))
 
 
@@ -324,23 +312,17 @@ def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
     ons_syms = [("A", n) for n in range(-kmax_round, kmax_round + 1)] + [
         ("G", m) for m in range(1, kmax_round + 1)
     ]
-    bad = []
-    for sym in ons_syms:
-        x = AlgElem.basis(sym)
-        if convert_to_ons(convert_to_alt(x)) != x:
-            bad.append(sym)
-    report.add("iso:round-trip-onsager", not bad, f"failing symbols {bad}")
     alt_syms = [
         (kind, k)
         for kind in ("Wm", "Wp", "Gt")
         for k in range(kmax_round + 1)
     ]
-    bad = []
-    for sym in alt_syms:
-        y = AlgElem.basis(sym)
-        if convert_to_alt(convert_to_ons(y)) != y:
-            bad.append(sym)
-    report.add("iso:round-trip-alt", not bad, f"failing symbols {bad}")
+    for label, syms, there, back in (
+        ("onsager", ons_syms, convert_to_alt, convert_to_ons),
+        ("alt", alt_syms, convert_to_ons, convert_to_alt),
+    ):
+        bad = [s for s in syms if back(there(AlgElem.basis(s))) != AlgElem.basis(s)]
+        report.add(f"iso:round-trip-{label}", not bad, f"failing symbols {bad}")
 
     pairs_syms = [("A", n) for n in range(-kmax_bracket, kmax_bracket + 1)] + [
         ("G", m) for m in range(1, kmax_bracket + 1)
@@ -440,29 +422,21 @@ def sprime_report(qa: QuotientA) -> Report:
 
 
 APPENDIX_FIXTURES = (
-    ("A0", ("A", 0), {("Wm", 0): Fraction(1)}),
-    ("A1", ("A", 1), {("Wp", 0): Fraction(1)}),
+    ("A0", ("A", 0), {("Wm", 0): 1}),
+    ("A1", ("A", 1), {("Wp", 0): 1}),
     ("G1", ("G", 1), {("Gt", 0): Fraction(-1, 4)}),
-    ("A-1", ("A", -1), {("Wm", 1): Fraction(2), ("Wp", 0): Fraction(-1)}),
-    ("A2", ("A", 2), {("Wp", 1): Fraction(2), ("Wm", 0): Fraction(-1)}),
+    ("A-1", ("A", -1), {("Wm", 1): 2, ("Wp", 0): -1}),
+    ("A2", ("A", 2), {("Wp", 1): 2, ("Wm", 0): -1}),
     ("G2", ("G", 2), {("Gt", 1): Fraction(-1, 2)}),
-    (
-        "A-2",
-        ("A", -2),
-        {("Wm", 2): Fraction(4), ("Wm", 0): Fraction(-1), ("Wp", 1): Fraction(-2)},
-    ),
-    (
-        "A3",
-        ("A", 3),
-        {("Wp", 2): Fraction(4), ("Wp", 0): Fraction(-1), ("Wm", 1): Fraction(-2)},
-    ),
-    ("G3", ("G", 3), {("Gt", 2): Fraction(-1), ("Gt", 0): Fraction(1, 4)}),
+    ("A-2", ("A", -2), {("Wm", 2): 4, ("Wm", 0): -1, ("Wp", 1): -2}),
+    ("A3", ("A", 3), {("Wp", 2): 4, ("Wp", 0): -1, ("Wm", 1): -2}),
+    ("G3", ("G", 3), {("Gt", 2): -1, ("Gt", 0): Fraction(1, 4)}),
 )
 
 _INVERSE_FIXTURES = (
     ("Wm1", ("Wm", 1), {("A", 1): Fraction(1, 2), ("A", -1): Fraction(1, 2)}),
     ("Wp1", ("Wp", 1), {("A", 0): Fraction(1, 2), ("A", 2): Fraction(1, 2)}),
-    ("Gt1", ("Gt", 1), {("G", 2): Fraction(-2)}),
+    ("Gt1", ("Gt", 1), {("G", 2): -2}),
     (
         "Wm2",
         ("Wm", 2),
@@ -494,21 +468,16 @@ def appendix_fixtures_report() -> Report:
     recorded as a discrepancy rather than asserted.
     """
     report = Report()
-    for label, sym, alt_terms in APPENDIX_FIXTURES:
-        x = AlgElem.basis(sym)
-        expected = AlgElem(dict(alt_terms))
-        got = convert_to_alt(x)
-        report.add(f"appendix-a:to-alt:{label}", got == expected, got - expected)
-        back = convert_to_ons(expected)
-        report.add(f"appendix-a:to-ons:{label}", back == x, back - x)
-    for label, sym, ons_terms in _INVERSE_FIXTURES:
-        y = AlgElem.basis(sym)
-        expected = AlgElem(dict(ons_terms))
-        got = convert_to_ons(y)
-        report.add(f"appendix-a:inverse:{label}", got == expected, got - expected)
-        back = convert_to_alt(expected)
-        report.add(f"appendix-a:inverse-back:{label}", back == y, back - y)
-    printed_gt2 = AlgElem({("G", 3): Fraction(-1), ("G", 1): Fraction(-2)})
+    for there_id, back_id, fixtures, there, back in (
+        ("to-alt", "to-ons", APPENDIX_FIXTURES, convert_to_alt, convert_to_ons),
+        ("inverse", "inverse-back", _INVERSE_FIXTURES, convert_to_ons, convert_to_alt),
+    ):
+        for label, sym, terms in fixtures:
+            x, want = AlgElem.basis(sym), AlgElem(dict(terms))
+            got, back_x = there(x), back(want)
+            report.add(f"appendix-a:{there_id}:{label}", got == want, got - want)
+            report.add(f"appendix-a:{back_id}:{label}", back_x == x, back_x - x)
+    printed_gt2 = AlgElem({("G", 3): -1, ("G", 1): -2})
     derived_gt2 = convert_to_ons(Gt(2))
     report.add_discrepancy(
         "appendix-a:printed-Gt2",

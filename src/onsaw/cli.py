@@ -91,11 +91,11 @@ def _read_config(path: str) -> dict:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
+                key, eq, value = line.partition("=")
+                if not eq or not key.strip():
                     raise InputError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file: {exc}") from None
     return out
 
@@ -324,9 +324,9 @@ def _apply_config(args, config: dict):
         elif key != "N":
             args.params[key] = _parse_rational(value)
     for item in args.param or []:
-        if "=" not in item:
+        name, eq, value = item.partition("=")
+        if not eq or not name.strip():
             raise InputError(f"--param expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
         args.params[name.strip()] = _parse_rational(value)
     if args.w is not None:
         args.w = [_parse_rational(part) for part in args.w.split(",")]

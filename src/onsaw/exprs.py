@@ -10,6 +10,10 @@ Grammar:
     rational := integer ("/" positive-integer)?
     symbol   := identifier   (its value is read through `bind`)
 
+An integer is ASCII digits; an identifier starts with a letter or "_" and
+goes on with letters, digits or "_".  Any other character outside spaces is
+an `ExprError` at its column.
+
 Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
 n >= 1 raising), while Wp(k) and Gt(k) address the raising family and the
@@ -23,17 +27,17 @@ is bounded by MAX_DEPTH levels, so a deep input is an `ExprError` and never
 exhausts the interpreter's stack.
 """
 
+import re
 from fractions import Fraction
 
-from .altpres import Gt, Wm, Wp, bracket_alt
+from .altpres import Gt, Wp, _w_paper, bracket_alt
 from .elements import AlgElem
 from .onsager import A, G, bracket
 from .reports import InputError
 from .scalars import as_coeff, lvar
 
-_ATOMS = ("A", "G", "W", "Wp", "Gt")
-_ONSAGER_ATOMS = {"A", "G"}
-_ALT_ATOMS = {"W", "Wp", "Gt"}
+# The atoms of each presentation: name -> library constructor of one index.
+_ATOMS = {"onsager": {"A": A, "G": G}, "alt": {"W": _w_paper, "Wp": Wp, "Gt": Gt}}
 
 MAX_DEPTH = 100
 
@@ -48,36 +52,22 @@ class ExprError(InputError):
 
 # --- lexer -------------------------------------------------------------------
 
-_PUNCT = set("+-*/[](),")
+# One token after optional space: an ASCII integer, a word, a punctuation
+# mark or any other character.  A word is a name only if it starts with a
+# letter or "_", since `\w` also holds digits such as "²" and "٣".
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<punct>[-+*/\[\](),])|(\S))"
+)
 
 
 def _tokens(text: str):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match[match.lastindex]
+        pos, start = match.start(match.lastindex), value[0]
+        if kind is None or kind == "name" and not (start.isalpha() or start == "_"):
+            raise ExprError(f"unexpected character {start!r}", pos)
+        out.append((value if kind == "punct" else kind, value, pos))
     out.append(("end", "", len(text)))
     return out
 
@@ -133,7 +123,7 @@ class _Parser:
         if kind == "int":
             return self.rational(value)
         if kind == "name":
-            if value in _ATOMS and self.peek()[0] == "(":
+            if self.peek()[0] == "(" and any(value in t for t in _ATOMS.values()):
                 self.take("(")
                 index = self.integer()
                 self.take(")")
@@ -180,21 +170,15 @@ class _Parser:
         return as_coeff(Fraction(int(digits), int(den[1])))
 
     def atom(self, kind: str, index: int, pos: int) -> AlgElem:
-        family = _ONSAGER_ATOMS if self.presentation == "onsager" else _ALT_ATOMS
-        if kind not in family:
+        make = _ATOMS[self.presentation].get(kind)
+        if make is None:
             raise ExprError(
                 f"atom {kind}({index}) does not belong to the"
                 f" {self.presentation} presentation",
                 pos,
             )
-        if kind == "A":
-            return A(index)
-        if kind == "G":
-            return G(index)
-        if kind == "W":
-            return Wm(-index) if index <= 0 else Wp(index - 1)
         try:
-            return Wp(index) if kind == "Wp" else Gt(index)
+            return make(index)
         except InputError as exc:
             raise ExprError(str(exc), pos) from None
 

@@ -197,6 +197,16 @@ def test_integral_structure_and_conversion_constants_are_ints():
     ]
     for x in elements:
         assert x.terms and all(type(c) is int for c in x.terms.values()), x
+    # The cached change-of-basis images store integral coefficients as ints.
+    images = [
+        _to_ons_sym(("Gt", 0)),
+        _to_ons_sym(("Gt", 1)),
+        _to_ons_sym(("Wm", 0)),
+        _to_alt_sym(("G", 3)),
+    ]
+    for x in images:
+        integral = [c for c in x.terms.values() if Fraction(c).denominator == 1]
+        assert integral and all(type(c) is int for c in integral), x
     for k in range(12):
         for p in range(k // 2 + 1):
             assert type(c_coeff(p, k)) is int

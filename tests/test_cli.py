@@ -461,6 +461,25 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             "N=1\nalphas=3,1\n",
             "convert does not read N, alphas",
         ),
+        (("reduce", "--N", "1", "--expr", "A(²)"), None, "unexpected character '²' (column 3)"),
+        (("reduce", "--N", "1", "--expr", "3/²"), None, "unexpected character '²' (column 3)"),
+        (
+            ("convert", "--dir", "to-alt", "--expr", "A(٣)"),
+            None,
+            "unexpected character '٣' (column 3)",
+        ),
+        (
+            ("verify", "sn"),
+            b"\xff\xfeN=1\n",
+            "cannot read config file: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte",
+        ),
+        (
+            ("reduce", "--N", "1", "--expr", "A(0)", "--param", "=3"),
+            None,
+            "--param expects name=value, got '=3'",
+        ),
+        (("verify", "sn", "--N", "1"), "=3\n", "{config}:1: expected key=value"),
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(
@@ -468,7 +487,7 @@ def test_input_faults_exit_2_with_one_error_line(
 ):
     if config is not None:
         path = tmp_path / "onsaw.cfg"
-        path.write_text(config, encoding="utf-8")
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
         argv += ("--config", str(path))
         message = message.format(config=path)
     code, out, err = run(capsys, *argv)
