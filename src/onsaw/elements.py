@@ -13,7 +13,10 @@ Sums, differences, scalings, quotient division, and the linear and bilinear
 extensions of per-symbol maps (brackets, automorphisms, change of
 presentation, PBW ordering), go through `scalars.accumulate`, which adds into
 one dict in place under the coefficient rule instead of copying a dict per
-term.  It is imported here, so `from onsaw.elements import accumulate` works.
+term; a bracket adds each pair of terms through `scalars.accumulate_product`,
+which scales by the product of the two coefficients without building it.
+`accumulate` is imported here, so `from onsaw.elements import accumulate`
+works.
 
 Polynomial coefficients are summed in place as well: `accumulate` updates a
 polynomial it built in the caller's dict without copying it, and copies any

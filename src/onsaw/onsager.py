@@ -24,6 +24,7 @@ from functools import partial
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
 from .reports import Report
+from .scalars import accumulate_product
 
 
 def A(n: int, coeff=1) -> AlgElem:
@@ -58,15 +59,18 @@ def sym_bracket(s: tuple, t: tuple) -> AlgElem:
 def bracket(x: AlgElem, y: AlgElem, sym_bracket=sym_bracket) -> AlgElem:
     """Bilinear extension of the structure constants.
 
-    `sym_bracket` is injectable so that verification suites can run negative
-    controls against deliberately corrupted structure constants.
+    Each pair of terms adds its symbol bracket scaled by cx*cy through
+    `accumulate_product`, so a pair of polynomial coefficients is multiplied
+    into the sum in place and cx*cy is never built.  `sym_bracket` is
+    injectable so that verification suites can run negative controls against
+    deliberately corrupted structure constants.
     """
     out = {}
     for s, cx in x.terms.items():
         for t, cy in y.terms.items():
             b = sym_bracket(s, t)
             if b:
-                accumulate(out, b.terms, cx * cy)
+                accumulate_product(out, b.terms, cx, cy)
     return AlgElem(out)
 
 

@@ -19,11 +19,14 @@ and their ``str`` agree, so a term map holding an integral ``Fraction``
 (built by hand) still compares and renders the same.  Every sparse sum and
 every scaling, of polynomial terms and of algebra-element coefficients
 alike, goes through ``accumulate``, which keeps the rule; every product of
-two polynomials, in ``LaurentPoly.__mul__`` and inside ``accumulate``, goes
-through one multiply-add loop, ``_add_product`` (``out += a*b`` in place).
-``accumulate`` changes in place only a polynomial that it built itself; an
-element constructor freezes such a sum, and any other polynomial is copied
-on its first update, so shared polynomials never change.  Two ``int``s are
+two polynomials, in ``LaurentPoly.__mul__``, inside ``accumulate`` and in
+``accumulate_product`` (a term map scaled by a product of two coefficients,
+the bracket's sum), goes through one multiply-add loop, ``_add_product``
+(``out += k*a*b`` in place for a rational ``k``), so no product is built
+only to be added.  ``accumulate`` changes in place only a polynomial that it
+(or ``accumulate_product``) built itself; an element constructor freezes
+such a sum, and any other polynomial is copied on its first update, so
+shared polynomials never change.  Two ``int``s are
 never divided (that gives a ``float``); division goes through the
 ``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
 ``evaluate``, are always ``Fraction``.
@@ -67,10 +70,12 @@ def _inverse(c) -> Fraction:
     return Fraction(c.denominator, c.numerator)
 
 
-def _add_product(out: dict, a: dict, b: dict) -> None:
-    """out += a*b, in place, for polynomial term maps a and b.
+def _add_product(out: dict, a: dict, b: dict, k=1) -> None:
+    """out += k*a*b, in place, for polynomial term maps a and b and a nonzero
+    rational k.
 
-    The one multiply-add loop: each coefficient it stores follows the rule
+    The one multiply-add loop: `k` scales each term of the shorter factor
+    once, before its inner loop.  Each coefficient it stores follows the rule
     (an integral Fraction becomes an int) and a key whose sum cancels is
     removed, so `out` never holds a zero.  `a` or `b` may be `out` itself;
     it is read from a copy then."""
@@ -82,6 +87,10 @@ def _add_product(out: dict, a: dict, b: dict) -> None:
         a, b = b, a
     get = out.get
     for m1, c1 in a.items():
+        if k != 1:
+            c1 = c1 * k
+            if type(c1) is Fraction and c1.denominator == 1:
+                c1 = c1.numerator
         for m2, c2 in b.items():
             m = m1 + m2
             old = get(m)
@@ -92,6 +101,18 @@ def _add_product(out: dict, a: dict, b: dict) -> None:
                 out[m] = c
             elif old is not None:
                 del out[m]
+
+
+def _add_at(acc: dict, key, a: dict, b: dict, k=1) -> None:
+    """acc[key] += k*a*b through `_add_product`, for term maps a and b and a
+    nonzero rational k: the value at `key` becomes a `_Sum` that is updated in
+    place (see `accumulate`), and the key goes when the sum cancels."""
+    old = acc.get(key)
+    if type(old) is not _Sum:
+        old = acc[key] = _Sum(None if old is None else dict(_terms_of(old)))
+    _add_product(old.terms, a, b, k)
+    if not old.terms:
+        del acc[key]
 
 
 def accumulate(acc: dict, terms: dict, k=None) -> dict:
@@ -109,13 +130,14 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     Values may be rationals or (for algebra elements) LaurentPolys; a
     `LaurentPoly` term map takes only a rational `k`.  Where a value or `k`
     is a LaurentPoly, `_add_product` adds c*k to the key's polynomial without
-    building the product: in place when accumulate built that polynomial in
-    `acc`, else into a copy, so a value of `terms`, `k`, or a shared
-    polynomial that `dict(x.terms)` put in `acc` never changes.  Such a sum
-    reads and prints as a polynomial until `SparseCombination.__init__`
-    freezes it; before that, `acc` must not be copied into a second map that
-    is summed into too.  `k`, and a value at its own key, may be one of
-    those sums: they are read as they were before the call.
+    building the product (`accumulate_product` adds c*x*y the same way): in
+    place when accumulate built that polynomial in `acc`, else into a copy,
+    so a value of `terms`, `k`, or a shared polynomial that `dict(x.terms)`
+    put in `acc` never changes.  Such a sum reads and prints as a polynomial
+    until `SparseCombination.__init__` freezes it; before that, `acc` must
+    not be copied into a second map that is summed into too.  `k`, and a
+    value at its own key, may be one of those sums: they are read as they
+    were before the call.
 
     `acc` must be a dict the caller owns, never the `terms` of a polynomial
     or an element: those are shared (elements, memoised images, `ZERO`,
@@ -125,7 +147,7 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     if k is None:
         kt = _ONE
     elif not k:
-        return acc  # every product is zero (embed_leg scales by a typed 0)
+        return acc  # every product is zero (embed_leg's typed 0, a 0 r-matrix entry)
     elif type(k) in _POLY:
         if type(k) is _Sum:  # it may be acc's own and change below
             k = LaurentPoly(dict(k.terms))
@@ -137,12 +159,8 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
         if by_poly or type(c) in _POLY:
             if old is None and k is None and type(c) is LaurentPoly:
                 acc[key] = c  # a plain store; copied on its first update
-                continue
-            if type(old) is not _Sum:
-                old = acc[key] = _Sum(None if old is None else dict(_terms_of(old)))
-            _add_product(old.terms, _terms_of(c), kt)
-            if not old.terms:
-                del acc[key]
+            else:
+                _add_at(acc, key, _terms_of(c), kt)
             continue
         if k is not None:
             c = c * k
@@ -160,6 +178,28 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
             acc[key] = c
         else:
             del acc[key]
+    return acc
+
+
+def accumulate_product(acc: dict, terms: dict, x, y) -> dict:
+    """Add the term map `terms`, with rational values, scaled by x*y into the
+    term map `acc` in place, and return `acc`.
+
+    When x or y is a LaurentPoly, `_add_product` adds c*x*y at each key of
+    `terms` with value c, in the way `accumulate` adds a polynomial product,
+    and x*y is never built; when both are rationals this is
+    `accumulate(acc, terms, x * y)`.  x and y are read as they were before
+    the call, even when one is a sum that `accumulate` is building in `acc`;
+    the rest of `accumulate`'s contract holds here too."""
+    if type(x) not in _POLY and type(y) not in _POLY:
+        return accumulate(acc, terms, x * y)
+    if type(x) is _Sum:  # it may be acc's own and change below
+        x = LaurentPoly(dict(x.terms))
+    if type(y) is _Sum:
+        y = LaurentPoly(dict(y.terms))
+    xt, yt = _terms_of(x), _terms_of(y)
+    for key, c in terms.items():
+        _add_at(acc, key, xt, yt, c)
     return acc
 
 

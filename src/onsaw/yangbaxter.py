@@ -238,11 +238,18 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
     with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B(v) = bv/den_v
-    is B(u) with u renamed to v.  embed_leg places B1 = B(u) (x) I and
-    B2 = I (x) B(v), with algebra-element zeros off the blocks.  An entry is
-    summed in one dict by three `accumulate` calls, weighted by Dr, den_v and
-    -den_u, so its polynomial coefficients are added in place.  Returns
-    {(r, c): entry of C passed through `finish`}, in row-major order.
+    is B(u) with u renamed to v.  At row (i,k) and column (j,l), index 2i+k
+    and 2j+l, B1 = B(u) (x) I and B2 = I (x) B(v) are zero off i = j and
+    k = l, so the two commutator entries are the sums over a in {0, 1}
+
+        [r21, B1] = r21[(i,k),(a,l)] bu_aj - bu_ia r21[(a,k),(j,l)]
+        [B2, r12] = bv_ka r12[(i,a),(j,l)] - r12[(i,k),(j,a)] bv_al
+
+    Each is summed in its own dict by `accumulate`, and the entry's dict adds
+    them weighted by den_v and -den_u, next to the bracket weighted by Dr, so
+    every polynomial coefficient is added in place and no matrix product is
+    built.  Returns {(r, c): entry of C passed through `finish`}, in row-major
+    order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
     is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
@@ -257,8 +264,6 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
     rhat_12, dr = r_matrix_num(u, v)
     rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
-    t1 = commutator(rhat_21, embed_leg(Matrix(bu), (1,), 2))
-    t2 = commutator(embed_leg(Matrix(bv), (2,), 2), rhat_12)
     swap = {u: v, v: u}
     minus_den_u = -den_u
     out = {}
@@ -267,11 +272,17 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
             mirror = (_FLIP[r], _FLIP[c])
             if mirror < (r, c):
                 out[r, c] = _renamed(out[mirror], swap)
-            else:
-                acc = accumulate({}, bracket_fn(bu[i][j], bv[k][l]).terms, dr)
-                accumulate(acc, t1[r, c].terms, den_v)
-                accumulate(acc, t2[r, c].terms, minus_den_u)
-                out[r, c] = finish(AlgElem(acc))
+                continue
+            t1, t2 = {}, {}
+            for a in range(2):
+                accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
+                accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
+                accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
+                accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
+            acc = accumulate({}, bracket_fn(bu[i][j], bv[k][l]).terms, dr)
+            accumulate(acc, t1, den_v)
+            accumulate(acc, t2, minus_den_u)
+            out[r, c] = finish(AlgElem(acc))
     return out
 
 

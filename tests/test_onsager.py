@@ -1,10 +1,12 @@
 """Structure constants, automorphisms, and the two-generator relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from onsaw.elements import AlgElem
+from onsaw.altpres import alt_sym_bracket
+from onsaw.elements import AlgElem, accumulate
 from onsaw.onsager import (
     A,
     G,
@@ -19,7 +21,7 @@ from onsaw.onsager import (
     sym_bracket,
     verify_dolan_grady,
 )
-from onsaw.scalars import lvar
+from onsaw.scalars import LaurentPoly, as_coeff, encode_monomial, lvar
 
 
 def test_basic_brackets():
@@ -43,6 +45,101 @@ def test_bracket_is_bilinear_over_polynomial_coefficients():
     y = A(1) * Fraction(2)
     expected = bracket(A(0), A(1)) * (alpha * 2) + bracket(A(1), A(1)) * 2
     assert bracket(x, y) == expected
+
+
+PRESENTATIONS = {
+    "onsager": (
+        sym_bracket,
+        [("A", n) for n in range(-3, 4)] + [("G", m) for m in range(1, 4)],
+    ),
+    "alt": (
+        alt_sym_bracket,
+        [(kind, k) for kind in ("Wm", "Wp", "Gt") for k in range(4)],
+    ),
+}
+
+
+def _seeded_elem(rng, symbols, names) -> AlgElem:
+    """One to four of `symbols`, each with a nonzero Laurent coefficient in
+    `names` that is written term by term, so building it multiplies nothing."""
+    out = {}
+    for s in rng.sample(symbols, rng.randint(1, 4)):
+        terms: dict = {}
+        for _ in range(rng.randint(1, 4)):
+            key = encode_monomial({n: rng.randint(-2, 2) for n in names})
+            c = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
+            terms[key] = as_coeff(c)
+        out[s] = LaurentPoly(terms)
+    return AlgElem(out)
+
+
+def test_bracket_equals_the_formula_with_the_built_product():
+    rng = random.Random(608)
+    for sym, symbols in PRESENTATIONS.values():
+        for _ in range(60):
+            x, y = (_seeded_elem(rng, symbols, ["p", "q"]) for _ in range(2))
+            out: dict = {}
+            for s, cx in x.terms.items():
+                for t, cy in y.terms.items():
+                    b = sym(s, t)
+                    if b:
+                        accumulate(out, b.terms, cx * cy)
+            assert bracket(x, y, sym_bracket=sym) == AlgElem(out)
+
+
+def bracket_mismatches_at_points(seed: int, trials: int = 40) -> dict:
+    """For each presentation, the number of seeded pairs x, y with Laurent
+    coefficients in two or three variables at which the bracket, evaluated at
+    a seeded rational point, differs from the bracket of x and y evaluated
+    there.  The second side has rational coefficients, so it multiplies no
+    polynomials; the oracle shares no multiplication with the first."""
+    rng = random.Random(seed)
+    out = {}
+    for name, (sym, symbols) in PRESENTATIONS.items():
+        bad = nonzero = 0
+        for _ in range(trials):
+            names = rng.sample(["p", "q", "r"], rng.randint(2, 3))
+            x, y = (_seeded_elem(rng, symbols, names) for _ in range(2))
+            point = {
+                n: Fraction(rng.choice([-7, -3, 2, 5]), rng.randint(1, 4))
+                for n in names
+            }
+
+            def at(e):
+                return e.map_coeffs(lambda c: as_coeff(c.evaluate(point)))
+
+            symbolic = bracket(x, y, sym_bracket=sym)
+            nonzero += bool(symbolic)
+            bad += at(symbolic) != bracket(at(x), at(y), sym_bracket=sym)
+        assert nonzero > trials // 2, name  # the oracle is not vacuous
+        out[name] = bad
+    return out
+
+
+def test_bracket_over_polynomials_agrees_with_the_evaluated_bracket():
+    assert bracket_mismatches_at_points(707) == {"onsager": 0, "alt": 0}
+
+
+def test_bracket_builds_no_coefficient_product(monkeypatch):
+    rng = random.Random(708)
+    cases = []
+    for sym, symbols in PRESENTATIONS.values():
+        for _ in range(10):
+            x, y = (_seeded_elem(rng, symbols, ["p", "q"]) for _ in range(2))
+            cases.append((sym, x, y, bracket(x, y, sym_bracket=sym)))
+    calls = []
+    product = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    got = [bracket(x, y, sym_bracket=sym) for sym, x, y, _ in cases]
+    monkeypatch.undo()
+    assert got == [expected for *_, expected in cases]
+    assert any(got) and calls == []
 
 
 def test_elements_reject_products():

@@ -10,6 +10,7 @@ from onsaw.scalars import (
     LaurentPoly,
     RatFunc,
     accumulate,
+    accumulate_product,
     as_coeff,
     as_ratfunc,
     coeff_div,
@@ -238,6 +239,63 @@ def test_accumulate_never_leaves_a_zero():
         assert all(acc.values())
         emptied += not acc
     assert emptied
+
+
+def test_the_multiply_add_equals_the_product_then_the_scaling():
+    # The three-factor loop against the two-step path: the LaurentPoly
+    # product, then the rational scaling, then the sum.
+    rng = random.Random(606)
+    ks = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(6)]
+    for _ in range(300):
+        out, a, b = (_kernel_poly(rng) for _ in range(3))
+        k = rng.choice(ks)
+        acc = dict(out.terms)
+        scalars._add_product(acc, a.terms, b.terms, k)
+        assert acc == (out + (a * b) * k).terms
+        assert _integral_fractions(LaurentPoly(acc)) == []
+        # `out` aliased to either factor is read as it was before the call
+        for first in (True, False):
+            acc = dict(out.terms)
+            factors = (acc, b.terms) if first else (b.terms, acc)
+            scalars._add_product(acc, *factors, k)
+            assert acc == (out + (out * b) * k).terms
+        # a sum that cancels leaves an empty map
+        acc = dict(((a * b) * -k).terms)
+        scalars._add_product(acc, a.terms, b.terms, k)
+        assert acc == {}
+    half_x = LaurentPoly.monomial(Fraction(1, 2), {"x": 1})
+    third_y = LaurentPoly.monomial(Fraction(2, 3), {"y": 1})
+    acc: dict = {}
+    scalars._add_product(acc, half_x.terms, third_y.terms, 3)
+    assert acc == (lvar("x") * lvar("y")).terms
+    assert [type(c) for c in acc.values()] == [int]
+
+
+def test_accumulate_product_equals_accumulate_by_the_built_product():
+    rng = random.Random(607)
+    rationals = [1, -1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+    def coeff():
+        return _kernel_poly(rng) if rng.random() < 0.6 else rng.choice(rationals)
+
+    polys = 0
+    for _ in range(300):
+        x, y = coeff(), coeff()
+        polys += isinstance(x, LaurentPoly) or isinstance(y, LaurentPoly)
+        keys = rng.sample("abcd", rng.randint(1, 4))
+        terms = {key: rng.choice(rationals) for key in keys}
+        start = {key: coeff() for key in rng.sample("abcd", rng.randint(0, 4))}
+        expected = accumulate(dict(start), terms, x * y)
+        got = accumulate_product(dict(start), terms, x, y)
+        assert got == expected
+        assert all(got.values())
+    assert polys
+    # A factor that is a sum being built in `acc` is read as it was before.
+    p, q = _kernel_poly(rng), _kernel_poly(rng)
+    acc = accumulate({}, {"a": p}, q)
+    frozen = LaurentPoly(dict(acc["a"].terms))
+    accumulate_product(acc, {"a": 2, "b": -1}, acc["a"], acc["a"])
+    assert acc == {"a": frozen + frozen * frozen * 2, "b": frozen * frozen * -1}
 
 
 def test_mixed_int_and_fraction_coefficients_combine_exactly():

@@ -363,6 +363,18 @@ def test_the_cleared_residual_is_its_own_leg_flip_mirror():
     assert nonzero > 0
 
 
+def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("the exchange residual built a matrix product")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert verify_frt(build_B_onsager(QuotientO.symbolic(2))).status == "pass"
+    assert verify_frt(build_B_alt(QuotientA.symbolic(2))).status == "pass"
+    assert verify_frt_series_onsager(4).status == "pass"
+    with pytest.raises(AssertionError, match="matrix product"):
+        commutator(Matrix.identity(2), Matrix.identity(2))
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_verify_frt_at_another_second_spectral_name(N):
     failing = 0
