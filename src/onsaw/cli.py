@@ -58,13 +58,11 @@ from .reports import FAIL, PASS, Check, InputError, Report
 from .reps import rep_build, rep_check, rep_matrix_identity_report
 from .scalars import as_coeff, lvar
 from .yangbaxter import (
-    RED_INTERPRETATIONS,
     ChargeParams,
     build_B_alt,
     build_B_onsager,
     corrupted_r_matrix,
     expand_b,
-    reD_survey,
     verify_commuting,
     verify_cybe,
     verify_frt,
@@ -100,8 +98,8 @@ def _read_config(path: str) -> dict:
     return out
 
 
-# The options of a run besides its bindings: the flags and the config `alphas`.
-_OPTIONS = ("N", "trunc", "w", "interpretation", "alphas")
+# Options besides the bindings: --N, --trunc, --w and the config `alphas`.
+_OPTIONS = ("N", "trunc", "w", "alphas")
 
 
 def _opt(opts, name: str, default=None):
@@ -185,19 +183,6 @@ def _charge_params(opts) -> ChargeParams:
     return ChargeParams(*_coeffs(opts, ("kappa", "kappas", "mu")))
 
 
-def _reD(opts) -> Report:
-    c = _charge_params(opts)
-    interpretation = _opt(opts, "interpretation")
-    if interpretation == "all":
-        report = Report()
-        for name, holds in reD_survey(c).items():
-            report.add_discrepancy(
-                f"reD:{name}", holds, "identity does not hold for this reading"
-            )
-        return report
-    return verify_reD(c, interpretation or "r12")
-
-
 def _quartic(opts) -> Report:
     report = _per_quotient([1, 2], verify_quartic, pbw_lie_compat_report)(opts)
     q1 = QuotientO.symbolic(1)
@@ -231,7 +216,7 @@ _SUITE_RUNNERS = {
     "frt-series": _frt_series,
     "sn": _per_quotient([1, 2, 3, 4], verify_sn, implied_relations_report),
     "charges": _charges,
-    "reD": _reD,
+    "reD": lambda opts: verify_reD(_charge_params(opts)),
     "iso": lambda opts: verify_iso()
     .extend(averaged_shift_report())
     .extend(verify_dolan_grady(bracket_alt, (Wm(0), Wp(0)), "dg-alt")),
@@ -349,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         " finite quotients, and their exchange-relation presentations",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.set_defaults(N=None, trunc=None, w=None, interpretation=None, timing=False)
+    parser.set_defaults(N=None, trunc=None, w=None, timing=False)
     sub = parser.add_subparsers(dest="command", required=True)
     expr_help = "an expression starting with '-' must be written --expr=-A(0)"
 
@@ -363,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trunc", type=int)
     w_help = "a list starting with '-' must be written --w=-1/2,5"
     p_verify.add_argument("--w", metavar="W1,W2,...", help=w_help)
-    p_verify.add_argument("--interpretation", choices=RED_INTERPRETATIONS + ("all",))
     p_verify.add_argument(
         "--timing",
         action="store_true",

@@ -469,55 +469,24 @@ def expand_b(q: QuotientO, c: ChargeParams):
 # --- the auxiliary-matrix commutation identity ------------------------------------------
 
 
-RED_INTERPRETATIONS = ("r12", "r21", "r12-swapped", "r21-swapped", "r12-transpose1")
+def verify_reD(c: ChargeParams | None = None) -> Report:
+    """[tr_1(rbar_12(u,v) M_1(u)), M_2(v)] = 0, with a numeric spot check.
 
-
-def _transpose_leg1(m: Matrix) -> Matrix:
-    rows = []
-    for i in range(2):
-        for k in range(2):
-            row = []
-            for j in range(2):
-                for l in range(2):
-                    row.append(m[2 * j + k, 2 * i + l])
-            rows.append(row)
-    return Matrix(rows)
-
-
-def _red_candidate(interpretation: str) -> Matrix:
-    """The numerator of one reading of rbar(u, v); its denominator is dropped."""
-    base = r_matrix_num("u", "v")[0]
-    swapped = r_matrix_num("v", "u")[0]
-    if interpretation == "r12":
-        return base
-    if interpretation == "r21":
-        return embed_leg(base, (2, 1), 2)
-    if interpretation == "r12-swapped":
-        return swapped
-    if interpretation == "r21-swapped":
-        return embed_leg(swapped, (2, 1), 2)
-    if interpretation == "r12-transpose1":
-        return _transpose_leg1(base)
-    raise ValueError(
-        f"unknown interpretation {interpretation!r}; choose from {RED_INTERPRETATIONS}"
-    )
-
-
-def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Report:
-    """[tr_1(rbar_12(u,v) M_1(u)), M_2(v)] for one candidate reading of rbar.
-
-    The overlined matrix is not pinned down by its source; each reading is a
-    legitimate experiment and the report simply records whether the identity
-    holds for the chosen one, with a numeric consistency spot check.  rbar
-    enters as its numerator: its denominator is a nonzero scalar, so it does
-    not change whether the commutator vanishes.  The spot check evaluates
-    rbar, M(u) and M(v) first and multiplies over Fraction, so it does not
-    share the polynomial multiplication of the symbolic verdict.
+    rbar is r12, the numerator of r_matrix_num.  The transfer-matrix lemma
+    (Sklyanin's trace argument, test_transfer_lemma in
+    tests/test_yangbaxter.py) pins that reading: with B(u), B(v) formal,
+    tr12((M(u) (x) M(v)) [r21(v,u), B1(u)]) and tr12((M(u) (x) M(v))
+    [B2(v), r12(u,v)]) vanish for r12, and not for its leg flip or for r12
+    with u and v swapped.  rbar enters as its numerator: its denominator is
+    a nonzero scalar, so it does not change whether the commutator vanishes.
+    The spot check evaluates rbar, M(u) and M(v) first and multiplies over
+    Fraction, so it does not share the polynomial multiplication of the
+    symbolic verdict.
     """
     if c is None:
         c = ChargeParams.symbolic()
     report = Report()
-    matrices = (_red_candidate(interpretation), m_matrix(c, "u"), m_matrix(c, "v"))
+    matrices = (r_matrix_num()[0], m_matrix(c, "u"), m_matrix(c, "v"))
 
     def identity_lhs(rbar, m_u, m_v):
         traced = partial_trace(rbar * embed_leg(m_u, (1,), 2), 1)
@@ -525,11 +494,7 @@ def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Re
 
     comm = identity_lhs(*matrices)
     bad = [(i, j) for i in range(2) for j in range(2) if comm[i, j]]
-    report.add(
-        f"reD:{interpretation}:symbolic",
-        not bad,
-        f"nonzero commutator entries at {bad}",
-    )
+    report.add("reD:r12:symbolic", not bad, f"nonzero commutator entries at {bad}")
     bindings = {
         "u": Fraction(2),
         "v": Fraction(3),
@@ -539,19 +504,9 @@ def verify_reD(c: ChargeParams | None = None, interpretation: str = "r12") -> Re
     }
     numeric = identity_lhs(*(m.evaluate(bindings) for m in matrices))
     report.add(
-        f"reD:{interpretation}:numeric-agrees",
+        "reD:r12:numeric-agrees",
         numeric.is_zero() == (not bad),
         "numeric evaluation disagrees with the symbolic verdict",
     )
     return report
 
-
-def reD_survey(c: ChargeParams | None = None) -> dict:
-    """Which candidate readings satisfy the identity (True/False per name)."""
-    out = {}
-    for name in RED_INTERPRETATIONS:
-        rep = verify_reD(c, name)
-        out[name] = all(
-            ch.status == "pass" for ch in rep.checks if ch.id.endswith("symbolic")
-        )
-    return out

@@ -1,8 +1,10 @@
 """Command-line behaviour: suites, exit codes, determinism, file config."""
 
+import argparse
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -516,12 +518,7 @@ def test_every_command_refuses_a_binding_it_does_not_read(capsys, argv, what):
     [
         (("frt-series", "--trunc", "4"), None, {"trunc": "4"}, 0),
         (("rep", "--w", "2"), None, {"w": "2"}, 0),
-        (
-            ("reD", "--interpretation", "r21", "--param", "kappa=2"),
-            None,
-            {"interpretation": "r21", "kappa": "2"},
-            1,
-        ),
+        (("reD", "--param", "kappa=2"), None, {"kappa": "2"}, 0),
         (("charges", "--N", "2", "--param", "kappa=1"), None, {"N": "2", "kappa": "1"}, 0),
         (("sn", "--N", "1"), "N=1\nalpha=5/7\n", {"N": "1", "alpha": "5/7"}, 0),
         (("all", "--N", "1", "--param", "alpha=1/2"), None, {"N": "1", "alpha": "1/2"}, 0),
@@ -756,20 +753,15 @@ def test_rep_suite_with_rational_point(capsys):
     assert "rep:relations:N1" in out
 
 
-def test_reD_interpretation_sweep(capsys):
-    code, out, _ = run(capsys, "verify", "reD", "--interpretation", "all")
-    assert code == 0
-    assert "reD:r12" in out
-    assert "discrepancy" in out
-
-
 def test_fixtures_suite_records_discrepancy_but_passes(capsys):
     code, out, _ = run(capsys, "verify", "fixtures-appendix-a")
     assert code == 0
     assert "suite fixtures-appendix-a: discrepancy" in out
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks/expected/verify_all.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "benchmarks/expected/verify_all.json"
+README = ROOT / "README.md"
 
 
 def test_verify_all_json_equals_the_golden_report(capsys):
@@ -790,7 +782,7 @@ def test_verify_all_json_equals_the_golden_report(capsys):
 def _readme_examples():
     """Each `onsaw ...` line of README's `Examples:` block, with the value its
     `# prints ...` comment names (None without one)."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    text = README.read_text("utf-8")
     block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
     for line in block.splitlines():
         command, _, comment = line.partition("#")
@@ -805,3 +797,27 @@ def test_readme_examples_run(capsys, argv, value):
     assert (code, err) == (0, "")
     if value is not None:  # the value, after the label upoly prints before it
         assert out.strip().rpartition("= ")[2] == value
+
+
+def test_readme_usage_lists_the_options_of_each_command():
+    """README's `Command line` usage block names, for each command, exactly
+    the long options of its subparser."""
+    text = README.read_text("utf-8")
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for line in block.splitlines():
+        if line.startswith("onsaw "):
+            command = line.split()[1]
+        options = re.findall(r"--[A-Za-z][A-Za-z-]*", line)
+        usage.setdefault(command, set()).update(options)
+    (commands,) = (
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+        - {"--help"}
+        for name, p in commands.choices.items()
+    }
+    assert usage == parsed

@@ -6,14 +6,20 @@ Rows so far:
 
 - `scalars._add_product`, the kernel's one multiply-add loop, leaves out one
   term product: the exchange checks of both presentations and of the series,
-  and the point-evaluation oracle of the bracket, must all see it.
+  the point-evaluation oracle of the bracket, and both verdicts of `cybe`
+  and of `reD` must all see it.
+- `yangbaxter.r_matrix_num` shifts its numerator entry (0, 3) by one: the
+  symbolic verdicts of `cybe` and `reD`, the exchange checks and the
+  transfer-matrix lemma must all see it.
 """
 
 import onsaw.yangbaxter as yb
 from onsaw import scalars
 from onsaw.altpres import QuotientA
+from onsaw.matrices import Matrix
 from onsaw.quotient import QuotientO
 from test_onsager import bracket_mismatches_at_points
+from test_yangbaxter import reading_traces
 
 
 def drops_one_term_product(loop):
@@ -75,3 +81,66 @@ def test_the_mutant_drops_exactly_one_term_product():
     aliased = {1: 1, 2: 1}
     mutant(aliased, aliased, {0: 1})
     assert aliased == {1: 1, 2: 2}  # the factor is read as it was
+
+
+def check_statuses(report):
+    return {check.id: check.status for check in report.checks}
+
+
+def test_cybe_and_reD_fail_both_verdicts_when_a_term_product_is_dropped(monkeypatch):
+    """The r-matrix is built before the mutant is installed, so the symbolic
+    verdict multiplies through the mutant and the numeric one, which
+    evaluates that r-matrix first and multiplies over Fraction, does not.
+    Built under the mutant, the r-matrix is faulty for both verdicts alike,
+    and both `:numeric-agrees` verdicts pass."""
+    r = yb.r_matrix_num()
+    monkeypatch.setattr(yb, "r_matrix_num", lambda: r)
+
+    def statuses():
+        return check_statuses(yb.verify_cybe(r).extend(yb.verify_reD()))
+
+    ids = ["cybe:symbolic", "cybe:numeric-agrees"]
+    ids += ["reD:r12:symbolic", "reD:r12:numeric-agrees"]
+    assert statuses() == dict.fromkeys(ids, "pass")
+    install_dropped_term_product(monkeypatch)
+    assert statuses() == dict.fromkeys(ids, "fail")
+
+
+def shifts_entry_03(r_matrix_num):
+    """`r_matrix_num` with one added to its numerator entry (0, 3)."""
+
+    def mutant(u="u", v="v"):
+        num, den = r_matrix_num(u, v)
+        rows = [list(row) for row in num.entries]
+        rows[0][3] = rows[0][3] + 1
+        return Matrix(rows), den
+
+    return mutant
+
+
+def test_the_r_matrix_checks_fail_when_an_r_matrix_entry_is_shifted(monkeypatch):
+    """`:numeric-agrees` passes under this mutant, since both verdicts read
+    the same faulty r-matrix; only the symbolic verdicts are asserted."""
+    checks = exchange_checks()
+
+    def symbolic(verify):
+        return lambda: next(
+            c.status for c in verify().checks if c.id.endswith(":symbolic")
+        )
+
+    checks["cybe:symbolic"] = symbolic(yb.verify_cybe)
+    checks["reD:r12:symbolic"] = symbolic(yb.verify_reD)
+
+    def lemma_trace(i):
+        trace = reading_traces(lambda u, v: yb.r_matrix_num(u, v)[0])[i]
+        return "pass" if trace.is_zero() else "fail"
+
+    checks["transfer-lemma:t1"] = lambda: lemma_trace(0)
+    checks["transfer-lemma:t2"] = lambda: lemma_trace(1)
+
+    def statuses():
+        return {name: run() for name, run in checks.items()}
+
+    assert statuses() == dict.fromkeys(checks, "pass")
+    monkeypatch.setattr(yb, "r_matrix_num", shifts_entry_03(yb.r_matrix_num))
+    assert statuses() == dict.fromkeys(checks, "fail")

@@ -6,7 +6,7 @@ import pytest
 
 from onsaw.altpres import QuotientA, beta_from_alpha
 from onsaw.elements import ZERO, AlgElem
-from onsaw.matrices import Matrix, commutator, embed_leg
+from onsaw.matrices import Matrix, commutator, embed_leg, kron
 from onsaw.onsager import A, G
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
@@ -25,7 +25,6 @@ from onsaw.yangbaxter import (
     p_poly,
     p_tilde_poly,
     r_matrix_num,
-    reD_survey,
     verify_commuting,
     verify_cybe,
     verify_frt,
@@ -505,24 +504,79 @@ def test_reD_numeric_check_is_independent_of_polynomial_multiplication(monkeypat
 
     monkeypatch.setattr(LaurentPoly, "__mul__", drops_a_term)
     monkeypatch.setattr(LaurentPoly, "__rmul__", drops_a_term)
-    status = {ch.id: ch.status for ch in verify_reD(interpretation="r12").checks}
+    status = {ch.id: ch.status for ch in verify_reD().checks}
     assert status["reD:r12:symbolic"] == FAIL
     assert status["reD:r12:numeric-agrees"] == FAIL
 
 
-def test_reD_survey_records_each_reading():
-    survey = reD_survey()
-    assert survey["r12"] is True
-    assert survey["r21"] is False
-    assert survey["r12-swapped"] is False
-
-
 def test_reD_trivial_for_vanishing_parameters():
     c = ChargeParams(Fraction(0), Fraction(0), Fraction(0))
-    for name in ("r12", "r21", "r12-swapped"):
-        assert verify_reD(c, name).status == "pass"
+    assert verify_reD(c).status == "pass"
 
 
-def test_reD_rejects_unknown_interpretation():
-    with pytest.raises(ValueError):
-        verify_reD(interpretation="sideways")
+# --- the transfer-matrix lemma ------------------------------------------------------
+
+
+def formal_B(name):
+    """The 2x2 matrix of formal Lie symbols (name, "ij")."""
+    return Matrix(
+        [[AlgElem.basis((name, f"{i}{j}")) for j in range(2)] for i in range(2)]
+    )
+
+
+def transfer_traces(rhat_12, rhat_21, m_v=None):
+    """tr12((M(u) (x) M(v)) t) for t1 = [rhat_21, B1(u)] and t2 = [B2(v), rhat_12],
+    with B(u), B(v) formal and kappa, kappas, mu symbolic.  M(v) is m_v when
+    given.  Returns [trace of t1, trace of t2]."""
+    c = ChargeParams.symbolic()
+    m_uv = kron(m_matrix(c, "u"), m_matrix(c, "v") if m_v is None else m_v)
+    b1 = embed_leg(formal_B("bu"), (1,), 2)
+    b2 = embed_leg(formal_B("bv"), (2,), 2)
+    traces = []
+    for t in (commutator(rhat_21, b1), commutator(b2, rhat_12)):
+        product = m_uv * t
+        traces.append(sum((product[i, i] for i in range(4)), ZERO))
+    return traces
+
+
+def reading_traces(reading, m_v=None):
+    """transfer_traces for rhat_12 = reading(u, v), whose rhat_21 is the
+    reading's own leg flip with u and v swapped."""
+    rhat_21 = embed_leg(reading("v", "u"), (2, 1), 2)
+    return transfer_traces(reading("u", "v"), rhat_21, m_v)
+
+
+def r12(u, v):
+    return r_matrix_num(u, v)[0]
+
+
+def test_transfer_lemma():
+    """Sklyanin's trace argument: each right-hand term t of the exchange
+    relation has tr12((M(u) (x) M(v)) t) = 0 with B(u), B(v) formal, so
+    t(u) = tr(M(u) B(u)) commutes with t(v) for every B that satisfies the
+    exchange relation.  It holds for the reading rbar = r12 of verify_reD."""
+    assert [t.is_zero() for t in reading_traces(r12)] == [True, True]
+
+
+def test_transfer_lemma_rejects_a_wrong_M():
+    c = ChargeParams.symbolic()
+    rows = [list(row) for row in m_matrix(c, "v").entries]
+    rows[0][1] = rows[0][1] + c.kappa
+    assert [t.is_zero() for t in reading_traces(r12, Matrix(rows))] == [False, False]
+
+
+def test_transfer_lemma_rejects_the_corrupted_r_matrix():
+    rhat_21 = embed_leg(r12("v", "u"), (2, 1), 2)
+    t1, t2 = transfer_traces(corrupted_r_matrix()[0], rhat_21)
+    assert t1.is_zero() and not t2.is_zero()
+
+
+@pytest.mark.parametrize(
+    "reading",
+    [
+        pytest.param(lambda u, v: embed_leg(r12(u, v), (2, 1), 2), id="leg-flip"),
+        pytest.param(lambda u, v: r12(v, u), id="u-v-swapped"),
+    ],
+)
+def test_transfer_lemma_rejects_the_other_readings(reading):
+    assert [t.is_zero() for t in reading_traces(reading)] == [False, False]
