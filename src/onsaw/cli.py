@@ -277,7 +277,7 @@ def run_suite(name: str, opts) -> Report:
             control, residual = _NEGATIVE_CONTROLS[name]
             report.add(f"{name}:negative-control", control().status == FAIL, residual)
         if opts.timing and report.checks:
-            report.checks[-1].millis = int((time.perf_counter() - start) * 1000)
+            report.checks[-1].millis = round(float(time.perf_counter() - start) * 1000, 3)
     report.suite = name
     report.params = {k: str(v) for k, v in opts.params.items()}
     for key in _OPTIONS:

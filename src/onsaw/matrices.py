@@ -38,10 +38,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, r, c, zero=0):
-        return cls([[zero] * c for _ in range(r)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -4,11 +4,11 @@ A report is a flat list of named checks.  The overall status is "fail" iff any
 check failed; "discrepancy" marks a computed value disagreeing with a printed
 reference value (this is recorded, never silently dropped, but is not a
 verification failure).  Timing is 0 by default so that rendered reports are
-byte-identical across runs; callers opt in to real timings, which text shows
-as an `(N ms)` suffix.  `Report.extend` appends the checks of another report
-without copying them, so it takes only a report that its caller has just
-built and then drops.  `InputError` is the one input-fault type of the
-library.
+byte-identical across runs; callers opt in to real timings, in milliseconds
+to the microsecond, which text shows as an `(N ms)` suffix.  `Report.extend`
+appends the checks of another report without copying them, so it takes only
+a report that its caller has just built and then drops.  `InputError` is the
+one input-fault type of the library.
 """
 
 import json
@@ -28,11 +28,11 @@ class InputError(ValueError):
 
 class Check:
     """One named verdict: its status, the residual that made it fail (or the
-    detail of a discrepancy), and the time it took in milliseconds."""
+    detail of a discrepancy), and its time in milliseconds (0 untimed)."""
 
     __slots__ = ("id", "status", "residual", "millis")
 
-    def __init__(self, id: str, status: str, residual: str = "", millis: int = 0):
+    def __init__(self, id: str, status: str, residual: str = "", millis=0):
         self.id = id
         self.status = status
         self.residual = residual
@@ -107,6 +107,6 @@ class Report:
             if c.residual:
                 line += f"  residual: {c.residual}"
             if c.millis:
-                line += f"  ({c.millis} ms)"
+                line += f"  ({c.millis:g} ms)"
             lines.append(line)
         return "\n".join(lines)

@@ -28,7 +28,7 @@ points w1, w2, w3 are symbols.
 
 from math import prod
 
-from .elements import AlgElem
+from .elements import AlgElem, SparseCombination, accumulate
 from .matrices import Matrix, commutator, embed_leg
 from .quotient import QuotientO, defining_relations
 from .reports import InputError, Report
@@ -88,11 +88,18 @@ def rep_build(ws):
 
 
 def rep_apply(rep: dict, x: AlgElem) -> Matrix:
+    """The matrix of x, the sum of c rep[sym] over its terms c sym.  One dict
+    keyed by (row, column) holds every entry: `accumulate` adds c times each
+    nonzero entry of rep[sym] into it in place, so no scaled or summed matrix
+    is built, and `SparseCombination` freezes the sums."""
     dim = next(iter(rep.values())).rows
-    out = Matrix.zeros(dim, dim, LaurentPoly())
+    out = {}
     for sym, c in x.terms.items():
-        out = out + rep[sym].scale(c)
-    return out
+        rows = rep[sym].entries
+        terms = {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row) if e}
+        accumulate(out, terms, c)
+    sums, zero = SparseCombination(out).terms, LaurentPoly()
+    return Matrix([[sums.get((i, j), zero) for j in range(dim)] for i in range(dim)])
 
 
 def rep_check(q: QuotientO, rep: dict) -> Report:

@@ -39,7 +39,7 @@ from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, accumulate, lvar, sum_terms
+from .scalars import P_ONE, LaurentPoly, accumulate, accumulate_product, lvar, sum_terms
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -75,28 +75,43 @@ def verify_cybe(r: tuple | None = None) -> Report:
     is a pair (numerator Matrix, denominator) in u, v, as from r_matrix_num.
     With r_ab = N_ab / d_ab the cleared form is checked entrywise,
 
-        [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21 = 0;
+        [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21 = 0.
 
-    a numeric spot check on evaluated N_ab / d_ab confirms the verdict.
+    Entry (i, j) of each commutator [X, Y], the sum over m of
+    X[i,m] Y[m,j] - Y[i,m] X[m,j], is summed product by product by
+    `accumulate_product`; `accumulate` adds it, weighted by its two
+    denominators, into the entry, so no matrix product or scaled matrix is
+    built.  A numeric spot check confirms the verdict: it evaluates the 4x4
+    N_ab / d_ab at a rational point before `embed_leg` and multiplies over
+    Fraction.
     """
     report = Report()
     num, den = r_matrix_num() if r is None else r
-
-    def at(a, b, legs):
-        mapping = {"u": a, "v": b}
-        renamed = num.map(lambda e: e.rename(mapping))
-        return embed_leg(renamed, legs, 3), den.rename(mapping)
-
-    n13, d13 = at("u1", "u3", (1, 3))
-    n23, d23 = at("u2", "u3", (2, 3))
-    n12, d12 = at("u1", "u2", (1, 2))
-    n21, d21 = at("u2", "u1", (2, 1))
-    residual = (
-        commutator(n13, n23).scale(d12 * d21)
-        - commutator(n21, n13).scale(d23 * d12)
-        - commutator(n23, n12).scale(d13 * d21)
+    r_at = {}  # legs (a, b) -> the 4x4 numerator and the denominator at (u_a, u_b)
+    for legs in ((1, 3), (2, 3), (1, 2), (2, 1)):
+        mapping = {"u": f"u{legs[0]}", "v": f"u{legs[1]}"}
+        r_at[legs] = num.map(lambda e: e.rename(mapping)), den.rename(mapping)
+    n13, n23, n12, n21 = (embed_leg(n, legs, 3) for legs, (n, _) in r_at.items())
+    d13, d23, d12, d21 = (d for _, d in r_at.values())
+    weighted = (
+        (n13, n23, d12 * d21),
+        (n21, n13, -(d23 * d12)),
+        (n23, n12, -(d13 * d21)),
     )
-    bad = [(i, j) for i in range(8) for j in range(8) if residual[i, j]]
+    bad = []
+    for i in range(8):
+        for j in range(8):
+            entry = {}  # {0: the entry's polynomial}, as is each `comm`
+            for x, y, weight in weighted:
+                comm = {}
+                for m in range(8):
+                    if x[i, m] and y[m, j]:
+                        accumulate_product(comm, {0: 1}, x[i, m], y[m, j])
+                    if y[i, m] and x[m, j]:
+                        accumulate_product(comm, {0: -1}, y[i, m], x[m, j])
+                accumulate(entry, comm, weight)
+            if entry:
+                bad.append((i, j))
     report.add(
         "cybe:symbolic",
         not bad,
@@ -105,8 +120,8 @@ def verify_cybe(r: tuple | None = None) -> Report:
 
     bindings = {"u1": Fraction(2), "u2": Fraction(3), "u3": Fraction(5)}
     r13, r23, r12, r21 = (
-        n.evaluate(bindings).scale(1 / d.evaluate(bindings))
-        for n, d in ((n13, d13), (n23, d23), (n12, d12), (n21, d21))
+        embed_leg(n.evaluate(bindings).scale(1 / d.evaluate(bindings)), legs, 3)
+        for legs, (n, d) in r_at.items()
     )
     numeric = commutator(r13, r23) - commutator(r21, r13) - commutator(r23, r12)
     report.add(

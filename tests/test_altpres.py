@@ -29,7 +29,17 @@ from onsaw.altpres import (
     verify_iso,
 )
 from onsaw.elements import AlgElem
-from onsaw.onsager import A, G, PHI, TAU0, TAU1, apply_auto, bracket, verify_dolan_grady
+from onsaw.onsager import (
+    PHI,
+    TAU0,
+    TAU1,
+    A,
+    G,
+    apply_auto,
+    apply_autopoly,
+    bracket,
+    verify_dolan_grady,
+)
 from onsaw.quotient import QuotientO
 from onsaw.scalars import LaurentPoly, RatFunc, lvar
 
@@ -100,6 +110,23 @@ def test_alt_auto_intertwines_with_conversion():
 
 def test_averaged_shift_formulas():
     assert averaged_shift_report().status == "pass"
+
+
+def test_each_shift_is_built_from_the_previous_one(monkeypatch):
+    """averaged_shift_report applies the shift at most 2 (kmax + 1) = 18
+    times, and sprime_report 2 N times, for its two runs together."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_autopoly(*args, **kwargs)
+
+    monkeypatch.setattr(altpres, "apply_autopoly", counted)
+    assert averaged_shift_report().status == "pass"
+    assert len(calls) <= 18
+    calls.clear()
+    report = sprime_report(beta_from_alpha(QuotientO.symbolic(3)))
+    assert report.status == "discrepancy" and len(calls) == 6
 
 
 def test_dolan_grady_in_alt_presentation():

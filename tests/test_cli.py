@@ -252,10 +252,10 @@ def test_scalar_expression_is_an_input_error(capsys, argv):
     assert err.startswith("error: ") and "scalar" in err
 
 
-def _fake_clock(monkeypatch):
-    """Make every perf_counter call advance the clock by exactly 7 ms."""
+def _fake_clock(monkeypatch, step=Fraction(7, 1000)):
+    """Make every perf_counter call advance the clock by exactly `step` s."""
     ticks = itertools.count()
-    monkeypatch.setattr(time, "perf_counter", lambda: Fraction(7, 1000) * next(ticks))
+    monkeypatch.setattr(time, "perf_counter", lambda: step * next(ticks))
 
 
 def test_timing_stamps_the_last_check_of_a_suite(capsys, monkeypatch):
@@ -273,6 +273,20 @@ def test_timing_shows_in_text_only_on_the_stamped_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "dg", "--timing")
     assert code == 0
     assert out.splitlines() == plain[:-1] + [plain[-1] + "  (7 ms)"]
+
+
+def test_timing_shows_a_suite_under_a_millisecond(capsys, monkeypatch):
+    """`dg` takes under 1 ms; its time still shows in text and as a number in
+    JSON, on the real clock and on one that ticks 0.4 ms."""
+    plain = run(capsys, "verify", "dg")[1].splitlines()
+    code, out, _ = run(capsys, "verify", "dg", "--timing")
+    assert code == 0 and out.splitlines()[:-1] == plain[:-1]
+    assert re.fullmatch(re.escape(plain[-1]) + r"  \([0-9.]+ ms\)", out.splitlines()[-1])
+    _fake_clock(monkeypatch, Fraction(4, 10000))
+    out = run(capsys, "verify", "dg", "--timing")[1]
+    assert out.splitlines() == plain[:-1] + [plain[-1] + "  (0.4 ms)"]
+    out = run(capsys, "verify", "dg", "--timing", "--format", "json")[1]
+    assert json.loads(out)["checks"][-1]["millis"] == 0.4
 
 
 def test_timing_of_all_stamps_one_check_per_suite(capsys, monkeypatch):

@@ -11,12 +11,19 @@ Rows so far:
 - `yangbaxter.r_matrix_num` shifts its numerator entry (0, 3) by one: the
   symbolic verdicts of `cybe` and `reD`, the exchange checks and the
   transfer-matrix lemma must all see it.
+- `altpres.alt_sym_bracket` scales [Gt(i), Wm(j)] by 17/16: the bracket
+  intertwining of `iso` and the exchange check of the alternative
+  presentation must see it.
 """
 
+from fractions import Fraction
+
 import onsaw.yangbaxter as yb
-from onsaw import scalars
-from onsaw.altpres import QuotientA
+from onsaw import altpres, scalars
+from onsaw.altpres import QuotientA, bracket_alt, convert_to_alt
+from onsaw.elements import AlgElem
 from onsaw.matrices import Matrix
+from onsaw.onsager import bracket, verify_dolan_grady
 from onsaw.quotient import QuotientO
 from test_onsager import bracket_mismatches_at_points
 from test_yangbaxter import reading_traces
@@ -144,3 +151,70 @@ def test_the_r_matrix_checks_fail_when_an_r_matrix_entry_is_shifted(monkeypatch)
     assert statuses() == dict.fromkeys(checks, "pass")
     monkeypatch.setattr(yb, "r_matrix_num", shifts_entry_03(yb.r_matrix_num))
     assert statuses() == dict.fromkeys(checks, "fail")
+
+
+def scales_gt_wm(alt_sym_bracket):
+    """`alt_sym_bracket` with [Gt(i), Wm(j)] multiplied by 17/16, in this
+    argument order only."""
+
+    def mutant(s, t):
+        b = alt_sym_bracket(s, t)
+        return b * Fraction(17, 16) if (s[0], t[0]) == ("Gt", "Wm") else b
+
+    return mutant
+
+
+def install_scaled_gt_wm(monkeypatch):
+    mutant = scales_gt_wm(altpres.alt_sym_bracket)
+    monkeypatch.setattr(altpres, "alt_sym_bracket", mutant)
+
+
+def intertwine_residual():
+    """The residual text of `iso:bracket-intertwine` ("" when it passes)."""
+    report = altpres.verify_iso()
+    return next(c.residual for c in report.checks if c.id == "iso:bracket-intertwine")
+
+
+def test_the_alternative_bracket_checks_fail_when_a_constant_is_scaled(monkeypatch):
+    """`dg-alt` passes under this mutant: its nested brackets of Wm(0) and
+    Wp(0) never put a Gt on the left of a Wm, so it cannot see this fault."""
+    alt = yb.build_B_alt(QuotientA.symbolic(2))
+    checks = {
+        "iso:bracket-intertwine": lambda: "fail" if intertwine_residual() else "pass",
+        "frt:B-alt-N2": lambda: yb.verify_frt(alt).status,
+    }
+
+    def statuses():
+        return {name: run() for name, run in checks.items()}
+
+    def dg_alt():
+        gens = (altpres.Wm(0), altpres.Wp(0))
+        return verify_dolan_grady(bracket_alt, gens, "dg-alt").status
+
+    assert statuses() == dict.fromkeys(checks, "pass") and dg_alt() == "pass"
+    install_scaled_gt_wm(monkeypatch)
+    assert statuses() == dict.fromkeys(checks, "fail") and dg_alt() == "pass"
+
+
+def intertwine_by_pairs(kmax=8):
+    """`iso:bracket-intertwine` pair by pair, as before the bracket table:
+    convert_to_alt([x, y]) against [convert_to_alt(x), convert_to_alt(y)],
+    s outer and t inner; the residual text it would report."""
+    syms = [("A", n) for n in range(-kmax, kmax + 1)]
+    syms += [("G", m) for m in range(1, kmax + 1)]
+    bad = []
+    for s in syms:
+        for t in syms:
+            x, y = AlgElem.basis(s), AlgElem.basis(t)
+            lhs = convert_to_alt(bracket(x, y))
+            if lhs != bracket_alt(convert_to_alt(x), convert_to_alt(y)):
+                bad.append((s, t))
+    return f"failing pairs {bad[:4]}"
+
+
+def test_the_bracket_table_reports_what_the_pair_loop_reports(monkeypatch):
+    assert intertwine_residual() == "" and intertwine_by_pairs() == "failing pairs []"
+    install_scaled_gt_wm(monkeypatch)
+    got = intertwine_residual()
+    assert got.startswith("failing pairs [(('G', 1), ('A', -8)), (('G', 1), ('A', -7)), ")
+    assert got == intertwine_by_pairs()

@@ -1,10 +1,14 @@
 """Representation extraction from r-matrix legs and its verification."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from onsaw.elements import ZERO
 from onsaw.matrices import Matrix, commutator
+from onsaw.quotient import defining_relations
 from onsaw.reports import FAIL
 from onsaw.reps import (
     rep_alphas,
@@ -14,6 +18,7 @@ from onsaw.reps import (
     rep_matrix_identity_report,
 )
 from onsaw.scalars import LaurentPoly, lvar
+from onsaw.yangbaxter import build_B_onsager
 
 
 def test_alphas_from_factorized_prefactor_n1():
@@ -126,6 +131,26 @@ def test_rep_apply_linearity():
     x = A(0) * Fraction(2) + A(1)
     m = rep_apply(rep, x)
     assert m == rep[("A", 0)].scale(Fraction(2)) + rep[("A", 1)]
+
+
+def test_rep_apply_builds_no_matrix_sum_or_scaling(monkeypatch):
+    """rep_apply gives the sum of c rep[sym] that Matrix.__add__ and
+    Matrix.scale build, with both patched to raise, for elements with
+    polynomial coefficients and for zero."""
+    q, rep = rep_build(["w1", "w2"])
+    B = build_B_onsager(q, "u")
+    xs = [entry for row in B.entries for entry in row] + [ZERO]
+    xs += [rhs for _, rhs in defining_relations(q)]
+    zero = Matrix([[LaurentPoly()] * 4] * 4)
+    terms = [(rep[s].scale(c) for s, c in x.terms.items()) for x in xs]
+    want = [reduce(operator.add, scaled, zero) for scaled in terms]
+
+    def refuse(*args):
+        raise AssertionError("rep_apply built a matrix sum or scaling")
+
+    monkeypatch.setattr(Matrix, "__add__", refuse)
+    monkeypatch.setattr(Matrix, "scale", refuse)
+    assert [rep_apply(rep, x) for x in xs] == want
 
 
 def test_rep_experimental_n3_with_rational_points():

@@ -73,6 +73,30 @@ def test_cybe_negative_control():
     assert by_id["cybe:numeric-agrees"].status == "pass"
 
 
+def refusing_polynomial_entries(method):
+    """`method` (Matrix.__mul__ or Matrix.scale) that raises when either
+    operand holds a LaurentPoly."""
+
+    def guarded(self, other):
+        cells = [a for m in (self, other) if isinstance(m, Matrix) for r in m.entries for a in r]
+        if any(isinstance(a, LaurentPoly) for a in cells + [other]):
+            raise AssertionError(f"Matrix.{method.__name__} on polynomial entries")
+        return method(self, other)
+
+    return guarded
+
+
+def test_cybe_multiplies_no_polynomial_matrix(monkeypatch):
+    """The cleared residual is summed entry by entry: with Matrix.__mul__ and
+    Matrix.scale refusing polynomial entries, the r-matrix still passes and
+    the corrupted one still fails."""
+    for name in ("__mul__", "scale"):
+        monkeypatch.setattr(Matrix, name, refusing_polynomial_entries(getattr(Matrix, name)))
+    assert verify_cybe().status == "pass"
+    report = verify_cybe(corrupted_r_matrix())
+    assert [c.status for c in report.checks] == [FAIL, "pass"]
+
+
 @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
 def test_cybe_rejects_each_shifted_numerator_entry(entry):
     num, den = r_matrix_num()
