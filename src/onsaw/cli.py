@@ -189,7 +189,7 @@ def _quartic(opts) -> Report:
     word = (("A", 1), ("G", 1), ("A", 0), ("A", 1), ("A", 0))
     first, last = (PBW(q1, strategy=s).normalize_word(word) for s in ("first", "last"))
     report.add(
-        "quartic:pbw-confluence-spot", first == last, "rewrite strategies disagree"
+        "quartic:pbw-confluence-spot", first != last and "rewrite strategies disagree"
     )
     return report
 
@@ -275,7 +275,7 @@ def run_suite(name: str, opts) -> Report:
         report = _SUITE_RUNNERS[name](opts)
         if name in _NEGATIVE_CONTROLS:
             control, residual = _NEGATIVE_CONTROLS[name]
-            report.add(f"{name}:negative-control", control().status == FAIL, residual)
+            report.add(f"{name}:negative-control", control().status != FAIL and residual)
         if opts.timing and report.checks:
             report.checks[-1].millis = round(float(time.perf_counter() - start) * 1000, 3)
     report.suite = name

@@ -1,14 +1,17 @@
 """Structured pass/fail/discrepancy reports shared by every verifier.
 
-A report is a flat list of named checks.  The overall status is "fail" iff any
-check failed; "discrepancy" marks a computed value disagreeing with a printed
-reference value (this is recorded, never silently dropped, but is not a
-verification failure).  Timing is 0 by default so that rendered reports are
-byte-identical across runs; callers opt in to real timings, in milliseconds
-to the microsecond, which text shows as an `(N ms)` suffix.  `Report.extend`
-appends the checks of another report without copying them, so it takes only
-a report that its caller has just built and then drops.  `InputError` is the
-one input-fault type of the library.
+A report is a flat list of named checks.  A check passes iff its residual is
+empty: `add` and `add_discrepancy` take the residual alone (an element, a
+polynomial, a list of failures or a message, falsy when nothing is wrong)
+and record `str(residual)` only when the check does not pass.  The overall
+status is "fail" iff any check failed; "discrepancy" marks a computed value
+disagreeing with a printed reference value (this is recorded, never silently
+dropped, but is not a verification failure).  Timing is 0 by default so that
+rendered reports are byte-identical across runs; callers opt in to real
+timings, in milliseconds to the microsecond, which text shows as an `(N ms)`
+suffix.  `Report.extend` appends the checks of another report without
+copying them, so it takes only a report that its caller has just built and
+then drops.  `InputError` is the one input-fault type of the library.
 """
 
 import json
@@ -60,13 +63,13 @@ class Report:
     def ok(self) -> bool:
         return self.status != FAIL
 
-    def add(self, check_id: str, passed: bool, residual=""):
-        status = PASS if passed else FAIL
-        self.checks.append(Check(check_id, status, "" if passed else str(residual)))
+    def add(self, check_id: str, residual=""):
+        status = FAIL if residual else PASS
+        self.checks.append(Check(check_id, status, str(residual) if residual else ""))
 
-    def add_discrepancy(self, check_id: str, agrees: bool, detail=""):
-        status = PASS if agrees else DISCREPANCY
-        self.checks.append(Check(check_id, status, "" if agrees else str(detail)))
+    def add_discrepancy(self, check_id: str, detail=""):
+        status = DISCREPANCY if detail else PASS
+        self.checks.append(Check(check_id, status, str(detail) if detail else ""))
 
     def extend(self, other: "Report") -> "Report":
         """Append the checks of `other` to this report and return it.

@@ -110,9 +110,7 @@ def rep_check(q: QuotientO, rep: dict) -> Report:
         if commutator(rep[s], rep[t]) != rep_apply(rep, rhs):
             bad.append((s, t))
     report.add(
-        f"rep:relations:N{q.N}",
-        not bad,
-        f"commutator mismatch for pairs {bad[:4]}",
+        f"rep:relations:N{q.N}", bad and f"commutator mismatch for pairs {bad[:4]}"
     )
     return report
 
@@ -148,8 +146,6 @@ def rep_matrix_identity_report(ws, q: QuotientO, rep: dict) -> Report:
                 bad.append((a, b))
     report = Report()
     report.add(
-        f"rep:block-identity:N{N}",
-        not bad,
-        f"block identity fails in blocks {bad}",
+        f"rep:block-identity:N{N}", bad and f"block identity fails in blocks {bad}"
     )
     return report

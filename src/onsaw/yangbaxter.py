@@ -112,11 +112,8 @@ def verify_cybe(r: tuple | None = None) -> Report:
                 accumulate(entry, comm, weight)
             if entry:
                 bad.append((i, j))
-    report.add(
-        "cybe:symbolic",
-        not bad,
-        f"nonzero residual at entries {bad[:6]}" + ("..." if len(bad) > 6 else ""),
-    )
+    more = "..." if len(bad) > 6 else ""
+    report.add("cybe:symbolic", bad and f"nonzero residual at entries {bad[:6]}{more}")
 
     bindings = {"u1": Fraction(2), "u2": Fraction(3), "u3": Fraction(5)}
     r13, r23, r12, r21 = (
@@ -126,8 +123,8 @@ def verify_cybe(r: tuple | None = None) -> Report:
     numeric = commutator(r13, r23) - commutator(r21, r13) - commutator(r23, r12)
     report.add(
         "cybe:numeric-agrees",
-        numeric.is_zero() == (not bad),
-        "numeric evaluation disagrees with the symbolic verdict",
+        numeric.is_zero() == bool(bad)
+        and "numeric evaluation disagrees with the symbolic verdict",
     )
     return report
 
@@ -310,7 +307,7 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     report = Report()
     residual = _exchange_residual(B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce)
     for (r, c), entry in residual.items():
-        report.add(f"frt:{B.label}:entry{r}{c}", entry.is_zero(), entry)
+        report.add(f"frt:{B.label}:entry{r}{c}", entry)
     return report
 
 
@@ -353,7 +350,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
         lambda x: x.map_coeffs(lambda c: c.truncate(bounds)),
     )
     for (r, c), entry in residual.items():
-        report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry.is_zero(), entry)
+        report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry)
     return report
 
 
@@ -394,7 +391,7 @@ def verify_frt_series_alt(D: int) -> Report:
     bounds = {U: (-D, None), V: (-D, None)}
     for name, residual in relations.items():
         entry = residual.map_coeffs(lambda c: c.truncate(bounds))
-        report.add(f"frt-series-alt:{name}:D{D}", entry.is_zero(), entry)
+        report.add(f"frt-series-alt:{name}:D{D}", entry)
     return report
 
 
@@ -449,9 +446,7 @@ def verify_commuting(q: QuotientO, charge_list=None, c=None) -> Report:
     for i in range(len(charge_list)):
         for j in range(i + 1, len(charge_list)):
             residual = q.bracket_reduced(charge_list[i], charge_list[j])
-            report.add(
-                f"charges:commute:N{q.N}:I{i}I{j}", residual.is_zero(), residual
-            )
+            report.add(f"charges:commute:N{q.N}:I{i}I{j}", residual)
     return report
 
 
@@ -475,9 +470,8 @@ def expand_b(q: QuotientO, c: ChargeParams):
         h = fp - fp.invert_var(u)
         factors.append(h)
         accumulate(residual, charge.terms, -h)
-    residual = AlgElem(residual)
     report = Report()
-    report.add(f"charges:expansion:N{q.N}", residual.is_zero(), residual)
+    report.add(f"charges:expansion:N{q.N}", AlgElem(residual))
     return factors, report
 
 
@@ -509,7 +503,7 @@ def verify_reD(c: ChargeParams | None = None) -> Report:
 
     comm = identity_lhs(*matrices)
     bad = [(i, j) for i in range(2) for j in range(2) if comm[i, j]]
-    report.add("reD:r12:symbolic", not bad, f"nonzero commutator entries at {bad}")
+    report.add("reD:r12:symbolic", bad and f"nonzero commutator entries at {bad}")
     bindings = {
         "u": Fraction(2),
         "v": Fraction(3),
@@ -520,8 +514,8 @@ def verify_reD(c: ChargeParams | None = None) -> Report:
     numeric = identity_lhs(*(m.evaluate(bindings) for m in matrices))
     report.add(
         "reD:r12:numeric-agrees",
-        numeric.is_zero() == (not bad),
-        "numeric evaluation disagrees with the symbolic verdict",
+        numeric.is_zero() == bool(bad)
+        and "numeric evaluation disagrees with the symbolic verdict",
     )
     return report
 

@@ -73,7 +73,7 @@ def test_verify_json_is_deterministic(capsys):
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     def failing(opts):
         report = Report("dg")
-        report.add("dg:forced", False, "forced failure")
+        report.add("dg:forced", "forced failure")
         return report
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "dg", failing)
@@ -197,7 +197,7 @@ def test_records_keep_their_constructors_and_defaults():
     assert (check.id, check.status, check.residual, check.millis) == ("x", PASS, "", 0)
     assert Report(suite="x").suite == "x"
     first, second = Report(), Report()
-    first.add("x", True)
+    first.add("x")
     first.params["N"] = "1"
     assert (second.checks, second.params) == ([], {})
     assert first.extend(second) is first and len(first.checks) == 1
@@ -811,6 +811,18 @@ def test_readme_examples_run(capsys, argv, value):
     assert (code, err) == (0, "")
     if value is not None:  # the value, after the label upoly prints before it
         assert out.strip().rpartition("= ")[2] == value
+
+
+def test_readme_package_layout_names_each_module_once():
+    """The top-level bullets of README's `Package layout` name exactly the
+    modules of the package, each once."""
+    text = README.read_text("utf-8")
+    lines = text.split("\nPackage layout:\n\n", 1)[1].splitlines()
+    block = itertools.takewhile(lambda line: line.startswith(("- ", "  ")), lines)
+    named = [m[1] for line in block if (m := re.match(r"- `(\w+)`", line))]
+    package = ROOT / "src" / "onsaw"
+    modules = [path.stem for path in package.glob("*.py") if path.stem != "__init__"]
+    assert sorted(named) == sorted(modules)
 
 
 def test_readme_usage_lists_the_options_of_each_command():

@@ -14,17 +14,40 @@ Rows so far:
 - `altpres.alt_sym_bracket` scales [Gt(i), Wm(j)] by 17/16: the bracket
   intertwining of `iso` and the exchange check of the alternative
   presentation must see it.
+- `quotient.divide`, the one normal-form loop of both presentations, adds
+  each multiple of a divisor instead of subtracting it: the quotient
+  relations, the forward reduction table, the reduction diagram, the halved
+  `sprime` verdicts and the exchange checks of both presentations must see it.
+- `QuotientA._monic` shifts its entry 0 by one in every alternative quotient
+  built: the reduction diagram, the halved `sprime` verdicts and the exchange
+  check of the alternative presentation must see it, and the checks of the
+  Onsager quotients pass.
+
+The checks named in each row fail without raising; PBW normalization raises
+ValueError on a symbol outside the window, so no row names a PBW check.
 """
 
 from fractions import Fraction
 
 import onsaw.yangbaxter as yb
-from onsaw import altpres, scalars
-from onsaw.altpres import QuotientA, bracket_alt, convert_to_alt
+from onsaw import altpres, quotient, scalars
+from onsaw.altpres import (
+    QuotientA,
+    bracket_alt,
+    convert_to_alt,
+    reduction_diagram_report,
+    sprime_report,
+)
 from onsaw.elements import AlgElem
 from onsaw.matrices import Matrix
 from onsaw.onsager import bracket, verify_dolan_grady
-from onsaw.quotient import QuotientO
+from onsaw.quotient import (
+    QuotientO,
+    forward_reduction_report,
+    implied_relations_report,
+    verify_sn,
+)
+from onsaw.reports import Report
 from test_onsager import bracket_mismatches_at_points
 from test_yangbaxter import reading_traces
 
@@ -218,3 +241,69 @@ def test_the_bracket_table_reports_what_the_pair_loop_reports(monkeypatch):
     got = intertwine_residual()
     assert got.startswith("failing pairs [(('G', 1), ('A', -8)), (('G', 1), ('A', -7)), ")
     assert got == intertwine_by_pairs()
+
+
+def normal_form_checks():
+    """Checks that read a quotient's normal form, each building its quotient
+    when it runs, so a mutant installed first reaches every reduction.  Only
+    the halved `sprime` verdicts are read: the displayed ones are
+    discrepancies on working code."""
+
+    def q():
+        return QuotientO.symbolic(2)
+
+    def qa():
+        return QuotientA.symbolic(2)
+
+    def halved_sprime():
+        checks = sprime_report(qa()).checks
+        return Report(checks=[c for c in checks if ":halved:" in c.id]).status
+
+    return {
+        "sn:N2": lambda: verify_sn(q()).status,
+        "dav2:N2": lambda: implied_relations_report(q(), 2).status,
+        "upoly-forward:N2": lambda: forward_reduction_report(q(), 2).status,
+        "frt:B-onsager-N2": lambda: yb.verify_frt(yb.build_B_onsager(q())).status,
+        "frt:B-alt-N2": lambda: yb.verify_frt(yb.build_B_alt(qa())).status,
+        "diagram:N2": lambda: reduction_diagram_report(q()).status,
+        "sprime:halved:N2": halved_sprime,
+    }
+
+
+def statuses_of(checks):
+    return {name: run() for name, run in checks.items()}
+
+
+def flips_the_elimination_sign(divide):
+    """`divide` that adds each multiple of a divisor instead of subtracting
+    it: every divisor it is given is negated, so no leading symbol cancels."""
+    return lambda x, excess, divisor: divide(x, excess, lambda sym: -divisor(sym))
+
+
+def test_the_normal_form_checks_fail_when_the_elimination_sign_is_flipped(monkeypatch):
+    checks = normal_form_checks()
+    assert statuses_of(checks) == dict.fromkeys(checks, "pass")
+    for module in (quotient, altpres):  # altpres imports `divide` by name
+        monkeypatch.setattr(module, "divide", flips_the_elimination_sign(module.divide))
+    assert statuses_of(checks) == dict.fromkeys(checks, "fail")
+
+
+def shifts_monic_0(init):
+    """`QuotientA.__init__` that adds one to entry 0 of `_monic`."""
+
+    def mutant(self, betas):
+        init(self, betas)
+        self._monic = (self._monic[0] + 1,) + self._monic[1:]
+
+    return mutant
+
+
+def test_the_alternative_quotient_checks_fail_when_a_monic_entry_is_shifted(
+    monkeypatch,
+):
+    checks = normal_form_checks()
+    alt = ("frt:B-alt-N2", "diagram:N2", "sprime:halved:N2")
+    assert statuses_of(checks) == dict.fromkeys(checks, "pass")
+    monkeypatch.setattr(QuotientA, "__init__", shifts_monic_0(QuotientA.__init__))
+    expected = {name: "fail" if name in alt else "pass" for name in checks}
+    assert statuses_of(checks) == expected
