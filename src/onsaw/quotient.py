@@ -130,7 +130,8 @@ def u_poly(q: QuotientO, p: int, j: int):
         out = q.alpha(j + r) * (-1) ** (N + r - 1) if j <= N - r else 0
         for k in range(min(r, 2 * N)):
             if a := q.alpha(k - N + 1):
-                out = out + a * (table[(r - 1 - k, j)] * (-1) ** k)
+                term = a * table[(r - 1 - k, j)]
+                out = out - term if k % 2 else out + term
         table[(r, j)] = out
     return table[(p, j)]
 

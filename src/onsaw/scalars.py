@@ -39,8 +39,8 @@ monomial is ``0``, multiplying two monomials is one integer addition and
 dividing by one is a subtraction (Monagan & Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", 2007).  Every
 entry point that makes exponents (``lvar``, ``monomial``,
-``encode_monomial``, ``**`` and the re-encodings in ``rename``,
-``invert_var`` and ``coefficients_in``) raises ``ValueError`` for an
+``encode_monomial``, ``**`` and the re-encodings in ``rename`` and
+``coefficients_in``) raises ``ValueError`` for an
 exponent with ``|e| >= 2**31``, so a field can overflow only after more
 than ``2**32`` successive products.  Code that needs names or their order
 decodes a key to the sorted ``(name, exp)`` tuple first (memoised), so
@@ -417,17 +417,6 @@ class LaurentPoly:
             m = _encode(pairs)
             if m in out or len({name for name, _ in pairs}) < len(pairs):
                 raise ValueError("rename collides with an existing variable")
-            out[m] = coeff
-        return LaurentPoly(out)
-
-    def invert_var(self, v) -> "LaurentPoly":
-        """Substitute v -> 1/v (negate that variable's exponents).
-
-        Raises ValueError when a re-encoded exponent has |e| >= 2**31."""
-        name = str(v)
-        out = {}
-        for mono, coeff in self.terms.items():
-            m = _encode((n, -e) if n == name else (n, e) for n, e in _decode(mono))
             out[m] = coeff
         return LaurentPoly(out)
 

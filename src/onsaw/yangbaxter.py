@@ -29,6 +29,13 @@ The renaming is sound only when u != v and neither occurs in a coefficient
 of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
 names from their caller and raise ValueError otherwise; verify_cybe,
 verify_reD and expand_b run at the fixed names u and v.
+
+The operator matrices take their coefficients from the tails
+t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
+by t_N = c_N, t_(k-1) = c_(k-1) + x t_k.  The alphas at x = 1/u and x = u
+give f_p(u) and f_p(1/u), the prefactor p(u) = f_0(u) + f_0(1/u) - alpha_0
+and the charge factors f_p(u) - f_p(1/u); the betas at x = U = (u + 1/u)/2
+give the prefactor p~(U) = t_0 and the components f~_k = t_(k+1).
 """
 
 from fractions import Fraction
@@ -39,7 +46,7 @@ from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, accumulate, accumulate_product, lvar, sum_terms
+from .scalars import P_ONE, LaurentPoly, accumulate, accumulate_product, lvar
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -171,50 +178,30 @@ def _renamed(x: AlgElem, mapping: dict) -> AlgElem:
     )
 
 
-def f_poly(q: QuotientO, p: int, u: str) -> LaurentPoly:
-    """sum(alpha_j u^(p-j), j = p..N)."""
-    return LaurentPoly(
-        sum_terms(lvar(u, p - j) * q.alphas[j] for j in range(p, q.N + 1))
-    )
-
-
-def p_poly(q: QuotientO, u: str) -> LaurentPoly:
-    """sum(alpha_|p| u^(-p), p = -N..N)."""
-    return LaurentPoly(
-        sum_terms(lvar(u, -p) * q.alpha(p) for p in range(-q.N, q.N + 1))
-    )
+def _tails(coeffs, x) -> list:
+    """[t_0, ..., t_N] with t_k = sum(c_j x^(j-k), j = k..N), by Horner."""
+    out = [LaurentPoly()]  # t_(N+1) = 0, so every t_k is a LaurentPoly
+    for c in reversed(coeffs):
+        out.append(x * out[-1] + c)
+    return out[:0:-1]  # t_0 first, t_(N+1) dropped
 
 
 def build_B_onsager(q: QuotientO, u: str = "u") -> OperatorMatrix:
     """The quotient operator matrix [[g, a_minus], [a_plus, -g]] / p(u)."""
     uu = lvar(u)
     uinv = lvar(u, -1)
+    f, f_inv = _tails(q.alphas, uinv), _tails(q.alphas, uu)
     a_plus, a_minus, g = {}, {}, {}
     for p in range(1, q.N + 1):
-        fp = f_poly(q, p, u)
-        fp_inv = fp.invert_var(u)
-        a_plus[("A", p)] = fp
-        a_plus[("A", 1 - p)] = -(uu * fp_inv)
-        a_minus[("A", 1 - p)] = uinv * fp
-        a_minus[("A", p)] = -fp_inv
-        g[("G", p)] = fp + fp_inv - q.alphas[p]
+        a_plus[("A", p)] = f[p]
+        a_plus[("A", 1 - p)] = -(uu * f_inv[p])
+        a_minus[("A", 1 - p)] = uinv * f[p]
+        a_minus[("A", p)] = -f_inv[p]
+        g[("G", p)] = f[p] + f_inv[p] - q.alphas[p]
     g = AlgElem(g)
     entries = ((g, AlgElem(a_minus)), (AlgElem(a_plus), -g))
-    return OperatorMatrix(entries, p_poly(q, u), u, q, f"B-onsager-N{q.N}")
-
-
-def f_tilde_poly(qa: QuotientA, k: int, u: str) -> LaurentPoly:
-    """sum(beta_p U^(p-k-1), p = k+1..N) with U = (u + 1/u)/2."""
-    big_u = (lvar(u) + lvar(u, -1)) * Fraction(1, 2)
-    return LaurentPoly(
-        sum_terms(big_u ** (p - k - 1) * qa.betas[p] for p in range(k + 1, qa.N + 1))
-    )
-
-
-def p_tilde_poly(qa: QuotientA, u: str) -> LaurentPoly:
-    """sum(beta_p U^p, p = 0..N) with U = (u + 1/u)/2."""
-    big_u = (lvar(u) + lvar(u, -1)) * Fraction(1, 2)
-    return LaurentPoly(sum_terms(big_u**p * qa.betas[p] for p in range(qa.N + 1)))
+    den = f[0] + f_inv[0] - q.alphas[0]
+    return OperatorMatrix(entries, den, u, q, f"B-onsager-N{q.N}")
 
 
 def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
@@ -224,9 +211,10 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
     coefficients of 2^(N-1) f~_k and 2^N p~ are integer combinations of betas."""
     uu = lvar(u)
     uinv = lvar(u, -1)
+    tails = _tails(qa.betas, (uu + uinv) * Fraction(1, 2))  # [p~, f~_0, ...]
     w_plus, w_minus, g = {}, {}, {}
     for k in range(qa.N):
-        gk = f_tilde_poly(qa, k, u) * 2 ** (qa.N - 1)
+        gk = tails[k + 1] * 2 ** (qa.N - 1)
         w_plus[("Wm", k)] = w_minus[("Wp", k)] = gk * 4
         g[("Gt", k)] = gk
     w_plus, w_minus, g = AlgElem(w_plus), AlgElem(w_minus), AlgElem(g)
@@ -234,7 +222,7 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
         (-g, w_plus * uinv - w_minus),
         (w_plus * -uu + w_minus, g),
     )
-    den = p_tilde_poly(qa, u) * 2 ** (qa.N + 2)
+    den = tails[0] * 2 ** (qa.N + 2)
     return OperatorMatrix(entries, den, u, qa, f"B-alt-N{qa.N}")
 
 
@@ -437,7 +425,9 @@ def charges(q: QuotientO, c: ChargeParams) -> list:
 
 
 def verify_commuting(q: QuotientO, charge_list=None, c=None) -> Report:
-    """reduce([I_p, I_q]) must vanish for every pair."""
+    """[I_p, I_q] must vanish in the Onsager algebra, so in the quotient too,
+    for every pair; the quotient enters the `charges` suite only through
+    expand_b."""
     if c is None:
         c = ChargeParams.symbolic()
     if charge_list is None:
@@ -445,7 +435,7 @@ def verify_commuting(q: QuotientO, charge_list=None, c=None) -> Report:
     report = Report()
     for i in range(len(charge_list)):
         for j in range(i + 1, len(charge_list)):
-            residual = q.bracket_reduced(charge_list[i], charge_list[j])
+            residual = bracket(charge_list[i], charge_list[j])
             report.add(f"charges:commute:N{q.N}:I{i}I{j}", residual)
     return report
 
@@ -464,11 +454,9 @@ def expand_b(q: QuotientO, c: ChargeParams):
     for i in range(2):
         for j in range(2):
             accumulate(residual, B.entries[j][i].terms, M[i, j])
-    factors = []
-    for p, charge in enumerate(charges(q, c)):
-        fp = f_poly(q, p, u)
-        h = fp - fp.invert_var(u)
-        factors.append(h)
+    f, f_inv = _tails(q.alphas, lvar(u, -1)), _tails(q.alphas, lvar(u))
+    factors = [f[p] - f_inv[p] for p in range(q.N)]
+    for charge, h in zip(charges(q, c), factors):
         accumulate(residual, charge.terms, -h)
     report = Report()
     report.add(f"charges:expansion:N{q.N}", AlgElem(residual))

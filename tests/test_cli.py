@@ -813,6 +813,20 @@ def test_readme_examples_run(capsys, argv, value):
         assert out.strip().rpartition("= ")[2] == value
 
 
+def test_readme_library_block_runs():
+    """README's `## Library` block runs as written, and the two verdicts its
+    comments name hold: 16 exchange-relation checks that all pass, and a
+    passing representation check."""
+    text = README.read_text("utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    report = names["verify_frt"](names["build_B_onsager"](names["q"]))
+    assert len(report.checks) == 16
+    assert all(check.status == "pass" for check in report.checks)
+    assert names["rep_check"](names["quotient"], names["rep"]).status == "pass"
+
+
 def test_readme_package_layout_names_each_module_once():
     """The top-level bullets of README's `Package layout` name exactly the
     modules of the package, each once."""

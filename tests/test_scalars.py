@@ -101,7 +101,6 @@ def test_rename_and_invert():
     p = lvar("u", 2) + lvar("v")
     q = p.rename({"u": "u1", "v": "u3"})
     assert q == lvar("u1", 2) + lvar("u3")
-    assert p.invert_var("u") == lvar("u", -2) + lvar("v")
     with pytest.raises(ValueError):
         (lvar("u") + lvar("v")).rename({"u": "v"})
 
@@ -371,7 +370,6 @@ def test_exponents_at_the_bound_raise(e):
     big = lvar("x", inside) * lvar("x", 1 if e > 0 else -1) * lvar("y")
     for reencode in (
         lambda: big.rename({"x": "z"}),
-        lambda: big.invert_var("y"),
         lambda: big.coefficients_in("y"),
     ):
         with pytest.raises(ValueError):

@@ -14,16 +14,13 @@ from onsaw.scalars import LaurentPoly, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
     _renamed,
+    _tails,
     build_B_alt,
     build_B_onsager,
     charges,
     corrupted_r_matrix,
     expand_b,
-    f_poly,
-    f_tilde_poly,
     m_matrix,
-    p_poly,
-    p_tilde_poly,
     r_matrix_num,
     verify_commuting,
     verify_cybe,
@@ -145,10 +142,14 @@ def test_alt_operator_matrix_is_integral_and_equals_the_unscaled_formula():
         polys = [B.den] + [c for row in B.entries for e in row for c in e.terms.values()]
         assert all(type(x) is int for poly in polys for x in poly.terms.values())
         # [[-g/4, w_plus/u - w_minus], [-u w_plus + w_minus, g/4]] / (2 p~(U))
-        den = p_tilde_poly(qa, "u") * 2
+        big_u = (u + uinv) * Fraction(1, 2)
+        den = sum((big_u**p * qa.betas[p] for p in range(N + 1)), LaurentPoly()) * 2
         expected = {}
         for k in range(N):
-            fk = f_tilde_poly(qa, k, "u")
+            fk = sum(
+                (big_u ** (p - k - 1) * qa.betas[p] for p in range(k + 1, N + 1)),
+                LaurentPoly(),
+            )
             expected[0, 0, ("Gt", k)] = fk * Fraction(-1, 4)
             expected[0, 1, ("Wm", k)] = fk * uinv
             expected[0, 1, ("Wp", k)] = -fk
@@ -166,18 +167,39 @@ def test_alt_operator_matrix_is_integral_and_equals_the_unscaled_formula():
             assert got[key] * den == num * B.den, key
 
 
-def test_f_poly_instances():
+def test_tails_of_the_alphas_are_f_p():
     q2 = QuotientO.symbolic(2)
     alpha = lvar("alpha")
-    assert f_poly(q2, 1, "u") == alpha + lvar("u", -1)
-    assert f_poly(q2, 2, "u") == LaurentPoly.const(1)
-    assert p_poly(q2, "u") == (
+    f = _tails(q2.alphas, lvar("u", -1))
+    assert f[1] == alpha + lvar("u", -1)
+    assert f[2] == LaurentPoly.const(1)
+    assert build_B_onsager(q2).den == (
         lvar("u", 2)
         + alpha * lvar("u")
         + lvar("alphap")
         + alpha * lvar("u", -1)
         + lvar("u", -2)
     )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_tails_are_the_tail_sums_and_give_both_prefactors(N):
+    q, qa = QuotientO.symbolic(N), QuotientA.symbolic(N)
+    u, uinv = lvar("u"), lvar("u", -1)
+    big_u = (u + uinv) * Fraction(1, 2)
+    for coeffs in (q.alphas, qa.betas):
+        for x in (uinv, u, big_u):
+            tails = _tails(coeffs, x)
+            assert len(tails) == N + 1
+            for k, t in enumerate(tails):
+                expected = sum(
+                    (coeffs[j] * x ** (j - k) for j in range(k, N + 1)), LaurentPoly()
+                )
+                assert t == expected, (coeffs, x, k)
+    p_u = sum((q.alpha(p) * lvar("u", -p) for p in range(-N, N + 1)), LaurentPoly())
+    assert build_B_onsager(q).den == p_u
+    p_tilde = sum((qa.betas[p] * big_u**p for p in range(N + 1)), LaurentPoly())
+    assert build_B_alt(qa).den == p_tilde * 2 ** (N + 2)
 
 
 def test_b_matrix_n2_matches_displayed_entries():
@@ -232,13 +254,14 @@ def test_frt_alt_with_derived_betas():
     assert verify_frt(build_B_alt(qa)).status == "pass"
 
 
-def test_p_tilde_and_f_tilde_instances():
-    qa1 = QuotientA.symbolic(1)
+def test_tails_of_the_betas_are_p_tilde_and_f_tilde():
     big_u = (lvar("u") + lvar("u", -1)) * Fraction(1, 2)
-    assert p_tilde_poly(qa1, "u") == lvar("beta0") + lvar("beta1") * big_u
-    qa2 = QuotientA.symbolic(2)
-    assert f_tilde_poly(qa2, 0, "u") == lvar("beta1") + lvar("beta2") * big_u
-    assert f_tilde_poly(qa2, 1, "u") == lvar("beta2") * LaurentPoly.const(1)
+    p_tilde, f_tilde_0 = _tails(QuotientA.symbolic(1).betas, big_u)
+    assert p_tilde == lvar("beta0") + lvar("beta1") * big_u
+    assert f_tilde_0 == lvar("beta1") * LaurentPoly.const(1)
+    _, f_tilde_0, f_tilde_1 = _tails(QuotientA.symbolic(2).betas, big_u)
+    assert f_tilde_0 == lvar("beta1") + lvar("beta2") * big_u
+    assert f_tilde_1 == lvar("beta2") * LaurentPoly.const(1)
 
 
 def test_frt_series_low_order():
@@ -467,7 +490,7 @@ def test_charges_first_element():
 
 
 def test_charges_commute():
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5):
         assert verify_commuting(QuotientO.symbolic(N)).status == "pass"
 
 
