@@ -40,7 +40,7 @@ from .scalars import as_coeff, coeff_div, lvar, sum_terms, unit_inverse
 
 def Wm(k: int, coeff=1) -> AlgElem:
     if k < 0:
-        raise ValueError("Wm index must be >= 0")
+        raise InputError("Wm index must be >= 0")
     return AlgElem({("Wm", int(k)): coeff})
 
 

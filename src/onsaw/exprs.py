@@ -6,7 +6,7 @@ Grammar:
     term     := factor ("*" factor)*
     factor   := rational | symbol | atom | "-" factor
               | "[" expr "," expr "]" | "(" expr ")"
-    atom     := ("A" | "G" | "W" | "Wp" | "Gt") "(" integer ")"
+    atom     := ("A" | "G" | "W" | "Wm" | "Wp" | "Gt") "(" integer ")"
     rational := integer ("/" positive-integer)?
     symbol   := identifier   (its value is read through `bind`)
 
@@ -16,8 +16,8 @@ an `ExprError` at its column.
 
 Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
-n >= 1 raising), while Wp(k) and Gt(k) address the raising family and the
-Gt family by machine index k >= 0.
+n >= 1 raising), while Wm(k), Wp(k) and Gt(k) address the lowering, raising
+and Gt families by machine index k >= 0, as elements print.
 
 The parser evaluates as it reads: each rule returns the `AlgElem` or the
 scalar that it denotes, and no syntax tree is built.  An error is raised at
@@ -30,14 +30,14 @@ exhausts the interpreter's stack.
 import re
 from fractions import Fraction
 
-from .altpres import Gt, Wp, _w_paper, bracket_alt
+from .altpres import Gt, Wm, Wp, _w_paper, bracket_alt
 from .elements import AlgElem
 from .onsager import A, G, bracket
 from .reports import InputError
 from .scalars import as_coeff, lvar
 
 # The atoms of each presentation: name -> library constructor of one index.
-_ATOMS = {"onsager": {"A": A, "G": G}, "alt": {"W": _w_paper, "Wp": Wp, "Gt": Gt}}
+_ATOMS = {"onsager": {"A": A, "G": G}, "alt": {"W": _w_paper, "Wm": Wm, "Wp": Wp, "Gt": Gt}}
 
 MAX_DEPTH = 100
 

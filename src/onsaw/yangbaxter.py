@@ -16,19 +16,20 @@ identity C(u,v) = P C(v,u) P, where P swaps the two tensor legs, so the
 exchange checks build 10 of its 16 entries and rename u <-> v for the other 6.
 The identity rests on three hypotheses, each checked elsewhere:
 
-- the bracket is antisymmetric: test_bracket_antisymmetry and
-  test_structure_constant_tables_are_antisymmetric check it, and the `dg`
-  suite checks the structure constants of the Onsager bracket;
+- the bracket is antisymmetric: test_bracket_antisymmetry,
+  test_structure_constant_tables_are_antisymmetric and, for the gl2 bracket
+  of `cybe`, test_unit_bracket_is_antisymmetric_and_satisfies_jacobi check
+  it, and the `dg` suite checks the structure constants of the Onsager one;
 - r21(v,u) = P r12(v,u) P: r21 is r12 embedded on the legs (2, 1), which
   test_swapped_legs_equal_flip_conjugation checks is conjugation by P, and
   the `cybe` suite checks the r-matrix itself;
-- Dr(v,u) = -Dr(u,v) for Dr = (u-v)(uv-1), the denominator of
-  r_matrix_num that test_r_matrix_entries pins and `cybe` uses.
+- Dr(v,u) = -Dr(u,v): Dr = (u-v)(uv-1) is the denominator of r_matrix_num,
+  which test_r_matrix_entries pins, and verify_cybe checks it of a candidate.
 
 The renaming is sound only when u != v and neither occurs in a coefficient
 of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
-names from their caller and raise ValueError otherwise; verify_cybe,
-verify_reD and expand_b run at the fixed names u and v.
+names from their caller and raise ValueError otherwise; verify_cybe runs at u
+and v (and w on its third leg), verify_reD and expand_b at u and v.
 
 The operator matrices take their coefficients from the tails
 t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
@@ -46,7 +47,7 @@ from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import A, G, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, accumulate, accumulate_product, lvar
+from .scalars import P_ONE, LaurentPoly, accumulate, lvar
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -73,60 +74,60 @@ def r_matrix_num(u: str = "u", v="v"):
     return num, den
 
 
+def _unit_bracket(s: tuple, t: tuple) -> AlgElem:
+    """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, for E_ab = ("E", (a, b))."""
+    (a, b), (c, d) = s[1], t[1]
+    return AlgElem({("E", (a, d)): int(b == c)}) - AlgElem({("E", (c, b)): int(d == a)})
+
+
 def verify_cybe(r: tuple | None = None) -> Report:
     """The non-standard classical Yang-Baxter equation for a candidate r-matrix:
 
         [r_13, r_23] - [r_21, r_13] - [r_23, r_12] = 0
 
     with spectral arguments (u1,u3), (u2,u3), (u2,u1), (u1,u2).  The candidate
-    is a pair (numerator Matrix, denominator) in u, v, as from r_matrix_num.
-    With r_ab = N_ab / d_ab the cleared form is checked entrywise,
-
-        [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21 = 0.
-
-    Entry (i, j) of each commutator [X, Y], the sum over m of
-    X[i,m] Y[m,j] - Y[i,m] X[m,j], is summed product by product by
-    `accumulate_product`; `accumulate` adds it, weighted by its two
-    denominators, into the entry, so no matrix product or scaled matrix is
-    built.  A numeric spot check confirms the verdict: it evaluates the 4x4
-    N_ab / d_ab at a rational point before `embed_leg` and multiplies over
-    Fraction.
+    is a pair (numerator Matrix N, denominator d) in u, v, as from
+    r_matrix_num; d must change sign under u <-> v, else ValueError.  With u,
+    v, w for u1, u2, u3, this is the exchange relation of B(u) = r(u, w), with
+    B_ij = sum_ab N[2i+a, 2j+b](u, w) E_ab in gl2 on leg 3 and the candidate
+    as r, so `_exchange_residual` builds d12 [N13, N23] + d23 [N21, N13] -
+    d13 [N23, N12].  Times the nonzero d21 = -d12, this is the 8x8 cleared
+    form [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21, whose
+    entry (2r+a, 2c+b) is the E_ab coefficient of residual entry (r, c).  A
+    numeric spot check evaluates the 4x4 N_ab / d_ab at a rational point
+    before `embed_leg` and multiplies over Fraction.
     """
     report = Report()
     num, den = r_matrix_num() if r is None else r
-    r_at = {}  # legs (a, b) -> the 4x4 numerator and the denominator at (u_a, u_b)
-    for legs in ((1, 3), (2, 3), (1, 2), (2, 1)):
-        mapping = {"u": f"u{legs[0]}", "v": f"u{legs[1]}"}
-        r_at[legs] = num.map(lambda e: e.rename(mapping)), den.rename(mapping)
-    n13, n23, n12, n21 = (embed_leg(n, legs, 3) for legs, (n, _) in r_at.items())
-    d13, d23, d12, d21 = (d for _, d in r_at.values())
-    weighted = (
-        (n13, n23, d12 * d21),
-        (n21, n13, -(d23 * d12)),
-        (n23, n12, -(d13 * d21)),
+    if den.rename({"u": "v", "v": "u"}) != -den:
+        raise ValueError(f"r-matrix denominator {den} is not odd under u <-> v")
+
+    def r_at(x, y):  # the candidate at the spectral names (x, y)
+        names = {"u": x, "v": y}
+        return num.map(lambda e: e.rename(names)), den.rename(names)
+
+    def gl2(x, y):
+        return bracket(x, y, sym_bracket=_unit_bracket)
+
+    n_uw, d_uw = r_at("u", "w")
+    units = [(a, b) for a in range(2) for b in range(2)]
+
+    def b_entry(i, j):  # sum_ab N[2i+a, 2j+b](u, w) E_ab
+        return AlgElem({("E", (a, b)): n_uw[2 * i + a, 2 * j + b] for a, b in units})
+
+    bu = [[b_entry(i, j) for j in range(2)] for i in range(2)]
+    residual = _exchange_residual(bu, d_uw, "u", "v", gl2, lambda x: x, r_at)
+    bad = sorted(
+        (2 * r + a, 2 * c + b) for (r, c), x in residual.items() for _, (a, b) in x.terms
     )
-    bad = []
-    for i in range(8):
-        for j in range(8):
-            entry = {}  # {0: the entry's polynomial}, as is each `comm`
-            for x, y, weight in weighted:
-                comm = {}
-                for m in range(8):
-                    if x[i, m] and y[m, j]:
-                        accumulate_product(comm, {0: 1}, x[i, m], y[m, j])
-                    if y[i, m] and x[m, j]:
-                        accumulate_product(comm, {0: -1}, y[i, m], x[m, j])
-                accumulate(entry, comm, weight)
-            if entry:
-                bad.append((i, j))
     more = "..." if len(bad) > 6 else ""
     report.add("cybe:symbolic", bad and f"nonzero residual at entries {bad[:6]}{more}")
 
-    bindings = {"u1": Fraction(2), "u2": Fraction(3), "u3": Fraction(5)}
-    r13, r23, r12, r21 = (
-        embed_leg(n.evaluate(bindings).scale(1 / d.evaluate(bindings)), legs, 3)
-        for legs, (n, d) in r_at.items()
-    )
+    def r_num(a, b):  # r_ab at (u_a, u_b), u = (2, 3, 5), on legs a and b of three
+        at = {"u": (2, 3, 5)[a - 1], "v": (2, 3, 5)[b - 1]}
+        return embed_leg(num.evaluate(at).scale(1 / den.evaluate(at)), (a, b), 3)
+
+    r13, r23, r12, r21 = r_num(1, 3), r_num(2, 3), r_num(1, 2), r_num(2, 1)
     numeric = commutator(r13, r23) - commutator(r21, r13) - commutator(r23, r12)
     report.add(
         "cybe:numeric-agrees",
@@ -232,15 +233,15 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 
 
-def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
+def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     """All denominators cleared, the exchange relation for B(u) = bu/den_u reads
 
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
-    with Dr = (u-v)(uv-1) and hatted (numerator) r matrices.  B(v) = bv/den_v
-    is B(u) with u renamed to v.  At row (i,k) and column (j,l), index 2i+k
-    and 2j+l, B1 = B(u) (x) I and B2 = I (x) B(v) are zero off i = j and
-    k = l, so the two commutator entries are the sums over a in {0, 1}
+    with (rhat_12, Dr) = r_at(u, v) and rhat_21 = r_at(v, u)[0] on legs (2, 1).
+    B(v) = bv/den_v is B(u) with u renamed to v.  At row (i,k) and column
+    (j,l), index 2i+k and 2j+l, B1 = B(u) (x) I and B2 = I (x) B(v) vanish off
+    i = j and k = l, so the two commutator entries are the sums over a in {0, 1}
 
         [r21, B1] = r21[(i,k),(a,l)] bu_aj - bu_ia r21[(a,k),(j,l)]
         [B2, r12] = bv_ka r12[(i,a),(j,l)] - r12[(i,k),(j,a)] bv_al
@@ -258,11 +259,11 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish):
     the three hypotheses of the module docstring (an antisymmetric
     bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and
     a `finish` that commutes with swapping u and v; the callers check the
-    names."""
+    names, and verify_cybe checks Dr."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
-    rhat_12, dr = r_matrix_num(u, v)
-    rhat_21 = embed_leg(r_matrix_num(v, u)[0], (2, 1), 2)
+    rhat_12, dr = r_at(u, v)
+    rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     swap = {u: v, v: u}
     minus_den_u = -den_u
@@ -293,7 +294,9 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     q = B.algebra
     _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
     report = Report()
-    residual = _exchange_residual(B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce)
+    residual = _exchange_residual(
+        B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num
+    )
     for (r, c), entry in residual.items():
         report.add(f"frt:{B.label}:entry{r}{c}", entry)
     return report
@@ -336,6 +339,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
         v,
         bracket,
         lambda x: x.map_coeffs(lambda c: c.truncate(bounds)),
+        r_matrix_num,
     )
     for (r, c), entry in residual.items():
         report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry)

@@ -297,6 +297,14 @@ def test_timing_of_all_stamps_one_check_per_suite(capsys, monkeypatch):
     assert millis == [7] * 15
 
 
+def test_converted_output_parses_back(capsys):
+    """What `convert --dir to-alt` prints, `convert --dir to-ons` reads."""
+    code, out, _ = run(capsys, "convert", "--dir", "to-alt", "--expr", "A(-1)")
+    assert (code, out) == (0, "2*Wm(1) + -Wp(0)\n")
+    code, out, _ = run(capsys, "convert", "--dir", "to-ons", "--expr", out.strip())
+    assert (code, out) == (0, "A(-1)\n")
+
+
 def test_param_binds_upoly_and_convert(capsys):
     code, out, _ = run(
         capsys, "upoly", "--N", "1", "--p", "1", "--j", "0", "--param", "alpha=2"
@@ -496,6 +504,11 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             "--param expects name=value, got '=3'",
         ),
         (("verify", "sn", "--N", "1"), "=3\n", "{config}:1: expected key=value"),
+        (
+            ("convert", "--dir", "to-ons", "--expr", "Wm(-1)"),
+            None,
+            "Wm index must be >= 0 (column 1)",
+        ),
     ],
 )
 def test_input_faults_exit_2_with_one_error_line(

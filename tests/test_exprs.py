@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from onsaw.altpres import Gt, Wm, Wp, bracket_alt
+from onsaw.altpres import Gt, Wm, Wp, bracket_alt, convert_to_alt, convert_to_ons
 from onsaw.elements import AlgElem
 from onsaw.exprs import MAX_DEPTH, ExprError, eval_expr
 from onsaw.onsager import A, G, bracket
@@ -22,6 +22,18 @@ def test_paper_labelled_w_atoms():
     assert got == Wm(1, Fraction(2)) - Wp(1)
     assert eval_expr("W(1)", presentation="alt") == Wp(0)
     assert eval_expr("Gt(0)", presentation="alt") == Gt(0)
+    assert eval_expr("2*Wm(1) + -Wp(0)", presentation="alt") == Wm(1, 2) - Wp(0)
+
+
+@pytest.mark.parametrize(
+    "x", [A(n) for n in range(-6, 7)] + [G(m) for m in range(1, 7)], ids=str
+)
+def test_printed_alternative_elements_parse_back(x):
+    """An element converted to the alternative presentation prints with Wm,
+    Wp and Gt atoms; the text parses back in that presentation, and converts
+    back to the element."""
+    text = str(convert_to_alt(x))
+    assert convert_to_ons(eval_expr(text, presentation="alt")) == x
 
 
 def test_symbolic_coefficient_reduces_in_quotient():
@@ -108,6 +120,8 @@ def test_evaluation_errors():
     with pytest.raises(ExprError):
         eval_expr("Wp(-1)", presentation="alt")
     with pytest.raises(ExprError):
+        eval_expr("Wm(-1)", presentation="alt")
+    with pytest.raises(ExprError):
         eval_expr("W(0)")  # alt atom in the onsager presentation
 
 
@@ -138,12 +152,12 @@ def _atom(rng, presentation):
             return f"A({n})", A(n)
         m = rng.randint(1, 5)
         return f"G({m})", G(m)
-    kind = rng.choice(["W", "Wp", "Gt"])
+    kind = rng.choice(["W", "Wm", "Wp", "Gt"])
     if kind == "W":
         n = rng.randint(-4, 4)
         return f"W({n})", Wm(-n) if n <= 0 else Wp(n - 1)
     k = rng.randint(0, 4)
-    return f"{kind}({k})", (Wp if kind == "Wp" else Gt)(k)
+    return f"{kind}({k})", {"Wm": Wm, "Wp": Wp, "Gt": Gt}[kind](k)
 
 
 _SYMBOLS = {"alpha": lvar("alpha"), "beta1": lvar("beta1"), "mu": Fraction(1, 3)}

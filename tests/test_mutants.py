@@ -22,6 +22,10 @@ Rows so far:
   built: the reduction diagram, the halved `sprime` verdicts and the exchange
   check of the alternative presentation must see it, and the checks of the
   Onsager quotients pass.
+- `yangbaxter._unit_bracket`, the gl2 bracket on the third leg of `cybe`,
+  drops its -delta_da E_cb term: both verdicts of `cybe` must see it, and the
+  exchange checks of the `_add_product` row, which do not bracket matrix
+  units, pass.
 
 The checks named in each row fail without raising; PBW normalization raises
 ValueError on a symbol outside the window, so no row names a PBW check.
@@ -307,3 +311,31 @@ def test_the_alternative_quotient_checks_fail_when_a_monic_entry_is_shifted(
     monkeypatch.setattr(QuotientA, "__init__", shifts_monic_0(QuotientA.__init__))
     expected = {name: "fail" if name in alt else "pass" for name in checks}
     assert statuses_of(checks) == expected
+
+
+def drops_the_delta_da_term(unit_bracket):
+    """`_unit_bracket` without its -delta_da E_cb term: [E_ab, E_cd] =
+    delta_bc E_ad."""
+
+    def mutant(s, t):
+        (a, b), (c, d) = s[1], t[1]
+        restored = AlgElem({("E", (c, b)): int(d == a)})
+        return unit_bracket(s, t) + restored
+
+    return mutant
+
+
+def test_cybe_alone_fails_when_the_unit_bracket_drops_a_term(monkeypatch):
+    """`cybe:numeric-agrees` fails too: the numeric verdict multiplies unit
+    matrices over Fraction and still finds the r-matrix a solution, so the
+    two verdicts disagree."""
+    checks = exchange_checks()
+    cybe = ["cybe:symbolic", "cybe:numeric-agrees"]
+
+    def statuses():
+        exchange = {name: run() for name, run in checks.items()}
+        return exchange | check_statuses(yb.verify_cybe())
+
+    assert statuses() == dict.fromkeys([*checks, *cybe], "pass")
+    monkeypatch.setattr(yb, "_unit_bracket", drops_the_delta_da_term(yb._unit_bracket))
+    assert statuses() == dict.fromkeys(checks, "pass") | dict.fromkeys(cybe, "fail")

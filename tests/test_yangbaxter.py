@@ -7,7 +7,7 @@ import pytest
 from onsaw.altpres import QuotientA, beta_from_alpha
 from onsaw.elements import ZERO, AlgElem
 from onsaw.matrices import Matrix, commutator, embed_leg, kron
-from onsaw.onsager import A, G
+from onsaw.onsager import A, G, bracket
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
 from onsaw.scalars import LaurentPoly, lvar
@@ -15,6 +15,7 @@ from onsaw.yangbaxter import (
     ChargeParams,
     _renamed,
     _tails,
+    _unit_bracket,
     build_B_alt,
     build_B_onsager,
     charges,
@@ -95,7 +96,7 @@ def test_cybe_multiplies_no_polynomial_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
-def test_cybe_rejects_each_shifted_numerator_entry(entry):
+def test_cybe_rejects_each_shifted_numerator_entry(entry, monkeypatch):
     num, den = r_matrix_num()
     rows = [list(row) for row in num.entries]
     rows[entry[0]][entry[1]] = rows[entry[0]][entry[1]] + LaurentPoly.const(1)
@@ -103,6 +104,99 @@ def test_cybe_rejects_each_shifted_numerator_entry(entry):
     by_id = {c.id: c for c in report.checks}
     assert by_id["cybe:symbolic"].status == FAIL
     assert by_id["cybe:numeric-agrees"].status == "pass"
+    assert_cybe_matches_the_cleared_form((Matrix(rows), den), monkeypatch)
+
+
+def cleared_cybe_entries(r):
+    """The nonzero entries, row-major, of the 8x8 cleared form
+    [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21 of the
+    candidate r = (N, d), built from polynomial matrices with embed_leg and
+    Matrix products, as the CYBE was decided before it went through
+    `_exchange_residual`."""
+    num, den = r
+    at = []  # (N_ab embedded on legs a and b of three, d_ab) at (u_a, u_b)
+    for legs in ((1, 3), (2, 3), (1, 2), (2, 1)):
+        names = {"u": f"u{legs[0]}", "v": f"u{legs[1]}"}
+        renamed = num.map(lambda e: e.rename(names))
+        at.append((embed_leg(renamed, legs, 3), den.rename(names)))
+    (n13, d13), (n23, d23), (n12, d12), (n21, d21) = at
+    cleared = (
+        commutator(n13, n23).scale(d12 * d21)
+        - commutator(n21, n13).scale(d23 * d12)
+        - commutator(n23, n12).scale(d13 * d21)
+    )
+    return [(i, j) for i in range(8) for j in range(8) if cleared[i, j]]
+
+
+def assert_cybe_matches_the_cleared_form(r, monkeypatch):
+    """`cybe:symbolic` reports the nonzero entries of the cleared form, and
+    the E_ab coefficient of entry (r, c) of the residual that verify_cybe
+    builds is nonzero exactly at entry (2r+a, 2c+b) of the cleared form."""
+    import onsaw.yangbaxter as yb
+
+    residuals = []
+    build = yb._exchange_residual
+
+    def recording(*args):
+        residuals.append(build(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(yb, "_exchange_residual", recording)
+    report = verify_cybe(r)
+    expected = cleared_cybe_entries(r)
+    (residual,) = residuals
+    got = [
+        (2 * row + a, 2 * col + b)
+        for (row, col), x in residual.items()
+        for _, (a, b) in x.terms
+    ]
+    assert sorted(got) == expected
+    more = "..." if len(expected) > 6 else ""
+    text = f"nonzero residual at entries {expected[:6]}{more}" if expected else ""
+    assert next(c.residual for c in report.checks if c.id == "cybe:symbolic") == text
+
+
+@pytest.mark.parametrize(
+    "make", [r_matrix_num, corrupted_r_matrix], ids=["r-matrix", "corrupted"]
+)
+def test_cybe_reports_the_nonzero_entries_of_the_cleared_form(make, monkeypatch):
+    assert_cybe_matches_the_cleared_form(make(), monkeypatch)
+
+
+def test_cybe_rejects_a_denominator_that_is_not_odd_under_the_swap():
+    num, den = r_matrix_num()
+    with pytest.raises(ValueError, match="is not odd under u <-> v"):
+        verify_cybe((num, den + LaurentPoly.const(1)))
+
+
+def unit_matrix(a, b):
+    return Matrix([[int((i, j) == (a, b)) for j in range(2)] for i in range(2)])
+
+
+def test_unit_bracket_is_antisymmetric_and_satisfies_jacobi():
+    """The gl2 bracket of `cybe` on the matrix units E_ab is antisymmetric on
+    all 16 pairs, which the leg-flip mirror of `_exchange_residual` needs,
+    satisfies Jacobi on all 64 triples, and is the commutator of the unit
+    matrices, so the residual of verify_cybe is that of the CYBE."""
+    units = [(a, b) for a in range(2) for b in range(2)]
+    elem = {ab: AlgElem.basis(("E", ab)) for ab in units}
+
+    def br(x, y):
+        return bracket(x, y, sym_bracket=_unit_bracket)
+
+    for s in units:
+        for t in units:
+            x = br(elem[s], elem[t])
+            assert x == -br(elem[t], elem[s])
+            matrix = Matrix([[0, 0], [0, 0]])
+            for (_, ab), c in x.terms.items():
+                matrix = matrix + unit_matrix(*ab).scale(c)
+            assert matrix == commutator(unit_matrix(*s), unit_matrix(*t))
+    for x in elem.values():
+        for y in elem.values():
+            for z in elem.values():
+                jacobi = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+                assert jacobi.is_zero()
 
 
 def test_b_matrix_n1_closed_form():
