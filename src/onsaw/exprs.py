@@ -4,15 +4,20 @@ Grammar:
 
     expr     := term (("+" | "-") term)*
     term     := factor ("*" factor)*
-    factor   := rational | symbol | atom | "-" factor
-              | "[" expr "," expr "]" | "(" expr ")"
+    factor   := rational | symbol | symbol "^" ["-"] integer | atom
+              | "-" factor | "[" expr "," expr "]" | "(" expr ")"
     atom     := ("A" | "G" | "W" | "Wm" | "Wp" | "Gt") "(" integer ")"
     rational := integer ("/" positive-integer)?
     symbol   := identifier   (its value is read through `bind`)
 
 An integer is ASCII digits; an identifier starts with a letter or "_" and
 goes on with letters, digits or "_".  Any other character outside spaces is
-an `ExprError` at its column.
+an `ExprError` at its column.  Only a symbol takes a power, so polynomial
+coefficients print in a form that parses back, as in `(beta0^2*beta1^-2)*Wm(0)`;
+a negative power needs a unit (a nonzero rational or a monomial), |e| stays
+below 2**31, and a rational power has at most MAX_POWER_BITS bits in its
+numerator or denominator, so no input builds a huge integer.  Each of these
+faults, and a "^" after anything but a symbol, is an `ExprError` at the "^".
 
 Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
@@ -34,12 +39,13 @@ from .altpres import Gt, Wm, Wp, _w_paper, bracket_alt
 from .elements import AlgElem
 from .onsager import A, G, bracket
 from .reports import InputError
-from .scalars import as_coeff, lvar
+from .scalars import _EXP_BOUND, LaurentPoly, as_coeff, lvar, unit_inverse
 
 # The atoms of each presentation: name -> library constructor of one index.
 _ATOMS = {"onsager": {"A": A, "G": G}, "alt": {"W": _w_paper, "Wm": Wm, "Wp": Wp, "Gt": Gt}}
 
 MAX_DEPTH = 100
+MAX_POWER_BITS = 1 << 16
 
 
 class ExprError(InputError):
@@ -56,7 +62,7 @@ class ExprError(InputError):
 # mark or any other character.  A word is a name only if it starts with a
 # letter or "_", since `\w` also holds digits such as "²" and "٣".
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<punct>[-+*/\[\](),])|(\S))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>\w+)|(?P<punct>[-+*/^\[\](),])|(\S))"
 )
 
 
@@ -119,6 +125,13 @@ class _Parser:
         return value
 
     def factor(self):
+        value = self.operand()
+        tok = self.peek()
+        if tok[0] == "^":
+            raise ExprError("only a symbol takes a power", tok[2])
+        return value
+
+    def operand(self):
         kind, value, pos = self.take()
         if kind == "int":
             return self.rational(value)
@@ -128,6 +141,8 @@ class _Parser:
                 index = self.integer()
                 self.take(")")
                 return self.atom(value, index, pos)
+            if self.peek()[0] == "^":
+                return self.power(self.bind(value))
             return self.bind(value)
         if kind not in ("-", "[", "("):
             raise ExprError(f"unexpected token {value!r}", pos)
@@ -157,6 +172,31 @@ class _Parser:
             sign = -1
         tok = self.take("int")
         return sign * int(tok[1])
+
+    def power(self, base):
+        """base ^ ["-"] integer, for the value `base` of a symbol; every
+        fault is an ExprError at the "^"."""
+        pos = self.take()[2]
+        ahead = [tok[0] for tok in self.tokens[self.i : self.i + 2]]
+        if ahead[0] != "int" and ahead != ["-", "int"]:
+            raise ExprError('"^" needs an integer exponent', pos)
+        exp = self.integer()
+        if abs(exp) >= _EXP_BOUND:
+            raise ExprError(f"exponent {exp} out of range (|e| < 2**31)", pos)
+        if exp < 0:
+            inverse = unit_inverse(base)
+            if inverse is None:
+                raise ExprError(f"negative power of {base}, which is not a unit", pos)
+            base, exp = inverse, -exp
+        if not isinstance(base, LaurentPoly):
+            q = Fraction(base)
+            bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+            if exp * bits > MAX_POWER_BITS:
+                raise ExprError(f"power {exp} has more than {MAX_POWER_BITS} bits", pos)
+        try:
+            return base**exp
+        except ValueError as exc:
+            raise ExprError(str(exc), pos) from None
 
     def rational(self, digits: str):
         """The literal `digits`, over a denominator if "/" follows: an int

@@ -31,6 +31,16 @@ of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
 names from their caller and raise ValueError otherwise; verify_cybe runs at u
 and v (and w on its third leg), verify_reD and expand_b at u and v.
 
+Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)], and the built
+entries share brackets where entries of B agree up to sign: the operator
+matrices of both presentations, the series currents and the B(u) = r(u, w)
+of `cybe` are traceless, B_11 = -B_00, so their 10 built entries need 6
+brackets.  `_canonical` finds the equal entries at run time, by exact
+comparison, so this adds no hypothesis, and any other B takes 10 brackets
+through the same code.  The bracket is bilinear and each entry is reduced
+after its sum, so every entry is the same, term for term, as with one
+bracket per entry.
+
 The operator matrices take their coefficients from the tails
 t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
 by t_N = c_N, t_(k-1) = c_(k-1) + x t_k.  The alphas at x = 1/u and x = u
@@ -232,6 +242,28 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 
+# The entries of C(u,v) that `_exchange_residual` builds: the 4 fixed by the
+# leg flip and one of each mirror pair, (2,3) and (3,2) rather than (1,3) and
+# (3,1), so that for a traceless B their brackets are those of (0,1), (1,0).
+_BUILT = (
+    (0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 3), (3, 0), (3, 2), (3, 3)
+)
+
+
+def _canonical(bu) -> dict:
+    """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b], where (a, b)
+    is the first entry, in row-major order, equal to +-bu[i][j]: for the
+    traceless B of the checks, (1, 1) maps to ((0, 0), -1) and every other
+    entry to itself."""
+    out = {}
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = bu[i][j]
+        out[i, j] = next(
+            ((e, sign) for e in out for sign in (1, -1) if x == bu[e[0]][e[1]] * sign),
+            ((i, j), 1),
+        )
+    return out
+
 
 def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     """All denominators cleared, the exchange relation for B(u) = bu/den_u reads
@@ -246,44 +278,62 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
         [r21, B1] = r21[(i,k),(a,l)] bu_aj - bu_ia r21[(a,k),(j,l)]
         [B2, r12] = bv_ka r12[(i,a),(j,l)] - r12[(i,k),(j,a)] bv_al
 
-    Each is summed in its own dict by `accumulate`, and the entry's dict adds
-    them weighted by den_v and -den_u, next to the bracket weighted by Dr, so
-    every polynomial coefficient is added in place and no matrix product is
-    built.  Returns {(r, c): entry of C passed through `finish`}, in row-major
-    order.
+    Each is summed by `accumulate` into the entry's dict, weighted by den_v
+    and -den_u, next to the bracket weighted by Dr, so every polynomial
+    coefficient is added in place and no matrix product is built.  Returns
+    {(r, c): entry of C passed through `finish`}, in row-major order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
     is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
-    entries with (r,c) <= (sigma r, sigma c) are built, the 4 fixed by sigma
-    and one of each mirror pair; the other 6 are renamed mirrors.  This needs
-    the three hypotheses of the module docstring (an antisymmetric
-    bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and
-    a `finish` that commutes with swapping u and v; the callers check the
-    names, and verify_cybe checks Dr."""
+    entries of _BUILT are built, the 4 fixed by sigma and one of each mirror
+    pair; the other 6 are renamed mirrors.  This needs the three hypotheses
+    of the module docstring (an antisymmetric bracket_fn, r21(v,u) = P
+    r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and a `finish` that commutes
+    with swapping u and v; the callers check the names, and verify_cybe
+    checks Dr.
+
+    Entries of bu equal up to sign share a bracket: with bu_ij = s_x bu_x and
+    bu_kl = s_y bu_y as `_canonical` finds them at run time, the bracket is
+    s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so Dr [bu_x, bv_y] is
+    built once per canonical pair (x, y) and added with its sign.  A traceless
+    B needs 6 brackets for the 10 entries, any other B 10.  `finish` runs
+    after the sum, so every entry is what the bracket of its own entries
+    gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
     rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
-    swap = {u: v, v: u}
     minus_den_u = -den_u
-    out = {}
-    for r, (i, k) in enumerate(pairs):
-        for c, (j, l) in enumerate(pairs):
-            mirror = (_FLIP[r], _FLIP[c])
-            if mirror < (r, c):
-                out[r, c] = _renamed(out[mirror], swap)
-                continue
+    canonical = _canonical(bu)
+    uses = {}  # canonical pair (x, y) -> [((r, c), s_x s_y)], in _BUILT order
+    for r, c in _BUILT:
+        (i, k), (j, l) = pairs[r], pairs[c]
+        (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
+        uses.setdefault((x, y), []).append(((r, c), s_x * s_y))
+    built = {}
+    for (x, y), entries in uses.items():
+        bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
+        # An element, so its sums are frozen and each use adds it unchanged.
+        scaled = AlgElem(accumulate({}, bracket_xy.terms, dr))
+        for (r, c), sign in entries:
+            (i, k), (j, l) = pairs[r], pairs[c]
             t1, t2 = {}, {}
             for a in range(2):
                 accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
                 accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
                 accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
                 accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
-            acc = accumulate({}, bracket_fn(bu[i][j], bv[k][l]).terms, dr)
-            accumulate(acc, t1, den_v)
+            acc = accumulate({}, t1, den_v)
             accumulate(acc, t2, minus_den_u)
-            out[r, c] = finish(AlgElem(acc))
+            accumulate(acc, scaled.terms, None if sign == 1 else -1)
+            built[r, c] = finish(AlgElem(acc))
+    swap = {u: v, v: u}
+    out = {}
+    for r in range(4):
+        for c in range(4):
+            mirror = (_FLIP[r], _FLIP[c])
+            out[r, c] = built[r, c] if (r, c) in built else _renamed(built[mirror], swap)
     return out
 
 

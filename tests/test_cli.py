@@ -352,6 +352,9 @@ def test_reduce_alt_with_symbolic_betas_prints_laurent_coefficients(capsys):
     )
     assert code == 0
     assert out.strip() == "(-1*beta0*beta1^-1)*Gt(0) + (beta0^2*beta1^-2)*Wm(0)"
+    argv = ("reduce", "--N", "1", "--presentation", "alt", "--expr", out.strip())
+    again = run(capsys, *argv)
+    assert again == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -508,6 +511,11 @@ def test_zero_N_or_trunc_is_an_input_error_not_a_default(capsys, argv):
             ("convert", "--dir", "to-ons", "--expr", "Wm(-1)"),
             None,
             "Wm index must be >= 0 (column 1)",
+        ),
+        (
+            ("reduce", "--N", "1", "--expr", "A(1)^2"),
+            None,
+            "only a symbol takes a power (column 5)",
         ),
     ],
 )

@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from onsaw.altpres import Gt, Wm, Wp, bracket_alt, convert_to_alt, convert_to_ons
+from onsaw.altpres import (
+    QuotientA,
+    Gt,
+    Wm,
+    Wp,
+    bracket_alt,
+    convert_to_alt,
+    convert_to_ons,
+)
 from onsaw.elements import AlgElem
-from onsaw.exprs import MAX_DEPTH, ExprError, eval_expr
+from onsaw.exprs import MAX_DEPTH, MAX_POWER_BITS, ExprError, eval_expr
 from onsaw.onsager import A, G, bracket
 from onsaw.quotient import QuotientO
 from onsaw.scalars import lvar
@@ -34,6 +42,59 @@ def test_printed_alternative_elements_parse_back(x):
     back to the element."""
     text = str(convert_to_alt(x))
     assert convert_to_ons(eval_expr(text, presentation="alt")) == x
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_printed_reductions_parse_back(N):
+    """A reduction prints its symbolic coefficients with powers, negative
+    ones too in the alternative presentation (it divides by beta_N); the
+    printed text parses back to the reduced element in both presentations."""
+    q, qa = QuotientO.symbolic(N), QuotientA.symbolic(N)
+    onsager = [A(n) for n in range(-2 * N - 2, 2 * N + 3)]
+    onsager += [G(m) for m in range(1, 2 * N + 3)]
+    alt = [make(k) for make in (Wm, Wp, Gt) for k in range(2 * N + 2)]
+    powers = 0
+    cases = (("onsager", q.reduce, onsager), ("alt", qa.reduce, alt))
+    for presentation, reduce, elements in cases:
+        for x in elements:
+            reduced = reduce(x)
+            text = str(reduced)
+            powers += "^" in text
+            assert eval_expr(text, presentation) == reduced, text
+    assert powers > 0
+
+
+def test_powers_of_symbols():
+    assert eval_expr("alpha^3*A(0)") == A(0) * lvar("alpha", 3)
+    assert eval_expr("beta1^-2") == lvar("beta1", -2)
+    assert eval_expr("-x^2") == -lvar("x", 2)
+    assert eval_expr("x^0") == 1
+    bind = {"mu": Fraction(1, 3), "x": lvar("x")}.__getitem__
+    got = eval_expr("mu^-2*A(1) + mu^2*A(0)", bind=bind)
+    assert got == A(1) * 9 + A(0) * Fraction(1, 9)
+    assert eval_expr(f"x^{2**31 - 1}") == lvar("x", 2**31 - 1)
+
+
+@pytest.mark.parametrize(
+    "text, bind, message",
+    [
+        ("A(1)^2", lvar, "only a symbol takes a power (column 5)"),
+        ("(x)^2", lvar, "only a symbol takes a power (column 4)"),
+        ("x^2^3", lvar, "only a symbol takes a power (column 4)"),
+        ("3^2", lvar, "only a symbol takes a power (column 2)"),
+        ("x^", lvar, 'needs an integer exponent (column 2)'),
+        ("x^-*A(0)", lvar, 'needs an integer exponent (column 2)'),
+        (f"x^{2**31}", lvar, "out of range (|e| < 2**31) (column 2)"),
+        (f"x^-{2**31}*A(0)", lvar, "out of range (|e| < 2**31) (column 2)"),
+        ("y^-1", {"y": 0}.__getitem__, "not a unit (column 2)"),
+        ("y^-1", {"y": lvar("a") + 1}.__getitem__, "not a unit (column 2)"),
+        (f"y^{MAX_POWER_BITS // 2 + 1}", {"y": 3}.__getitem__, "bits (column 2)"),
+    ],
+)
+def test_power_faults_are_errors_at_the_caret(text, bind, message):
+    with pytest.raises(ExprError) as err:
+        eval_expr(text, bind=bind)
+    assert str(err.value).endswith(message)
 
 
 def test_symbolic_coefficient_reduces_in_quotient():

@@ -26,6 +26,13 @@ Rows so far:
   drops its -delta_da E_cb term: both verdicts of `cybe` must see it, and the
   exchange checks of the `_add_product` row, which do not bracket matrix
   units, pass.
+- `yangbaxter._canonical` keeps each entry's representative and drops its
+  sign, so `_exchange_residual` reuses a shared bracket without the sign:
+  the exchange checks of both presentations at N = 1..3 and of the series,
+  at entries 13, 23, 31 and 32 (the entries (2,3) and (3,2) whose brackets
+  are the negated ones of (0,1) and (1,0), and their mirrors), and both
+  verdicts of `cybe` must see it.  Entries 11 and 22 pass: their bracket
+  [g(u), g(v)] is zero, so its sign does not show.
 
 The checks named in each row fail without raising; PBW normalization raises
 ValueError on a symbol outside the window, so no row names a PBW check.
@@ -339,3 +346,37 @@ def test_cybe_alone_fails_when_the_unit_bracket_drops_a_term(monkeypatch):
     assert statuses() == dict.fromkeys([*checks, *cybe], "pass")
     monkeypatch.setattr(yb, "_unit_bracket", drops_the_delta_da_term(yb._unit_bracket))
     assert statuses() == dict.fromkeys(checks, "pass") | dict.fromkeys(cybe, "fail")
+
+
+def drops_the_sign(canonical):
+    """`_canonical` with every sign 1: each entry maps to its representative
+    as if it were equal to it, not to its negative."""
+
+    def mutant(bu):
+        return {entry: (rep, 1) for entry, (rep, _) in canonical(bu).items()}
+
+    return mutant
+
+
+def test_a_shared_bracket_reused_without_its_sign_fails(monkeypatch):
+    """`cybe:numeric-agrees` fails too: the numeric verdict shares no bracket
+    and still finds the r-matrix a solution, so the two verdicts disagree."""
+    matrices = []
+    for N in (1, 2, 3):
+        matrices += [yb.build_B_onsager(QuotientO.symbolic(N))]
+        matrices += [yb.build_B_alt(QuotientA.symbolic(N))]
+    entries = ("13", "23", "31", "32")
+    failing = {"cybe:symbolic", "cybe:numeric-agrees"}
+    failing.update(f"frt-series-onsager:entry{rc}:D4" for rc in entries)
+    failing.update(f"frt:{B.label}:entry{rc}" for B in matrices for rc in entries)
+
+    def statuses():
+        report = yb.verify_cybe().extend(yb.verify_frt_series_onsager(4))
+        for B in matrices:
+            report.extend(yb.verify_frt(B))
+        return check_statuses(report)
+
+    before = statuses()
+    assert set(before.values()) == {"pass"} and failing <= before.keys()
+    monkeypatch.setattr(yb, "_canonical", drops_the_sign(yb._canonical))
+    assert statuses() == {c: "fail" if c in failing else "pass" for c in before}

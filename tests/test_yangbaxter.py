@@ -438,13 +438,21 @@ def verdicts(entries):
     return [("pass", "") if e.is_zero() else (FAIL, str(e)) for e in entries]
 
 
+def both_diagonal_entries_times_3(B):
+    """B with g scaled by 3 in both diagonal entries: still traceless, so its
+    exchange residual shares brackets, and it fails."""
+    return B.with_entry(0, 0, B.entries[0][0] * 3).with_entry(1, 1, B.entries[1][1] * 3)
+
+
 def operator_matrices_and_corruptions(N):
-    """B-onsager and B-alt at N, each with its four one-entry-times-3 corruptions."""
+    """B-onsager and B-alt at N, each with its four one-entry-times-3
+    corruptions and the traceless corruption of both diagonal entries."""
     for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
         yield B
         for i in range(2):
             for j in range(2):
                 yield B.with_entry(i, j, B.entries[i][j] * 3)
+        yield both_diagonal_entries_times_3(B)
 
 
 def is_flip_mirror(entries, sign, u="u", v="v"):
@@ -489,6 +497,50 @@ def test_frt_series_matches_the_full_matrix_residual(D, monkeypatch):
     expected = verdicts(series_reference(D, corrupted))
     assert FAIL in {status for status, _ in expected}
     assert [(c.status, c.residual) for c in yb.verify_frt_series_onsager(D).checks] == expected
+
+
+def counting_brackets(monkeypatch) -> list:
+    """Make each `_exchange_residual` run append the number of its
+    bracket_fn calls to the returned list."""
+    import onsaw.yangbaxter as yb
+
+    counts = []
+    build = yb._exchange_residual
+
+    def counting(bu, den_u, u, v, bracket_fn, *rest):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return bracket_fn(x, y)
+
+        residual = build(bu, den_u, u, v, counted, *rest)
+        counts.append(len(calls))
+        return residual
+
+    monkeypatch.setattr(yb, "_exchange_residual", counting)
+    return counts
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_a_traceless_operator_matrix_takes_6_brackets(N, monkeypatch):
+    """B_11 = -B_00, so the 10 built entries share 6 brackets; one diagonal
+    entry times 3 breaks the sharing, both times 3 keep it."""
+    counts = counting_brackets(monkeypatch)
+    for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+        runs = [(B, "pass", 6), (both_diagonal_entries_times_3(B), FAIL, 6)]
+        runs += [(B.with_entry(i, i, B.entries[i][i] * 3), FAIL, 10) for i in range(2)]
+        for target, status, brackets in runs:
+            assert verify_frt(target).status == status
+            assert counts[-1] == brackets
+
+
+def test_the_series_currents_and_the_cybe_matrix_take_6_brackets(monkeypatch):
+    counts = counting_brackets(monkeypatch)
+    assert verify_frt_series_onsager(4).status == "pass"
+    assert verify_cybe().status == "pass"
+    assert verify_cybe(corrupted_r_matrix()).status == FAIL
+    assert counts == [6, 6, 6]
 
 
 def test_the_cleared_residual_is_its_own_leg_flip_mirror():
