@@ -29,7 +29,7 @@ The identity rests on three hypotheses, each checked elsewhere:
 The renaming is sound only when u != v and neither occurs in a coefficient
 of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
 names from their caller and raise ValueError otherwise; verify_cybe runs at u
-and v (and w on its third leg), verify_reD and expand_b at u and v.
+and v (and w on its third leg), verify_reD at u and v, and expand_b at u.
 
 Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)], and the built
 entries share brackets where entries of B agree up to sign: the operator

@@ -1,5 +1,6 @@
 """Normal ordering, the quartic relations, and the three-generator fit."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,12 +49,48 @@ def test_already_normal_word(q1):
 
 def test_unit_distributes(q1):
     env = PBW(q1)
-    shifted = EnvElem.from_alg(A(0)) + EnvElem.unit(Fraction(1))
+    shifted = EnvElem.from_alg(A(0)) + EnvElem({(): Fraction(1)})
     product = env.multiply(shifted, EnvElem.from_alg(A(1)))
     expected = EnvElem(
         {(("A", 0), ("A", 1)): Fraction(1), (("A", 1),): Fraction(1)}
     )
     assert product == expected
+
+
+def _fold_of_multiply(env, word):
+    """The word as the left fold of `multiply` over its one-letter factors."""
+    out = EnvElem({(): 1})
+    for sym in word:
+        out = env.multiply(out, EnvElem({(sym,): 1}))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["first", "last"])
+@pytest.mark.parametrize("N", [1, 2])
+def test_normalize_of_a_word_map_equals_the_fold_of_multiply(N, strategy):
+    q = QuotientO.symbolic(N)
+    env = PBW(q, strategy)
+    rng = random.Random(330 + N)
+    a0, a1 = ("A", 0), ("A", 1)
+    order4 = [
+        (a1, a0),
+        (a0, a1),
+        (a1, a0, a1, a0),
+        (a0, a1, a0, a1),
+        (a1, a1, a0, a0),
+        (a0, a0, a1, a1),
+    ]
+    syms = q.basis_syms()
+    randoms = [
+        tuple(rng.choice(syms) for _ in range(rng.randint(2, 5))) for _ in range(50)
+    ]
+    for word in order4 + randoms:
+        assert env.normalize(EnvElem({word: 1})) == _fold_of_multiply(env, word)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in order4]
+    folded = EnvElem()
+    for word, c in zip(order4, coeffs):
+        folded = folded + _fold_of_multiply(env, word).scale(c)
+    assert env.normalize(EnvElem(dict(zip(order4, coeffs)))) == folded
 
 
 def test_words_must_stay_in_the_window(q1):

@@ -62,7 +62,7 @@ def test_one_leg_embedding_is_kron_with_identities():
             right = Matrix.identity(2 ** (n - j))
             for m in (fractions, polys, elems):
                 assert embed_leg(m, (j,), n) == kron(kron(left, m), right)
-            # the exchange check relies on AlgElem zeros off the block
+            # embed_leg fills off the block with m's typed zero
             got = embed_leg(elems, (j,), n)
             assert all(isinstance(a, AlgElem) for row in got.entries for a in row)
 
