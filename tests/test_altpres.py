@@ -1,5 +1,6 @@
 """The alternative presentation: brackets, conversions, automorphisms, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from onsaw.altpres import (
     triangular_basis_report,
     verify_iso,
 )
-from onsaw.elements import AlgElem
+from onsaw.elements import AlgElem, linear_extension
 from onsaw.onsager import (
     PHI,
     TAU0,
@@ -239,6 +240,57 @@ def test_integral_structure_and_conversion_constants_are_ints():
             assert type(c_coeff(p, k)) is int
     assert c_coeff(1, 7) == -192  # -(6! / (1! 5!)) 2^5
     assert c_coeff(2, 7) == 80  # (5! / (2! 3!)) 2^3
+
+
+ONS_SYMS = [("A", n) for n in range(-30, 31)] + [("G", m) for m in range(1, 31)]
+ALT_SYMS = [(kind, k) for kind in ("Wm", "Wp", "Gt") for k in range(31)]
+
+
+def random_coeff(rng, kinds):
+    """A nonzero coefficient of one of `kinds`: an int, a Fraction with
+    denominator 2^k, 3, 5 or 7, or a LaurentPoly with Fraction coefficients."""
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return rng.choice([-12, -3, -1, 1, 2, 5, 8])
+    den = rng.choice([2, 4, 8, 16, 3, 5, 7])
+    frac = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), den)
+    if kind == "fraction":
+        return frac
+    poly = lvar("t", rng.randint(-3, 3)) * frac + lvar("alpha") * Fraction(1, den)
+    return poly if poly else lvar("alpha")
+
+
+def random_element(rng, syms, kinds):
+    picked = rng.sample(syms, rng.randint(1, 6))
+    return AlgElem({sym: random_coeff(rng, kinds) for sym in picked})
+
+
+def follows_the_coefficient_rule(c) -> bool:
+    if type(c) is LaurentPoly:
+        return all(follows_the_coefficient_rule(v) for v in c.terms.values())
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize(
+    "kinds, seed",
+    [(("int",), 341), (("fraction",), 342), (("poly",), 343)]
+    + [(("int", "fraction", "poly"), 344)],
+)
+def test_the_conversions_equal_the_linear_extension_of_the_images(kinds, seed):
+    """Clearing denominators first changes no image: each conversion equals
+    the linear extension of the memoised images, summed over Fraction, and
+    stores its coefficients by the coefficient rule."""
+    rng = random.Random(seed)
+    cases = [
+        (convert_to_alt, _to_alt_sym, ONS_SYMS),
+        (convert_to_ons, _to_ons_sym, ALT_SYMS),
+    ]
+    for convert, image, syms in cases:
+        xs = [AlgElem()] + [random_element(rng, syms, kinds) for _ in range(40)]
+        for x in xs:
+            got = convert(x)
+            assert got == linear_extension(image, x), x
+            assert all(map(follows_the_coefficient_rule, got.terms.values())), got
 
 
 def test_beta_reduction_diagram():

@@ -33,6 +33,13 @@ Rows so far:
   are the negated ones of (0,1) and (1,0), and their mirrors), and both
   verdicts of `cybe` must see it.  Entries 11 and 22 pass: their bracket
   [g(u), g(v)] is zero, so its sign does not show.
+- A coefficient of the memoised change of basis, in either direction: the
+  1/4 at A(2) in the image of Wm(2) becomes 1/2, or the Gt(0) coefficient of
+  the image of G(3) gains 1/3 (an odd denominator).  The round trips of `iso`
+  and the appendix fixtures that read that image must see either; the first
+  also the triangular check of Wm, the second the bracket intertwining and
+  the reduction diagrams that convert G(3).  The images are cached before
+  the mutant is installed, so a warm cache must not hide it.
 
 The checks named in each row fail without raising; PBW normalization raises
 ValueError on a symbol outside the window, so no row names a PBW check.
@@ -40,9 +47,11 @@ ValueError on a symbol outside the window, so no row names a PBW check.
 
 from fractions import Fraction
 
+import onsaw.cli as cli
 import onsaw.yangbaxter as yb
 from onsaw import altpres, quotient, scalars
 from onsaw.altpres import (
+    Gt,
     QuotientA,
     bracket_alt,
     convert_to_alt,
@@ -51,14 +60,15 @@ from onsaw.altpres import (
 )
 from onsaw.elements import AlgElem
 from onsaw.matrices import Matrix
-from onsaw.onsager import bracket, verify_dolan_grady
+from onsaw.onsager import A, bracket, verify_dolan_grady
 from onsaw.quotient import (
     QuotientO,
     forward_reduction_report,
     implied_relations_report,
     verify_sn,
 )
-from onsaw.reports import Report
+from onsaw.reports import FAIL, Report
+from test_altpres import corrupted
 from test_onsager import bracket_mismatches_at_points
 from test_yangbaxter import reading_traces
 
@@ -380,3 +390,43 @@ def test_a_shared_bracket_reused_without_its_sign_fails(monkeypatch):
     assert set(before.values()) == {"pass"} and failing <= before.keys()
     monkeypatch.setattr(yb, "_canonical", drops_the_sign(yb._canonical))
     assert statuses() == {c: "fail" if c in failing else "pass" for c in before}
+
+
+def verify_all_statuses():
+    opts = cli._build_parser().parse_args(["verify", "all"])
+    cli._apply_config(opts, {})
+    return check_statuses(cli.run_suite("all", opts))
+
+
+def test_verify_all_fails_where_a_change_of_basis_coefficient_is_shifted(
+    monkeypatch,
+):
+    before = verify_all_statuses()  # every image the suites read is now cached
+    assert FAIL not in before.values()
+    round_trips = {"iso:round-trip-alt", "iso:round-trip-onsager"}
+    rows = [
+        (
+            "_to_ons_sym",
+            ("Wm", 2),
+            A(2) * Fraction(1, 4),
+            round_trips
+            | {"triangular:Wm", "appendix-a:inverse:Wm2", "appendix-a:to-ons:A-2"},
+        ),
+        (
+            "_to_alt_sym",
+            ("G", 3),
+            Gt(0, Fraction(1, 3)),
+            round_trips
+            | {"iso:bracket-intertwine", "appendix-a:to-alt:G3"}
+            | {"diagram:N1:G3", "diagram:N2:G3"}
+            | {f"diagram:N3:G{m}" for m in (4, 5, 6, 7)}
+            | {f"diagram:N4:G{m}" for m in (5, 6, 7, 8)},
+        ),
+    ]
+    for name, sym, extra, failing in rows:
+        mutant = corrupted(getattr(altpres, name), sym, extra)
+        monkeypatch.setattr(altpres, name, mutant)
+        expected = {c: FAIL if c in failing else before[c] for c in before}
+        assert verify_all_statuses() == expected, name
+        monkeypatch.undo()
+    assert verify_all_statuses() == before
