@@ -37,9 +37,12 @@ matrices of both presentations, the series currents and the B(u) = r(u, w)
 of `cybe` are traceless, B_11 = -B_00, so their 10 built entries need 6
 brackets.  `_canonical` finds the equal entries at run time, by exact
 comparison, so this adds no hypothesis, and any other B takes 10 brackets
-through the same code.  The bracket is bilinear and each entry is reduced
-after its sum, so every entry is the same, term for term, as with one
-bracket per entry.
+through the same code.  Each built entry starts as a copy of its shared
+bracket, scaled by Dr once per bracket and negated once where a use has sign
+-1, and the two commutator sums are added into it in place, so the bracket
+is never added as a product by +-1.  The bracket is bilinear and each entry
+is reduced after its sum, so every entry is the same, term for term, as with
+one bracket per entry.
 
 The operator matrices take their coefficients from the tails
 t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
@@ -254,12 +257,18 @@ def _canonical(bu) -> dict:
     """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b], where (a, b)
     is the first entry, in row-major order, equal to +-bu[i][j]: for the
     traceless B of the checks, (1, 1) maps to ((0, 0), -1) and every other
-    entry to itself."""
+    entry to itself.  It compares with y and -y, not y * sign: a scaling
+    multiplies every polynomial coefficient by the sign, a negation does not."""
     out = {}
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         x = bu[i][j]
         out[i, j] = next(
-            ((e, sign) for e in out for sign in (1, -1) if x == bu[e[0]][e[1]] * sign),
+            (
+                (e, sign)
+                for e in out
+                for sign in (1, -1)
+                if x == (bu[e[0]][e[1]] if sign == 1 else -bu[e[0]][e[1]])
+            ),
             ((i, j), 1),
         )
     return out
@@ -278,10 +287,12 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
         [r21, B1] = r21[(i,k),(a,l)] bu_aj - bu_ia r21[(a,k),(j,l)]
         [B2, r12] = bv_ka r12[(i,a),(j,l)] - r12[(i,k),(j,a)] bv_al
 
-    Each is summed by `accumulate` into the entry's dict, weighted by den_v
-    and -den_u, next to the bracket weighted by Dr, so every polynomial
-    coefficient is added in place and no matrix product is built.  Returns
-    {(r, c): entry of C passed through `finish`}, in row-major order.
+    The entry's dict starts as a copy of its Dr-scaled bracket, and the two
+    sums are added into it by `accumulate`, weighted by den_v and -den_u, so
+    every polynomial coefficient is added in place (a coefficient of the
+    copy is copied on its first update, so the bracket stays as it was) and
+    no matrix product is built.  Returns {(r, c): entry of C passed through
+    `finish`}, in row-major order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
     is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
@@ -295,10 +306,11 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     Entries of bu equal up to sign share a bracket: with bu_ij = s_x bu_x and
     bu_kl = s_y bu_y as `_canonical` finds them at run time, the bracket is
     s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so Dr [bu_x, bv_y] is
-    built once per canonical pair (x, y) and added with its sign.  A traceless
-    B needs 6 brackets for the 10 entries, any other B 10.  `finish` runs
-    after the sum, so every entry is what the bracket of its own entries
-    gives, term for term."""
+    built once per canonical pair (x, y), negated once if a use has sign -1,
+    and each use starts from the one of its sign.  A traceless B needs 6
+    brackets for the 10 entries, any other B 10.  `finish` runs after the
+    sum, so every entry is what the bracket of its own entries gives, term
+    for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
@@ -314,9 +326,13 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     built = {}
     for (x, y), entries in uses.items():
         bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
-        # An element, so its sums are frozen and each use adds it unchanged.
-        scaled = AlgElem(accumulate({}, bracket_xy.terms, dr))
-        for (r, c), sign in entries:
+        # An element, so its sums are frozen: an entry's first update of a
+        # coefficient copies it, and the next entry starts from it unchanged.
+        # The uses of sign +1 come first, so it is negated at most once.
+        seed, seed_sign = AlgElem(accumulate({}, bracket_xy.terms, dr)), 1
+        for (r, c), sign in sorted(entries, key=lambda use: -use[1]):
+            if sign != seed_sign:
+                seed, seed_sign = -seed, sign
             (i, k), (j, l) = pairs[r], pairs[c]
             t1, t2 = {}, {}
             for a in range(2):
@@ -324,9 +340,9 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
                 accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
                 accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
                 accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
-            acc = accumulate({}, t1, den_v)
+            acc = dict(seed.terms)
+            accumulate(acc, t1, den_v)
             accumulate(acc, t2, minus_den_u)
-            accumulate(acc, scaled.terms, None if sign == 1 else -1)
             built[r, c] = finish(AlgElem(acc))
     swap = {u: v, v: u}
     out = {}

@@ -567,6 +567,132 @@ def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
         commutator(Matrix.identity(2), Matrix.identity(2))
 
 
+def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
+    """`_exchange_residual` as it was before each entry started from its
+    bracket: entries equal up to sign found through y * sign, and each built
+    entry summed as den_v t1 - den_u t2, its shared Dr-scaled bracket added
+    last as a product by +-1.  The reference of the seeded sum."""
+    import onsaw.yangbaxter as yb
+    from onsaw.scalars import accumulate
+
+    canonical = {}
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = bu[i][j]
+        canonical[i, j] = next(
+            (
+                (e, sign)
+                for e in canonical
+                for sign in (1, -1)
+                if x == bu[e[0]][e[1]] * sign
+            ),
+            ((i, j), 1),
+        )
+    bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
+    den_v = den_u.rename({u: v})
+    rhat_12, dr = r_at(u, v)
+    rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
+    pairs = [(i, k) for i in range(2) for k in range(2)]
+    built = {}
+    for r, c in yb._BUILT:
+        (i, k), (j, l) = pairs[r], pairs[c]
+        (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
+        scaled = accumulate({}, bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]]).terms, dr)
+        t1, t2 = {}, {}
+        for a in range(2):
+            accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
+            accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
+            accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
+            accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
+        acc = accumulate({}, t1, den_v)
+        accumulate(acc, t2, -den_u)
+        accumulate(acc, AlgElem(scaled).terms, None if s_x * s_y == 1 else -1)
+        built[r, c] = finish(AlgElem(acc))
+    swap, flip = {u: v, v: u}, yb._FLIP
+    mirrors = {(flip[r], flip[c]): _renamed(x, swap) for (r, c), x in built.items()}
+    entries = {**mirrors, **built}
+    return {(r, c): entries[r, c] for r in range(4) for c in range(4)}
+
+
+def exchange_inputs(monkeypatch):
+    """Arguments of `_exchange_residual` whose residuals are nonzero: B-onsager
+    and B-alt at N = 2 with one entry negated, the corrupted r-matrix as
+    verify_cybe passes it, and the series currents with u A(1) added to g."""
+    import onsaw.yangbaxter as yb
+
+    out = []
+    for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
+        q = B.algebra
+        rest = (B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num)
+        for i in range(2):
+            for j in range(2):
+                out.append((B.with_entry(i, j, -B.entries[i][j]).entries, *rest))
+    recorded = []
+    build = yb._exchange_residual
+
+    def recording(*args):
+        recorded.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(yb, "_exchange_residual", recording)
+    verify_cybe(corrupted_r_matrix())
+    verify_frt_series_onsager(4)
+    monkeypatch.setattr(yb, "_exchange_residual", build)
+    cybe, series = recorded
+    out.append(cybe)
+    ((g, a_minus), (a_plus, _)), *rest = series
+    g = g + A(1) * lvar("u")
+    out.append((((g, a_minus), (a_plus, -g)), *rest))
+    return out
+
+
+def test_each_entry_seeded_with_its_bracket_equals_the_bracket_added_last(monkeypatch):
+    """Starting each built entry from its Dr-scaled bracket changes no entry:
+    all 16 match the old per-entry sum term for term, coefficient types too."""
+    import onsaw.yangbaxter as yb
+    from test_quotient import same_term_maps
+
+    for args in exchange_inputs(monkeypatch):
+        got, expected = yb._exchange_residual(*args), summed_bracket_last(*args)
+        assert any(expected.values())
+        assert list(got) == list(expected)
+        for key, x in expected.items():
+            assert same_term_maps(got[key], x), key
+
+
+def term_products(monkeypatch) -> list:
+    """Make every `scalars._add_product` call add len(a) * len(b) to the one
+    entry of the returned list."""
+    from onsaw import scalars
+
+    count = [0]
+    loop = scalars._add_product
+
+    def counting(out, a, b, k=1):
+        count[0] += len(a) * len(b)
+        return loop(out, a, b, k)
+
+    monkeypatch.setattr(scalars, "_add_product", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "run, budget",
+    [
+        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 7_499),
+        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 10_303),
+        (lambda: verify_frt_series_onsager(8), 3_350),
+    ],
+    ids=["frt-onsager-N3", "frt-alt-N3", "frt-series-D8"],
+)
+def test_the_exchange_checks_multiply_no_more_term_products(run, budget, monkeypatch):
+    """A ratchet on the term products of the multiply-add loop: no sum pays
+    it (the shared bracket seeds each entry, `divide` skips the lead), and a
+    change that adds products fails here."""
+    count = term_products(monkeypatch)
+    assert run().status == "pass"
+    assert count[0] <= budget
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_verify_frt_at_another_second_spectral_name(N):
     failing = 0
