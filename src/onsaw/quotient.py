@@ -9,14 +9,12 @@ normal-form span, the farthest symbol first, by the one-sided recurrences
     A_{N+p} = -sum_{n=-N}^{N-1} alpha_n A_{n+p}
     A_{p-N} = -sum_{n=-N+1}^{N} alpha_n A_{n+p}
 
-and the G analogue, with no per-symbol cache and no recursion.  Each
-elimination pops the symbol's coefficient c and adds -c times the rest of its
-relation instance (`divide`), so c is never multiplied by the leading 1 only
-to cancel; the instances come from (n, alpha_|n|) pairs stored once per
-quotient (`QuotientO.relation`).  The table u_poly reproduces the same
-reduction coefficients through an independent recurrence; the two are
-compared by u_poly_report and any mismatch is a documented discrepancy (the
-reduction oracle wins).
+and the G analogue, with no per-symbol cache and no recursion; the relation
+instances come from (n, alpha_|n|) pairs stored once per quotient
+(`QuotientO.relation`).  The table u_poly reproduces the same reduction
+coefficients through an independent recurrence; the two are compared by
+u_poly_report and any mismatch is a documented discrepancy (the reduction
+oracle wins).
 """
 
 from .elements import AlgElem, accumulate
@@ -33,22 +31,11 @@ def divide(x: AlgElem, excess, divisor) -> AlgElem:
     symbols of strictly smaller excess.  Symbols are eliminated farthest
     first, by subtracting their coefficient times divisor(sym), so no level
     gains a symbol once it is cleared; within a level, order does not matter.
-
-    The lead 1*sym cancels the coefficient c exactly, so c is popped and only
-    -c times the tail, the divisor without its lead, is added: c is never
-    multiplied by the lead.  The result is term for term that of subtracting
-    c times the whole divisor, for any divisor: when the lead is not 1 (a
-    negative control's), c stays at sym and the lead is added with the tail,
-    so c - c*lead is left there, as the whole subtraction leaves it.
     """
     acc = dict(x.terms)
     for level in range(max(map(excess, acc), default=0), 0, -1):
         for sym in [s for s in acc if excess(s) == level]:
-            c = acc[sym]
-            tail = dict(divisor(sym).terms)
-            if tail.get(sym) == 1:
-                del acc[sym], tail[sym]  # pop c and the lead that cancels it
-            accumulate(acc, tail, -c)
+            accumulate(acc, divisor(sym).terms, -acc[sym])  # cancels sym
     return AlgElem(acc)
 
 
@@ -118,9 +105,12 @@ class QuotientO:
         """The quotient relation sum(alpha_|n| X_{n+p}, n = -N..N), for make
         A or G, read off the stored (n, alpha_|n|) pairs.  For G, G_0 = 0 and
         G_{-m} = -G_m: a term at a negative index is added, negated, at the
-        positive one, so where the instance spans 0 its two halves fold."""
+        positive one, so where the instance spans 0 its two halves fold.
+        TypeError for any other make."""
         if make is A:
             return AlgElem({("A", n + p): a for n, a in self._pairs})
+        if make is not G:
+            raise TypeError(f"relation instances are of A or G, not {make!r}")
         combo = {("G", n + p): a for n, a in self._pairs if n + p > 0}
         folded = {("G", -n - p): -a for n, a in self._pairs if n + p < 0}
         return AlgElem(accumulate(combo, folded))

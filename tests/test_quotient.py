@@ -1,17 +1,15 @@
 """Normal-form reduction, the coefficient table, and the quotient relations."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from onsaw.altpres import Gt, QuotientA, Wm, Wp
-from onsaw.elements import AlgElem, accumulate
+from onsaw.elements import AlgElem
 from onsaw.onsager import A, G, bracket, s_n_autopoly
 from onsaw.quotient import (
     QuotientO,
     defining_relations,
-    divide,
     forward_reduction_report,
     implied_relations_report,
     u_poly,
@@ -213,74 +211,14 @@ def test_concrete_alphas_reduce_rationally():
     assert u_poly(q, 1, 0) == Fraction(5, 4)
 
 
-# --- the elimination against the whole-divisor subtraction -------------------
-
-
-def subtracting_the_whole_divisor(x, excess, divisor):
-    """`divide` as it was: each eliminated coefficient times the whole
-    divisor, its lead included, subtracted.  The reference of the
-    elimination that pops the coefficient and adds the tail."""
-    acc = dict(x.terms)
-    for level in range(max(map(excess, acc), default=0), 0, -1):
-        for sym in [s for s in acc if excess(s) == level]:
-            accumulate(acc, divisor(sym).terms, -acc[sym])
-    return AlgElem(acc)
-
-
-def seeded_coeff(rng):
-    kind = rng.choice(("int", "fraction", "poly"))
-    if kind == "int":
-        return rng.choice([-5, -1, 1, 2, 7])
-    frac = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([2, 3, 4, 5]))
-    if kind == "fraction":
-        return frac
-    return lvar("t", rng.randint(-2, 2)) * frac + lvar("s")
-
-
-def dividing_quotients():
-    """QuotientO and QuotientA for N = 1..4, symbolic and with seeded
-    rational coefficients, with the symbols that reduce must accept: A and
-    Wm/Wp/Gt up to 2N + 3 levels out at both ends, and G_m for m <= 3N,
-    which takes in the folding instances N < m <= 2N."""
-    rng = random.Random(350)
-    for N in (1, 2, 3, 4):
-        rational = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(N)]
-        far = 2 * N + 3
-        ons = [("A", n) for n in range(-N + 1 - far, N + far + 1)]
-        ons += [("G", m) for m in range(1, 3 * N + 1)]
-        alt = [(kind, k) for kind in ("Wm", "Wp", "Gt") for k in range(N + far)]
-        yield QuotientO.symbolic(N), ons
-        yield QuotientO(rational + [1]), ons
-        yield QuotientA.symbolic(N), alt
-        lead = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        yield QuotientA(rational + [lead]), alt
+# --- the relation instances ---------------------------------------------------
 
 
 def same_term_maps(x, y) -> bool:
+    """Equal term maps, with coefficients of the same types."""
     return x.terms == y.terms and all(
         type(c) is type(y.terms[s]) for s, c in x.terms.items()
     )
-
-
-def test_divide_equals_subtracting_the_whole_divisor():
-    """Popping the eliminated coefficient and adding only the tail gives the
-    whole-divisor subtraction term for term, coefficient types too, with the
-    quotients' monic divisors and with the negated divisor of the mutant
-    that flips the elimination sign, whose lead -1 leaves 2c at its symbol."""
-    from test_mutants import flips_the_elimination_sign
-
-    rng = random.Random(351)
-    for q, syms in dividing_quotients():
-        flipped = flips_the_elimination_sign(divide)
-        reference = flips_the_elimination_sign(subtracting_the_whole_divisor)
-        for _ in range(12):
-            picked = rng.sample(syms, rng.randint(1, 5))
-            x = AlgElem({sym: seeded_coeff(rng) for sym in picked})
-            args = (x, q._excess, q._divisor)
-            got = divide(*args)
-            assert same_term_maps(got, subtracting_the_whole_divisor(*args)), (q, x)
-            assert same_term_maps(got, q.reduce(x)), (q, x)
-            assert same_term_maps(flipped(*args), reference(*args)), (q, x)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -296,3 +234,8 @@ def test_relation_equals_the_sum_of_its_terms(N):
                 expected = AlgElem(sum_terms(terms))
                 assert same_term_maps(q.relation(make, p), expected), (make, p)
         assert q.relation(G, 0).is_zero()  # alpha is symmetric: the halves cancel
+
+
+def test_relation_rejects_a_make_other_than_A_or_G():
+    with pytest.raises(TypeError):
+        QuotientO.symbolic(1).relation(lambda n, c: A(n, c), 0)

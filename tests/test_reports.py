@@ -136,18 +136,19 @@ FAILING_TEXTS = [
             "reD:r12:numeric-agrees": (
                 "numeric evaluation disagrees with the symbolic verdict"
             ),
-            # `divide` never multiplies a lead, so the dropped product never
-            # leaves a lead uncancelled; at G4 both sides of the diagram then
-            # drop the same product and agree.
-            "diagram:N1:A-5": "-Wp(0)",
-            "diagram:N1:A-4": "Wm(0)",
-            "diagram:N1:A-3": "Wp(0)",
+            "diagram:N1:A-5": (
+                "-3*alpha^3*Wm(0) + 2*Wm(1) + -32*Wm(3) + (-1 + -3*alpha^2)*Wp(0) + "
+                "12*Wp(2)"
+            ),
+            "diagram:N1:A-4": "(1 + 2*alpha^2)*Wm(0) + -12*Wm(2) + 4*Wp(1)",
+            "diagram:N1:A-3": "(-1*alpha + -1*alpha^3)*Wm(0) + -4*Wm(1) + Wp(0)",
             "diagram:N1:A-2": "-Wm(0)",
             "diagram:N1:A3": "-Wp(0)",
-            "diagram:N1:A4": "Wm(0)",
-            "diagram:N1:A5": "Wp(0)",
+            "diagram:N1:A4": "Wm(0) + (-1*alpha + -1*alpha^3)*Wp(0) + -4*Wp(1)",
+            "diagram:N1:A5": "4*Wm(1) + (1 + 2*alpha^2)*Wp(0) + -12*Wp(2)",
             "diagram:N1:G3": "1/4*Gt(0)",
-            "diagram:N1:G5": "-1/4*Gt(0)",
+            "diagram:N1:G4": "(1/4*alpha + 1/4*alpha^3)*Gt(0) + Gt(1)",
+            "diagram:N1:G5": "(-1/4 + -1/2*alpha^2)*Gt(0) + 3*Gt(2)",
             "pbw-lie:all-pairs": (
                 "failing pairs [(('A', -1), ('G', 1)), (('A', -1), ('G', 2)), (('A', "
                 "2), ('G', 1)), (('A', 2), ('G', 2))]"

@@ -678,15 +678,15 @@ def term_products(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "run, budget",
     [
-        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 7_499),
-        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 10_303),
+        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 7_573),
+        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 10_407),
         (lambda: verify_frt_series_onsager(8), 3_350),
     ],
     ids=["frt-onsager-N3", "frt-alt-N3", "frt-series-D8"],
 )
 def test_the_exchange_checks_multiply_no_more_term_products(run, budget, monkeypatch):
-    """A ratchet on the term products of the multiply-add loop: no sum pays
-    it (the shared bracket seeds each entry, `divide` skips the lead), and a
+    """A ratchet on the term products of the multiply-add loop: the shared
+    bracket seeds each entry instead of being added as a product, and a
     change that adds products fails here."""
     count = term_products(monkeypatch)
     assert run().status == "pass"
