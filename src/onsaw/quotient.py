@@ -152,8 +152,9 @@ def u_poly(q: QuotientO, p: int, j: int):
 
 def u_poly_oracle(q: QuotientO, p: int) -> AlgElem:
     """Row p of the table read directly off reduce(A_{-N-p}), signed so that
-    its coefficient of A_j is U_{p,j}."""
-    return q.reduce(A(-q.N - p)) * (-1) ** (p + q.N)
+    its coefficient of A_j is U_{p,j}: negated when p + N is odd."""
+    row = q.reduce(A(-q.N - p))
+    return -row if (p + q.N) % 2 else row
 
 
 def u_poly_report(q: QuotientO, pmax: int) -> Report:

@@ -13,7 +13,8 @@ coefficients are plain Laurent polynomials required to vanish identically.
 
 The cleared residual C(u,v) of an operator matrix B satisfies the leg-flip
 identity C(u,v) = P C(v,u) P, where P swaps the two tensor legs, so the
-exchange checks build 10 of its 16 entries and rename u <-> v for the other 6.
+exchange checks build at most 10 of its 16 entries and rename u <-> v for
+the other 6.
 The identity rests on three hypotheses, each checked elsewhere:
 
 - the bracket is antisymmetric: test_bracket_antisymmetry,
@@ -31,11 +32,38 @@ of the quotient.  verify_frt and verify_frt_series_onsager take the spectral
 names from their caller and raise ValueError otherwise; verify_cybe runs at u
 and v (and w on its third leg), verify_reD at u and v, and expand_b at u.
 
+A second mirror comes from the automorphism Phi.  With D(x) = diag(1, x),
+sigma the row swap and tau(a) = 3 - a on tensor indices, entry (a, b) =
+(2i+k, 2j+l) of C gives entry (tau a, tau b) = u^(j-i) v^(l-k) Phi(C[a, b]).
+This needs four more hypotheses:
+
+- Phi is a Lie automorphism of the bracket:
+  test_automorphisms_respect_the_bracket and
+  test_alt_automorphisms_respect_the_bracket check it;
+- `finish` commutes with Phi and is linear over the coefficients:
+  q.reduce is, test_reduce_commutes_with_phi_term_for_term checks it for
+  both presentations;
+- Phi(B(u)) = D(u) sigma B(u) sigma D(u)^-1, and
+- r12 and r21 equal their conjugates by M = D(u) sigma (x) D(v) sigma:
+  `_phi_covariant` checks both at run time by exact comparison, and
+  test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m
+  checks the second by matrix products.
+
+Only verify_frt passes Phi (`apply_auto` or `alt_auto` of PHI).  When both
+run-time checks hold, as they do for the operator matrices of both
+presentations, `_exchange_residual` builds the 6 entries of `_PHI_BUILT`,
+one per orbit of the flip and tau.  A negative control with one entry
+changed and a corrupted r-matrix fail a check; the series currents, which
+truncation leaves not covariant (Phi(a_-) = u^-1 a_+ + u^D A_(D+1)), and the
+gl2 matrix of `cybe` get no Phi.  All of these take the 10 entries of the
+flip alone.
+
 Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)], and the built
 entries share brackets where entries of B agree up to sign: the operator
 matrices of both presentations, the series currents and the B(u) = r(u, w)
 of `cybe` are traceless, B_11 = -B_00, so their 10 built entries need 6
-brackets.  `_canonical` finds the equal entries at run time, by exact
+brackets, and the 6 entries of the Phi path need 4, one of them the zero
+[g(u), g(v)].  `_canonical` finds the equal entries at run time, by exact
 comparison, so this adds no hypothesis, and any other B takes 10 brackets
 through the same code.  Each built entry starts as a copy of its shared
 bracket, scaled by Dr once per bracket and negated once where a use has sign
@@ -53,11 +81,12 @@ give the prefactor p~(U) = t_0 and the components f~_k = t_(k+1).
 """
 
 from fractions import Fraction
+from functools import partial
 
-from .altpres import QuotientA, bracket_alt
+from .altpres import QuotientA, alt_auto, bracket_alt
 from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg, partial_trace
-from .onsager import A, G, bracket
+from .onsager import PHI, A, G, apply_auto, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
 from .scalars import P_ONE, LaurentPoly, accumulate, lvar
@@ -252,6 +281,11 @@ _BUILT = (
     (0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 3), (3, 0), (3, 2), (3, 3)
 )
 
+# The entries built on the Phi path: one of each orbit of the leg flip and of
+# tau, (a, b) -> (3-a, 3-b), with (2,3) rather than (1,0) so that it shares
+# the bracket [B_00(u), B_01(v)] of (0,1) when B is traceless.
+_PHI_BUILT = ((0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 3))
+
 
 def _canonical(bu) -> dict:
     """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b], where (a, b)
@@ -274,7 +308,41 @@ def _canonical(bu) -> dict:
     return out
 
 
-def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
+def _tau_factor(u, v, a, b) -> LaurentPoly:
+    """u^(j-i) v^(l-k) for the entry (a, b) = (2i+k, 2j+l) of a 4x4 matrix."""
+    (i, k), (j, l) = divmod(a, 2), divmod(b, 2)
+    return LaurentPoly.monomial(1, {u: j - i, v: l - k})
+
+
+def _phi_covariant(bu, u, v, phi, rhats) -> bool:
+    """Whether Phi(B(u)) = D(u) sigma B(u) sigma D(u)^-1, with D(x) = diag(1, x)
+    and sigma the row swap, and each r-matrix of `rhats` equals its conjugate
+    by M = D(u) sigma (x) D(v) sigma, by exact comparison.  Entrywise, the
+    first is Phi(B_00) = B_11, Phi(B_11) = B_00, u Phi(B_01) = B_10 and
+    Phi(B_10) = u B_01, the second r[3-a, 3-b] = u^(j-i) v^(l-k) r[a, b]."""
+    (b00, b01), (b10, b11) = bu
+    uu = lvar(u)
+    if not (
+        phi(b00) == b11 and phi(b11) == b00 and phi(b01) * uu == b10 and phi(b10) == b01 * uu
+    ):
+        return False
+    return all(
+        rhat[3 - a, 3 - b] == _tau_factor(u, v, a, b) * rhat[a, b]
+        for rhat in rhats
+        for a in range(4)
+        for b in range(4)
+    )
+
+
+def _phi_mirrors(built, phi, u, v) -> dict:
+    """{(3-a, 3-b): u^(j-i) v^(l-k) Phi(x)} for the entries (a, b): x of
+    `built`, (a, b) = (2i+k, 2j+l): the tau images of `_exchange_residual`."""
+    return {
+        (3 - a, 3 - b): phi(x).scale(_tau_factor(u, v, a, b)) for (a, b), x in built.items()
+    }
+
+
+def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     """All denominators cleared, the exchange relation for B(u) = bu/den_u reads
 
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
@@ -295,7 +363,7 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     `finish`}, in row-major order.
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
-    is entry (r,c) with u and v swapped, sigma = _FLIP.  So only the 10
+    is entry (r,c) with u and v swapped, sigma = _FLIP.  So at most the 10
     entries of _BUILT are built, the 4 fixed by sigma and one of each mirror
     pair; the other 6 are renamed mirrors.  This needs the three hypotheses
     of the module docstring (an antisymmetric bracket_fn, r21(v,u) = P
@@ -303,23 +371,33 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
     with swapping u and v; the callers check the names, and verify_cybe
     checks Dr.
 
+    When `phi` is given and `_phi_covariant` holds, C[tau a, tau b] =
+    u^(j-i) v^(l-k) Phi(C[a, b]) with tau(a) = 3 - a (see the module
+    docstring), so only the 6 entries of _PHI_BUILT are built, one per orbit
+    of sigma and tau; `_phi_mirrors` makes their tau images and the other 4
+    are renamed mirrors.  This needs the four hypotheses of the module
+    docstring too: the two on `phi` and `finish` hold for the presentations
+    of verify_frt, and `_phi_covariant` checks the two on bu and the
+    r-matrices.  Without `phi` no monomial is formed.
+
     Entries of bu equal up to sign share a bracket: with bu_ij = s_x bu_x and
     bu_kl = s_y bu_y as `_canonical` finds them at run time, the bracket is
     s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so Dr [bu_x, bv_y] is
     built once per canonical pair (x, y), negated once if a use has sign -1,
     and each use starts from the one of its sign.  A traceless B needs 6
-    brackets for the 10 entries, any other B 10.  `finish` runs after the
-    sum, so every entry is what the bracket of its own entries gives, term
-    for term."""
+    brackets for the 10 entries, a Phi-covariant one 4 for the 6, any other
+    B 10.  `finish` runs after the sum, so every entry is what the bracket of
+    its own entries gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
     rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
+    mirrored = phi is not None and _phi_covariant(bu, u, v, phi, (rhat_12, rhat_21))
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
-    uses = {}  # canonical pair (x, y) -> [((r, c), s_x s_y)], in _BUILT order
-    for r, c in _BUILT:
+    uses = {}  # canonical pair (x, y) -> [((r, c), s_x s_y)], in build order
+    for r, c in _PHI_BUILT if mirrored else _BUILT:
         (i, k), (j, l) = pairs[r], pairs[c]
         (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
         uses.setdefault((x, y), []).append(((r, c), s_x * s_y))
@@ -344,6 +422,8 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at):
             accumulate(acc, t1, den_v)
             accumulate(acc, t2, minus_den_u)
             built[r, c] = finish(AlgElem(acc))
+    if mirrored:
+        built.update(_phi_mirrors(built, phi, u, v))
     swap = {u: v, v: u}
     out = {}
     for r in range(4):
@@ -360,8 +440,9 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     q = B.algebra
     _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
     report = Report()
+    phi = partial(apply_auto if isinstance(q, QuotientO) else alt_auto, (PHI,))
     residual = _exchange_residual(
-        B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num
+        B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num, phi
     )
     for (r, c), entry in residual.items():
         report.add(f"frt:{B.label}:entry{r}{c}", entry)

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from onsaw.altpres import QuotientA, beta_from_alpha
-from onsaw.elements import ZERO, AlgElem
+from onsaw.altpres import Gt, QuotientA, Wm, Wp, alt_auto, beta_from_alpha
+from onsaw.elements import ZERO, AlgElem, accumulate
 from onsaw.matrices import Matrix, commutator, embed_leg, kron
-from onsaw.onsager import A, G, bracket
+from onsaw.onsager import PHI, A, G, apply_auto, bracket
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL
 from onsaw.scalars import LaurentPoly, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
+    OperatorMatrix,
     _renamed,
     _tails,
     _unit_bracket,
@@ -30,6 +31,7 @@ from onsaw.yangbaxter import (
     verify_frt_series_onsager,
     verify_reD,
 )
+from test_quotient import same_term_maps
 
 
 def test_r_matrix_entries():
@@ -523,12 +525,17 @@ def counting_brackets(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_a_traceless_operator_matrix_takes_6_brackets(N, monkeypatch):
-    """B_11 = -B_00, so the 10 built entries share 6 brackets; one diagonal
-    entry times 3 breaks the sharing, both times 3 keep it."""
+def test_covariant_traceless_and_other_operator_matrices_take_4_6_and_10_brackets(
+    N, monkeypatch
+):
+    """A Phi-covariant B builds 6 entries from 4 brackets, both diagonal
+    entries times 3 included; B_01 times 3 alone leaves B traceless but not
+    covariant, so its 10 built entries share 6 brackets; one diagonal entry
+    times 3 breaks both, and its 10 entries take 10 brackets."""
     counts = counting_brackets(monkeypatch)
     for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
-        runs = [(B, "pass", 6), (both_diagonal_entries_times_3(B), FAIL, 6)]
+        runs = [(B, "pass", 4), (both_diagonal_entries_times_3(B), FAIL, 4)]
+        runs += [(B.with_entry(0, 1, B.entries[0][1] * 3), FAIL, 6)]
         runs += [(B.with_entry(i, i, B.entries[i][i] * 3), FAIL, 10) for i in range(2)]
         for target, status, brackets in runs:
             assert verify_frt(target).status == status
@@ -553,6 +560,178 @@ def test_the_cleared_residual_is_its_own_leg_flip_mirror():
                 nonzero += 1
                 assert not is_flip_mirror(entries, -1)
     assert nonzero > 0
+
+
+# --- the Phi mirror ------------------------------------------------------------------
+
+
+def phi_of(q):
+    """Phi on the elements of the presentation of q."""
+    auto = apply_auto if isinstance(q, QuotientO) else alt_auto
+    return lambda x: auto((PHI,), x)
+
+
+def far_elements(q) -> list:
+    """Basis symbols out to 2N past the window at every end it has, G up to
+    3N (the relation folds for N < m <= 2N), and their sum with polynomial
+    coefficients in u."""
+    N = q.N
+    if isinstance(q, QuotientO):
+        xs = [A(n) for n in range(-3 * N, 3 * N + 2)]
+        xs += [G(m) for m in range(1, 3 * N + 1)]
+    else:
+        xs = [make(k) for make in (Wm, Wp, Gt) for k in range(3 * N + 1)]
+    total = {}
+    for n, x in enumerate(xs):
+        accumulate(total, x.terms, lvar("u", n % 5 - 2) - n)
+    return xs + [AlgElem(total)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_reduce_commutes_with_phi_term_for_term(N):
+    """q.reduce(Phi x) = Phi(q.reduce(x)), the equivariance the Phi mirror
+    needs, for symbolic and rational coefficients in both presentations."""
+    rationals = [Fraction(k + 2, 5) for k in range(N)]
+    for q in (
+        QuotientO.symbolic(N),
+        QuotientO(rationals + [1]),
+        QuotientA.symbolic(N),
+        QuotientA(rationals + [Fraction(2, 3)]),
+    ):
+        phi = phi_of(q)
+        for x in far_elements(q):
+            assert same_term_maps(q.reduce(phi(x)), phi(q.reduce(x))), (q, x)
+
+
+def d_sigma(x: str) -> Matrix:
+    """D(x) sigma = [[0, 1], [x, 0]], D(x) = diag(1, x), sigma the row swap."""
+    zero = LaurentPoly()
+    return Matrix([[zero, LaurentPoly.const(1)], [lvar(x), zero]])
+
+
+def test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m():
+    """M r = r M for M = D(u) sigma (x) D(v) sigma, by matrix products, and
+    `_phi_covariant` agrees for r12 and r21 and for the corrupted r-matrix."""
+    import onsaw.yangbaxter as yb
+
+    m = kron(d_sigma("u"), d_sigma("v"))
+    r12 = r_matrix_num()[0]
+    r21 = embed_leg(r_matrix_num("v", "u")[0], (2, 1), 2)
+    bad = corrupted_r_matrix()[0]
+    assert m * r12 == r12 * m and m * r21 == r21 * m
+    assert m * bad != bad * m
+    for q in (QuotientO.symbolic(2), QuotientA.symbolic(2)):
+        B = build_B_onsager(q) if isinstance(q, QuotientO) else build_B_alt(q)
+        phi = phi_of(q)
+        assert yb._phi_covariant(B.entries, "u", "v", phi, (r12, r21))
+        assert not yb._phi_covariant(B.entries, "u", "v", phi, (r12, bad))
+
+
+def test_each_entry_is_reached_from_exactly_one_built_representative():
+    """Through the identity, the leg flip, tau (x -> 3 - x) or the flip
+    after tau, the 6 entries of the Phi path reach all 16, each from one."""
+    import onsaw.yangbaxter as yb
+
+    flip, tau = yb._FLIP, (3, 2, 1, 0)
+    maps = (lambda x: x, lambda x: flip[x], lambda x: tau[x], lambda x: flip[tau[x]])
+    reached = {}
+    for r, c in yb._PHI_BUILT:
+        for g in maps:
+            reached.setdefault((g(r), g(c)), set()).add((r, c))
+    assert sorted(reached) == [(r, c) for r in range(4) for c in range(4)]
+    assert all(len(reps) == 1 for reps in reached.values())
+
+
+def phi_covariant_corruptions(N):
+    """B-onsager and B-alt at N with both diagonal entries, both off-diagonal
+    entries or den times 3: each still Phi-covariant, and each fails."""
+    for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+        yield both_diagonal_entries_times_3(B)
+        yield B.with_entry(0, 1, B.entries[0][1] * 3).with_entry(1, 0, B.entries[1][0] * 3)
+        yield OperatorMatrix(B.entries, B.den * 3, B.u, B.algebra, B.label)
+
+
+def spy_on_the_phi_path(monkeypatch) -> tuple:
+    """Two lists that fill as checks run: the verdict of each
+    `_phi_covariant` call and the residual of each `_exchange_residual` call."""
+    import onsaw.yangbaxter as yb
+
+    verdicts, residuals = [], []
+    covariant, build = yb._phi_covariant, yb._exchange_residual
+
+    def spying(*args):
+        verdicts.append(covariant(*args))
+        return verdicts[-1]
+
+    def recording(*args):
+        residuals.append(build(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(yb, "_phi_covariant", spying)
+    monkeypatch.setattr(yb, "_exchange_residual", recording)
+    return verdicts, residuals
+
+
+def phi_path_mismatches(monkeypatch) -> list:
+    """(label, entry) for each entry of a Phi-covariant corruption at N = 1..3
+    where verify_frt's residual differs from `frt_reference`, term for term;
+    each corruption must take the Phi path and fail."""
+    verdicts, residuals = spy_on_the_phi_path(monkeypatch)
+    bad = []
+    for N in (1, 2, 3):
+        for B in phi_covariant_corruptions(N):
+            assert verify_frt(B).status == FAIL
+            expected = frt_reference(B)
+            got = residuals[-1]
+            bad += [
+                (B.label, key)
+                for (key, x), e in zip(got.items(), expected)
+                if not same_term_maps(x, e)
+            ]
+    assert verdicts == [True] * 18
+    return bad
+
+
+def test_the_phi_path_equals_the_full_residual_term_for_term(monkeypatch):
+    assert phi_path_mismatches(monkeypatch) == []
+
+
+def test_the_phi_path_comparison_sees_a_dropped_factor(monkeypatch):
+    """A mutant of `_phi_mirrors` that takes Phi(entry (a, b)) for entry
+    (3-a, 3-b) without u^(j-i) v^(l-k) fails the differential test."""
+    import onsaw.yangbaxter as yb
+
+    def without_the_factor(built, phi, u, v):
+        return {(3 - a, 3 - b): phi(x) for (a, b), x in built.items()}
+
+    monkeypatch.setattr(yb, "_phi_mirrors", without_the_factor)
+    assert phi_path_mismatches(monkeypatch)
+
+
+def test_one_entry_corruptions_take_the_10_entry_path(monkeypatch):
+    """B with one entry times 3 or negated is not Phi-covariant."""
+    verdicts, _ = spy_on_the_phi_path(monkeypatch)
+    for N in (1, 2, 3):
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            for i in range(2):
+                for j in range(2):
+                    for k in (3, -1):
+                        assert verify_frt(B.with_entry(i, j, B.entries[i][j] * k)).status == FAIL
+    assert verdicts == [False] * 48
+
+
+def test_the_series_and_cybe_form_no_monomial_of_the_phi_mirror(monkeypatch):
+    import onsaw.yangbaxter as yb
+
+    def refuse(*args):
+        raise AssertionError("the Phi mirror ran without a Phi")
+
+    for name in ("_phi_covariant", "_tau_factor", "_phi_mirrors"):
+        monkeypatch.setattr(yb, name, refuse)
+    monkeypatch.setattr(LaurentPoly, "monomial", refuse)
+    assert verify_frt_series_onsager(4).status == "pass"
+    assert verify_cybe().status == "pass"
+    assert verify_cybe(corrupted_r_matrix()).status == FAIL
 
 
 def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
@@ -649,7 +828,6 @@ def test_each_entry_seeded_with_its_bracket_equals_the_bracket_added_last(monkey
     """Starting each built entry from its Dr-scaled bracket changes no entry:
     all 16 match the old per-entry sum term for term, coefficient types too."""
     import onsaw.yangbaxter as yb
-    from test_quotient import same_term_maps
 
     for args in exchange_inputs(monkeypatch):
         got, expected = yb._exchange_residual(*args), summed_bracket_last(*args)
@@ -678,16 +856,17 @@ def term_products(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "run, budget",
     [
-        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 7_573),
-        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 10_407),
+        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 4_390),
+        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 5_987),
         (lambda: verify_frt_series_onsager(8), 3_350),
     ],
     ids=["frt-onsager-N3", "frt-alt-N3", "frt-series-D8"],
 )
 def test_the_exchange_checks_multiply_no_more_term_products(run, budget, monkeypatch):
     """A ratchet on the term products of the multiply-add loop: the shared
-    bracket seeds each entry instead of being added as a product, and a
-    change that adds products fails here."""
+    bracket seeds each entry instead of being added as a product, the
+    operator matrices build 6 entries and take the other 10 from mirrors, and
+    a change that adds products fails here."""
     count = term_products(monkeypatch)
     assert run().status == "pass"
     assert count[0] <= budget
