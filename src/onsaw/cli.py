@@ -195,6 +195,7 @@ def _quartic(opts) -> Report:
 
 
 def _rep(opts) -> Report:
+    """With --w, a `rep:matrix` check per symbol passes and holds its matrix as residual."""
     report = Report()
     w = _opt(opts, "w")
     for ws in [["w"], ["w1", "w2"]] if w is None else [w]:

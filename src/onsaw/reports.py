@@ -1,15 +1,16 @@
 """Structured pass/fail/discrepancy reports shared by every verifier.
 
 A report is a flat list of named checks.  A check passes iff its residual is
-empty: `add` and `add_discrepancy` take the residual alone (an element, a
-polynomial, a list of failures or a message, falsy when nothing is wrong)
-and record `str(residual)` only when the check does not pass.  The overall
-status is "fail" iff any check failed; "discrepancy" marks a computed value
-disagreeing with a printed reference value (this is recorded, never silently
-dropped, but is not a verification failure).  Timing is 0 by default so that
-rendered reports are byte-identical across runs; callers opt in to real
-timings, in milliseconds to the microsecond, which text shows as an `(N ms)`
-suffix.  `Report.extend` appends the checks of another report without
+empty (but `cli._rep` appends, for `verify rep --w`, passing `rep:matrix`
+checks that hold a matrix): `add` and `add_discrepancy` take the residual
+alone (an element, a polynomial, a list of failures or a message, falsy when
+nothing is wrong) and record `str(residual)` only when the check does not
+pass.  The overall status is "fail" iff any check failed; "discrepancy" marks
+a computed value disagreeing with a printed reference value (this is recorded,
+never silently dropped, but is not a verification failure).  Timing is 0 by
+default so that rendered reports are byte-identical across runs; callers opt
+in to real timings, in milliseconds to the microsecond, which text shows as an
+`(N ms)` suffix.  `Report.extend` appends the checks of another report without
 copying them, so it takes only a report that its caller has just built and
 then drops.  `InputError` is the one input-fault type of the library.
 """

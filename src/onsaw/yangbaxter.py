@@ -55,15 +55,17 @@ presentations, `_exchange_residual` builds the 6 entries of `_PHI_BUILT`,
 one per orbit of the flip and tau.  A negative control with one entry
 changed and a corrupted r-matrix fail a check; the series currents, which
 truncation leaves not covariant (Phi(a_-) = u^-1 a_+ + u^D A_(D+1)), and the
-gl2 matrix of `cybe` get no Phi.  All of these take the 10 entries of the
-flip alone.
+gl2 matrix of `cybe` get no Phi.  All of these take the 10 entries of
+`_BUILT`, one per orbit of the flip alone: those of `_PHI_BUILT` and each
+tau image that is not also that entry's flip image.
 
-Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)], and the built
-entries share brackets where entries of B agree up to sign: the operator
-matrices of both presentations, the series currents and the B(u) = r(u, w)
-of `cybe` are traceless, B_11 = -B_00, so their 10 built entries need 6
-brackets, and the 6 entries of the Phi path need 4, one of them the zero
-[g(u), g(v)].  `_canonical` finds the equal entries at run time, by exact
+Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)].  The built
+entries share brackets through the one relation that a B of these checks
+has among its entries, B_11 = +-B_00: -B_00 for the traceless operator
+matrices, series currents and B(u) = r(u, w) of `cybe`, +B_00 for a control
+with one diagonal entry negated.  Then the 10 built entries need 6
+brackets, and the 6 of the Phi path 4, one of them the zero [g(u), g(v)].
+`_canonical` compares B_11 with B_00 and -B_00 at run time, by exact
 comparison, so this adds no hypothesis, and any other B takes 10 brackets
 through the same code.  Each built entry starts as a copy of its shared
 bracket, scaled by Dr once per bracket and negated once where a use has sign
@@ -274,37 +276,26 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 
-# The entries of C(u,v) that `_exchange_residual` builds: the 4 fixed by the
-# leg flip and one of each mirror pair, (2,3) and (3,2) rather than (1,3) and
-# (3,1), so that for a traceless B their brackets are those of (0,1), (1,0).
-_BUILT = (
-    (0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 3), (3, 0), (3, 2), (3, 3)
-)
-
 # The entries built on the Phi path: one of each orbit of the leg flip and of
 # tau, (a, b) -> (3-a, 3-b), with (2,3) rather than (1,0) so that it shares
 # the bracket [B_00(u), B_01(v)] of (0,1) when B is traceless.
 _PHI_BUILT = ((0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 3))
 
+# One entry of each orbit of the leg flip alone (see the module docstring).
+_BUILT = _PHI_BUILT + tuple(
+    (3 - r, 3 - c) for r, c in _PHI_BUILT if (3 - r, 3 - c) != (_FLIP[r], _FLIP[c])
+)
+
 
 def _canonical(bu) -> dict:
-    """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b], where (a, b)
-    is the first entry, in row-major order, equal to +-bu[i][j]: for the
-    traceless B of the checks, (1, 1) maps to ((0, 0), -1) and every other
-    entry to itself.  It compares with y and -y, not y * sign: a scaling
-    multiplies every polynomial coefficient by the sign, a negation does not."""
-    out = {}
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        x = bu[i][j]
-        out[i, j] = next(
-            (
-                (e, sign)
-                for e in out
-                for sign in (1, -1)
-                if x == (bu[e[0]][e[1]] if sign == 1 else -bu[e[0]][e[1]])
-            ),
-            ((i, j), 1),
-        )
+    """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b]: (1, 1) maps to
+    ((0, 0), +-1) when B_11 = +-B_00, every other entry to itself.  It compares
+    with B_00 and -B_00, not B_00 * sign: a scaling multiplies every
+    polynomial coefficient by the sign, a negation does not."""
+    b00, b11 = bu[0][0], bu[1][1]
+    out = {e: (e, 1) for e in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    if b11 == b00 or b11 == -b00:
+        out[1, 1] = ((0, 0), 1 if b11 == b00 else -1)
     return out
 
 
@@ -364,12 +355,12 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
 
     C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
     is entry (r,c) with u and v swapped, sigma = _FLIP.  So at most the 10
-    entries of _BUILT are built, the 4 fixed by sigma and one of each mirror
-    pair; the other 6 are renamed mirrors.  This needs the three hypotheses
-    of the module docstring (an antisymmetric bracket_fn, r21(v,u) = P
-    r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and a `finish` that commutes
-    with swapping u and v; the callers check the names, and verify_cybe
-    checks Dr.
+    entries of _BUILT are built, one per orbit of sigma: those of _PHI_BUILT
+    and each (3-r, 3-c) that is not also (sigma r, sigma c); the other 6 are
+    renamed mirrors.  This needs the three hypotheses of the module docstring
+    (an antisymmetric bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) =
+    -Dr(u,v)), u != v, and a `finish` that commutes with swapping u and v;
+    the callers check the names, and verify_cybe checks Dr.
 
     When `phi` is given and `_phi_covariant` holds, C[tau a, tau b] =
     u^(j-i) v^(l-k) Phi(C[a, b]) with tau(a) = 3 - a (see the module
@@ -380,14 +371,14 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     of verify_frt, and `_phi_covariant` checks the two on bu and the
     r-matrices.  Without `phi` no monomial is formed.
 
-    Entries of bu equal up to sign share a bracket: with bu_ij = s_x bu_x and
-    bu_kl = s_y bu_y as `_canonical` finds them at run time, the bracket is
-    s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so Dr [bu_x, bv_y] is
-    built once per canonical pair (x, y), negated once if a use has sign -1,
-    and each use starts from the one of its sign.  A traceless B needs 6
-    brackets for the 10 entries, a Phi-covariant one 4 for the 6, any other
-    B 10.  `finish` runs after the sum, so every entry is what the bracket of
-    its own entries gives, term for term."""
+    Brackets are shared through the one relation B_11 = +-B_00: with
+    bu_ij = s_x bu_x and bu_kl = s_y bu_y as `_canonical` finds them, the
+    bracket is s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so `seeds`
+    builds Dr [bu_x, bv_y] on the first use of the canonical pair (x, y) and
+    negates it at most once.  A B with the relation needs 6 brackets for the
+    10 entries, a Phi-covariant one 4 for the 6, any other B 10.  `finish`
+    runs after the sum, so every entry is what the bracket of its own entries
+    gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
@@ -396,41 +387,36 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
-    uses = {}  # canonical pair (x, y) -> [((r, c), s_x s_y)], in build order
+    seeds = {}  # canonical pair (x, y) -> {sign: sign Dr [bu_x, bv_y]}
+    built = {}
     for r, c in _PHI_BUILT if mirrored else _BUILT:
         (i, k), (j, l) = pairs[r], pairs[c]
         (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
-        uses.setdefault((x, y), []).append(((r, c), s_x * s_y))
-    built = {}
-    for (x, y), entries in uses.items():
-        bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
-        # An element, so its sums are frozen: an entry's first update of a
-        # coefficient copies it, and the next entry starts from it unchanged.
-        # The uses of sign +1 come first, so it is negated at most once.
-        seed, seed_sign = AlgElem(accumulate({}, bracket_xy.terms, dr)), 1
-        for (r, c), sign in sorted(entries, key=lambda use: -use[1]):
-            if sign != seed_sign:
-                seed, seed_sign = -seed, sign
-            (i, k), (j, l) = pairs[r], pairs[c]
-            t1, t2 = {}, {}
-            for a in range(2):
-                accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
-                accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
-                accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
-                accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
-            acc = dict(seed.terms)
-            accumulate(acc, t1, den_v)
-            accumulate(acc, t2, minus_den_u)
-            built[r, c] = finish(AlgElem(acc))
+        if (x, y) not in seeds:
+            # An element, so its sums are frozen: an entry's first update of a
+            # coefficient copies it, and the next entry starts from it unchanged.
+            bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
+            seeds[x, y] = {1: AlgElem(accumulate({}, bracket_xy.terms, dr))}
+        signed = seeds[x, y]
+        if s_x * s_y not in signed:
+            signed[-1] = -signed[1]
+        t1, t2 = {}, {}
+        for a in range(2):
+            accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
+            accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
+            accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
+            accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
+        acc = dict(signed[s_x * s_y].terms)
+        accumulate(acc, t1, den_v)
+        accumulate(acc, t2, minus_den_u)
+        built[r, c] = finish(AlgElem(acc))
     if mirrored:
         built.update(_phi_mirrors(built, phi, u, v))
     swap = {u: v, v: u}
-    out = {}
-    for r in range(4):
-        for c in range(4):
-            mirror = (_FLIP[r], _FLIP[c])
-            out[r, c] = built[r, c] if (r, c) in built else _renamed(built[mirror], swap)
-    return out
+    for (r, c), x in list(built.items()):
+        if (_FLIP[r], _FLIP[c]) not in built:
+            built[_FLIP[r], _FLIP[c]] = _renamed(x, swap)
+    return dict(sorted(built.items()))
 
 
 def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:

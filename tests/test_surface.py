@@ -18,9 +18,6 @@ SRC = ROOT / "src" / "onsaw"
 
 # Definitions that only tests reach, each kept for a stated reason.
 ALLOWED = {
-    "alt_auto": "the property and acceptance tests check that the automorphisms"
-    " of the alternative presentation respect bracket_alt through it",
-    "monomial": "the tests build multivariate polynomials and unit divisors with it",
     "decode_monomial": "the tests' product reference and the SymPy oracle read"
     " packed keys through it",
     "flip_matrix": "the tests' independent reference for embed_leg on swapped legs",
@@ -67,3 +64,8 @@ def test_every_library_definition_is_referenced_outside_the_tests():
 
 def test_every_allowed_name_is_still_defined():
     assert sorted(set(ALLOWED) - set(_definitions())) == []
+
+
+def test_every_allowed_name_is_still_unreferenced():
+    """An allowed name that gains a library caller leaves `ALLOWED`."""
+    assert sorted(set(ALLOWED) & _references()) == []

@@ -557,6 +557,39 @@ def test_the_series_currents_and_the_cybe_matrix_take_6_brackets(monkeypatch):
     assert counts == [6, 6, 6]
 
 
+def test_canonical_relates_only_b11_to_plus_or_minus_b00(monkeypatch):
+    """`_canonical` maps (1, 1) to ((0, 0), -1) for a traceless B, to
+    ((0, 0), 1) when one diagonal entry is negated and to itself when one is
+    times 3; (0, 0), (0, 1) and (1, 0) always map to themselves."""
+    import onsaw.yangbaxter as yb
+
+    cases = []  # (bu, the image of (1, 1))
+    for N in (1, 2, 3):
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            cases.append((B.entries, ((0, 0), -1)))
+            for i, j in ((0, 0), (1, 1)):
+                cases.append((B.with_entry(i, j, -B.entries[i][j]).entries, ((0, 0), 1)))
+                cases.append((B.with_entry(i, j, B.entries[i][j] * 3).entries, ((1, 1), 1)))
+            for i, j in ((0, 1), (1, 0)):
+                for changed in (-B.entries[i][j], B.entries[i][j] * 3):
+                    cases.append((B.with_entry(i, j, changed).entries, ((0, 0), -1)))
+    recorded = []
+    build = yb._exchange_residual
+
+    def recording(bu, *rest):
+        recorded.append(bu)
+        return build(bu, *rest)
+
+    monkeypatch.setattr(yb, "_exchange_residual", recording)
+    verify_frt_series_onsager(4)
+    verify_cybe()
+    assert len(recorded) == 2
+    cases += [(bu, ((0, 0), -1)) for bu in recorded]
+    fixed = {e: (e, 1) for e in ((0, 0), (0, 1), (1, 0))}
+    for bu, image in cases:
+        assert yb._canonical(bu) == {**fixed, (1, 1): image}
+
+
 def test_the_cleared_residual_is_its_own_leg_flip_mirror():
     nonzero = 0
     for N in (1, 2, 3):
@@ -636,17 +669,21 @@ def test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m
 
 def test_each_entry_is_reached_from_exactly_one_built_representative():
     """Through the identity, the leg flip, tau (x -> 3 - x) or the flip
-    after tau, the 6 entries of the Phi path reach all 16, each from one."""
+    after tau, the 6 entries of the Phi path reach all 16, each from one;
+    through the identity or the flip alone, the 10 of `_BUILT` do."""
     import onsaw.yangbaxter as yb
 
     flip, tau = yb._FLIP, (3, 2, 1, 0)
-    maps = (lambda x: x, lambda x: flip[x], lambda x: tau[x], lambda x: flip[tau[x]])
-    reached = {}
-    for r, c in yb._PHI_BUILT:
-        for g in maps:
-            reached.setdefault((g(r), g(c)), set()).add((r, c))
-    assert sorted(reached) == [(r, c) for r in range(4) for c in range(4)]
-    assert all(len(reps) == 1 for reps in reached.values())
+    by_flip = (lambda x: x, lambda x: flip[x])
+    by_flip_and_tau = by_flip + (lambda x: tau[x], lambda x: flip[tau[x]])
+    for table, maps in ((yb._PHI_BUILT, by_flip_and_tau), (yb._BUILT, by_flip)):
+        reached = {}
+        for r, c in table:
+            for g in maps:
+                reached.setdefault((g(r), g(c)), set()).add((r, c))
+        assert sorted(reached) == [(r, c) for r in range(4) for c in range(4)]
+        assert all(len(reps) == 1 for reps in reached.values())
+    assert len(yb._BUILT) == 10
 
 
 def phi_covariant_corruptions(N):
