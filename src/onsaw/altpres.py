@@ -34,7 +34,17 @@ from functools import cache
 from math import comb, factorial, lcm
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
-from .onsager import PHI, TAU0, TAU1, A, G, apply_auto, apply_autopoly, bracket
+from .onsager import (
+    PHI,
+    TAU0,
+    TAU1,
+    A,
+    G,
+    apply_auto,
+    apply_autopoly,
+    bracket,
+    sym_bracket,
+)
 from .quotient import QuotientO, divide
 from .reports import InputError, Report
 from .scalars import LaurentPoly, as_coeff, coeff_div, lvar, sum_terms, unit_inverse
@@ -343,9 +353,10 @@ def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
     """Round trips, bracket intertwining, and the triangular change of basis.
 
     Intertwining compares convert_to_alt([s, t]) with [img s, img t], s outer
-    and t inner, each symbol's img = convert_to_alt(s) built once.  By
-    bilinearity [img s, img t] is the linear extension over img t of a table,
-    local to the call, that maps each symbol b of the images to [img s, b]."""
+    and t inner, [s, t] read off `sym_bracket` and each symbol's img =
+    convert_to_alt(s) built once.  By bilinearity [img s, img t] is the linear
+    extension over img t of a table, local to the call, that maps each symbol
+    b of the images to [img s, b]."""
     report = Report()
     ons_syms = [("A", n) for n in range(-kmax_round, kmax_round + 1)] + [
         ("G", m) for m in range(1, kmax_round + 1)
@@ -371,7 +382,7 @@ def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
     for s, img_s in zip(pairs_syms, images):
         table = {b: bracket_alt(img_s, AlgElem.basis(b)) for b in support}
         for t, img_t in zip(pairs_syms, images):
-            lhs = convert_to_alt(bracket(AlgElem.basis(s), AlgElem.basis(t)))
+            lhs = convert_to_alt(sym_bracket(s, t))
             if lhs != linear_extension(table.__getitem__, img_t):
                 bad.append((s, t))
     report.add("iso:bracket-intertwine", bad and f"failing pairs {bad[:4]}")

@@ -4,15 +4,20 @@ A report is a flat list of named checks.  A check passes iff its residual is
 empty (but `cli._rep` appends, for `verify rep --w`, passing `rep:matrix`
 checks that hold a matrix): `add` and `add_discrepancy` take the residual
 alone (an element, a polynomial, a list of failures or a message, falsy when
-nothing is wrong) and record `str(residual)` only when the check does not
-pass.  The overall status is "fail" iff any check failed; "discrepancy" marks
-a computed value disagreeing with a printed reference value (this is recorded,
-never silently dropped, but is not a verification failure).  Timing is 0 by
-default so that rendered reports are byte-identical across runs; callers opt
-in to real timings, in milliseconds to the microsecond, which text shows as an
-`(N ms)` suffix.  `Report.extend` appends the checks of another report without
-copying them, so it takes only a report that its caller has just built and
-then drops.  `InputError` is the one input-fault type of the library.
+nothing is wrong) and read the status off its truth value.  A check that does
+not pass keeps the residual object and renders it by `str` once, the first
+time its `residual` is read (by `to_dict`, `to_text` or a caller), so a report
+that nobody writes out prints nothing.  The precondition is that a residual
+does not change once added: every caller passes an element, a polynomial or
+a string that it has just built and does not touch again.  The overall status
+is "fail" iff any check failed; "discrepancy" marks a computed value
+disagreeing with a printed reference value (this is recorded, never silently
+dropped, but is not a verification failure).  Timing is 0 by default so that
+rendered reports are byte-identical across runs; callers opt in to real
+timings, in milliseconds to the microsecond, which text shows as an `(N ms)`
+suffix.  `Report.extend` appends the checks of another report without copying
+them, so it takes only a report that its caller has just built and then
+drops.  `InputError` is the one input-fault type of the library.
 """
 
 import json
@@ -32,15 +37,24 @@ class InputError(ValueError):
 
 class Check:
     """One named verdict: its status, the residual that made it fail (or the
-    detail of a discrepancy), and its time in milliseconds (0 untimed)."""
+    detail of a discrepancy), and its time in milliseconds (0 untimed).
 
-    __slots__ = ("id", "status", "residual", "millis")
+    `residual` is the text: a residual object given to the constructor is
+    rendered by `str` on first read and the text kept."""
 
-    def __init__(self, id: str, status: str, residual: str = "", millis=0):
+    __slots__ = ("id", "status", "_residual", "millis")
+
+    def __init__(self, id: str, status: str, residual="", millis=0):
         self.id = id
         self.status = status
-        self.residual = residual
+        self._residual = residual
         self.millis = millis
+
+    @property
+    def residual(self) -> str:
+        if not isinstance(self._residual, str):
+            self._residual = str(self._residual)
+        return self._residual
 
 
 class Report:
@@ -65,12 +79,12 @@ class Report:
         return self.status != FAIL
 
     def add(self, check_id: str, residual=""):
-        status = FAIL if residual else PASS
-        self.checks.append(Check(check_id, status, str(residual) if residual else ""))
+        check = Check(check_id, FAIL, residual) if residual else Check(check_id, PASS)
+        self.checks.append(check)
 
     def add_discrepancy(self, check_id: str, detail=""):
-        status = DISCREPANCY if detail else PASS
-        self.checks.append(Check(check_id, status, str(detail) if detail else ""))
+        check = Check(check_id, DISCREPANCY, detail) if detail else Check(check_id, PASS)
+        self.checks.append(check)
 
     def extend(self, other: "Report") -> "Report":
         """Append the checks of `other` to this report and return it.

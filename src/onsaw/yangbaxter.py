@@ -91,7 +91,7 @@ from .matrices import Matrix, commutator, embed_leg, partial_trace
 from .onsager import PHI, A, G, apply_auto, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, accumulate, lvar
+from .scalars import P_ONE, LaurentPoly, accumulate, as_coeff, lvar
 
 
 # --- the r-matrix --------------------------------------------------------------
@@ -138,8 +138,11 @@ def verify_cybe(r: tuple | None = None) -> Report:
     d13 [N23, N12].  Times the nonzero d21 = -d12, this is the 8x8 cleared
     form [N13, N23] d12 d21 - [N21, N13] d23 d12 - [N23, N12] d13 d21, whose
     entry (2r+a, 2c+b) is the E_ab coefficient of residual entry (r, c).  A
-    numeric spot check evaluates the 4x4 N_ab / d_ab at a rational point
-    before `embed_leg` and multiplies over Fraction.
+    numeric spot check evaluates each 4x4 N_ab and each d_ab at the point
+    (2, 3, 5) and tests this cleared form by `Matrix` products over the
+    values (ints for the r-matrix and its corruption), so it shares no
+    polynomial multiplication with the symbolic verdict; a candidate with a
+    d_ab that vanishes there raises ZeroDivisionError, as r_ab would.
     """
     report = Report()
     num, den = r_matrix_num() if r is None else r
@@ -167,12 +170,21 @@ def verify_cybe(r: tuple | None = None) -> Report:
     more = "..." if len(bad) > 6 else ""
     report.add("cybe:symbolic", bad and f"nonzero residual at entries {bad[:6]}{more}")
 
-    def r_num(a, b):  # r_ab at (u_a, u_b), u = (2, 3, 5), on legs a and b of three
+    def r_num(a, b):  # N_ab on legs a and b of three and d_ab, at u = (2, 3, 5)
         at = {"u": (2, 3, 5)[a - 1], "v": (2, 3, 5)[b - 1]}
-        return embed_leg(num.evaluate(at).scale(1 / den.evaluate(at)), (a, b), 3)
+        n_ab = embed_leg(num.evaluate(at).map(as_coeff), (a, b), 3)
+        return n_ab, as_coeff(den.evaluate(at))
 
-    r13, r23, r12, r21 = r_num(1, 3), r_num(2, 3), r_num(1, 2), r_num(2, 1)
-    numeric = commutator(r13, r23) - commutator(r21, r13) - commutator(r23, r12)
+    (n13, d13), (n23, d23), (n12, d12), (n21, d21) = (
+        r_num(1, 3), r_num(2, 3), r_num(1, 2), r_num(2, 1)
+    )
+    if 0 in (d13, d23, d12, d21):
+        raise ZeroDivisionError(f"r-matrix denominator {den} vanishes at (2, 3, 5)")
+    numeric = (
+        commutator(n13, n23).scale(d12 * d21)
+        - commutator(n21, n13).scale(d23 * d12)
+        - commutator(n23, n12).scale(d13 * d21)
+    )
     report.add(
         "cybe:numeric-agrees",
         numeric.is_zero() == bool(bad)
@@ -374,11 +386,11 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     Brackets are shared through the one relation B_11 = +-B_00: with
     bu_ij = s_x bu_x and bu_kl = s_y bu_y as `_canonical` finds them, the
     bracket is s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so `seeds`
-    builds Dr [bu_x, bv_y] on the first use of the canonical pair (x, y) and
-    negates it at most once.  A B with the relation needs 6 brackets for the
-    10 entries, a Phi-covariant one 4 for the 6, any other B 10.  `finish`
-    runs after the sum, so every entry is what the bracket of its own entries
-    gives, term for term."""
+    builds Dr [bu_x, bv_y] on the first use of the canonical pair (x, y),
+    negates it at most once and drops it after the last use.  A B with the
+    relation needs 6 brackets for the 10 entries, a Phi-covariant one 4 for
+    the 6, any other B 10.  `finish` runs after the sum, so every entry is
+    what the bracket of its own entries gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
@@ -387,18 +399,23 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
-    seeds = {}  # canonical pair (x, y) -> {sign: sign Dr [bu_x, bv_y]}
-    built = {}
+    plan = []  # (entry, canonical pair (x, y), sign s_x s_y) of each built entry
     for r, c in _PHI_BUILT if mirrored else _BUILT:
         (i, k), (j, l) = pairs[r], pairs[c]
         (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
+        plan.append(((r, c), (x, y), s_x * s_y))
+    last = {xy: n for n, (_, xy, _) in enumerate(plan)}  # last use of each pair
+    seeds = {}  # canonical pair (x, y) -> {sign: sign Dr [bu_x, bv_y]}
+    built = {}
+    for n, ((r, c), (x, y), sign) in enumerate(plan):
+        (i, k), (j, l) = pairs[r], pairs[c]
         if (x, y) not in seeds:
             # An element, so its sums are frozen: an entry's first update of a
             # coefficient copies it, and the next entry starts from it unchanged.
             bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
             seeds[x, y] = {1: AlgElem(accumulate({}, bracket_xy.terms, dr))}
         signed = seeds[x, y]
-        if s_x * s_y not in signed:
+        if sign not in signed:
             signed[-1] = -signed[1]
         t1, t2 = {}, {}
         for a in range(2):
@@ -406,7 +423,9 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
             accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
             accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
             accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
-        acc = dict(signed[s_x * s_y].terms)
+        acc = dict(signed[sign].terms)
+        if last[x, y] == n:
+            del seeds[x, y]
         accumulate(acc, t1, den_v)
         accumulate(acc, t2, minus_den_u)
         built[r, c] = finish(AlgElem(acc))

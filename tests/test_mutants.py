@@ -144,7 +144,8 @@ def check_statuses(report):
 def test_cybe_and_reD_fail_both_verdicts_when_a_term_product_is_dropped(monkeypatch):
     """The r-matrix is built before the mutant is installed, so the symbolic
     verdict multiplies through the mutant and the numeric one, which
-    evaluates that r-matrix first and multiplies over Fraction, does not.
+    evaluates that r-matrix first and multiplies the values as matrices (over
+    int for `cybe`, Fraction for `reD`), does not.
     Built under the mutant, the r-matrix is faulty for both verdicts alike,
     and both `:numeric-agrees` verdicts pass."""
     r = yb.r_matrix_num()
@@ -347,7 +348,7 @@ def drops_the_delta_da_term(unit_bracket):
 
 def test_cybe_alone_fails_when_the_unit_bracket_drops_a_term(monkeypatch):
     """`cybe:numeric-agrees` fails too: the numeric verdict multiplies unit
-    matrices over Fraction and still finds the r-matrix a solution, so the
+    matrices over int and still finds the r-matrix a solution, so the
     two verdicts disagree."""
     checks = exchange_checks()
     cybe = ["cybe:symbolic", "cybe:numeric-agrees"]

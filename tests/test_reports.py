@@ -1,6 +1,7 @@
 """The rule of `Report.add`: a check passes exactly when its residual is
-falsy, and records `str(residual)` only when it does not pass.  The texts of
-the failing paths are pinned here too, each forced through one hook."""
+falsy; when it does not pass, it keeps the residual and renders it by `str`
+once, the first time its text is read.  The texts of the failing paths are
+pinned here too, each forced through one hook."""
 
 import pytest
 
@@ -12,7 +13,7 @@ from onsaw.elements import AlgElem
 from onsaw.envelope import PBW, pbw_lie_compat_report
 from onsaw.onsager import A, G, verify_dolan_grady
 from onsaw.quotient import QuotientO, forward_reduction_report, u_poly_report
-from onsaw.reports import DISCREPANCY, FAIL, PASS, Report
+from onsaw.reports import DISCREPANCY, FAIL, PASS, Check, Report
 from onsaw.reps import rep_build, rep_check, rep_matrix_identity_report
 from onsaw.scalars import LaurentPoly, lvar
 from test_mutants import install_dropped_term_product
@@ -37,6 +38,68 @@ def test_a_nonzero_residual_does_not_pass_and_records_its_text():
         (DISCREPANCY, "alpha*A(0) + -G(1)"),
         (FAIL, "a message"),
     ]
+
+
+def spy_on_str(monkeypatch) -> list:
+    """The elements that `AlgElem.__str__` renders from now on, in order."""
+    rendered = []
+    to_str = AlgElem.__str__
+
+    def spy(self):
+        rendered.append(self)
+        return to_str(self)
+
+    monkeypatch.setattr(AlgElem, "__str__", spy)
+    return rendered
+
+
+READS = {
+    "residual": lambda report: [c.residual for c in report.checks],
+    "to_json": Report.to_json,
+    "to_text": Report.to_text,
+}
+
+
+@pytest.mark.parametrize("first", READS)
+def test_a_failing_residual_is_rendered_once_on_first_read(monkeypatch, first):
+    rendered = spy_on_str(monkeypatch)
+    x = A(0) * lvar("alpha") - G(1)
+    report = Report()
+    report.add("x", x)
+    report.add_discrepancy("y", x)
+    assert report.status == FAIL and rendered == []
+    READS[first](report)
+    assert rendered == [x, x]
+    for read in READS.values():
+        read(report)
+    assert rendered == [x, x]
+    assert [c.residual for c in report.checks] == ["alpha*A(0) + -G(1)"] * 2
+
+
+def eager_add(self, check_id, residual=""):
+    status = FAIL if residual else PASS
+    self.checks.append(Check(check_id, status, str(residual) if residual else ""))
+
+
+def eager_add_discrepancy(self, check_id, detail=""):
+    status = DISCREPANCY if detail else PASS
+    self.checks.append(Check(check_id, status, str(detail) if detail else ""))
+
+
+@pytest.mark.parametrize("suite", ["frt-onsager", "dg"])
+def test_a_kept_residual_renders_the_bytes_of_an_eager_one(monkeypatch, suite):
+    """The failing report of a negative control, rendered from its kept
+    residuals, against the same report with each residual rendered by `str`
+    as it is added."""
+    control, _ = cli._NEGATIVE_CONTROLS[suite]
+    kept = control()
+    assert kept.status == FAIL
+    monkeypatch.setattr(Report, "add", eager_add)
+    monkeypatch.setattr(Report, "add_discrepancy", eager_add_discrepancy)
+    eager = control()
+    assert all(type(c._residual) is str for c in eager.checks)
+    assert any(type(c._residual) is not str for c in kept.checks)
+    assert kept.to_text() == eager.to_text() and kept.to_json() == eager.to_json()
 
 
 def run_suite(name):

@@ -97,6 +97,30 @@ def test_cybe_multiplies_no_polynomial_matrix(monkeypatch):
     assert [c.status for c in report.checks] == [FAIL, "pass"]
 
 
+def test_cybe_numeric_verdict_multiplies_int_matrices(monkeypatch):
+    """With every denominator cleared, the numeric spot check of the r-matrix
+    and of its corruption multiplies matrices of ints only."""
+    seen = set()
+    mul = Matrix.__mul__
+
+    def spy(self, other):
+        seen.update(type(a) for m in (self, other) for row in m.entries for a in row)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", spy)
+    assert [c.status for c in verify_cybe().checks] == ["pass", "pass"]
+    assert [c.status for c in verify_cybe(corrupted_r_matrix()).checks] == [FAIL, "pass"]
+    assert seen == {int}
+
+
+def test_cybe_numeric_verdict_refuses_a_pole_at_its_point():
+    """d = (u - v)(u + v - 5) is odd under u <-> v and vanishes at (2, 3)."""
+    u, v = lvar("u"), lvar("v")
+    num, _ = r_matrix_num()
+    with pytest.raises(ZeroDivisionError, match="vanishes at"):
+        verify_cybe((num, (u - v) * (u + v - LaurentPoly.const(5))))
+
+
 @pytest.mark.parametrize("entry", [(i, j) for i in range(4) for j in range(4)])
 def test_cybe_rejects_each_shifted_numerator_entry(entry, monkeypatch):
     num, den = r_matrix_num()
