@@ -49,30 +49,30 @@ This needs four more hypotheses:
   test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m
   checks the second by matrix products.
 
-Only verify_frt passes Phi (`apply_auto` or `alt_auto` of PHI).  When both
-run-time checks hold, as they do for the operator matrices of both
-presentations, `_exchange_residual` builds the 6 entries of `_PHI_BUILT`,
-one per orbit of the flip and tau.  A negative control with one entry
-changed and a corrupted r-matrix fail a check; the series currents, which
+Only verify_frt passes Phi (`apply_auto` or `alt_auto` of PHI), and tau is
+a mirror only when both run-time checks hold, as they do for the operator
+matrices of both presentations.  A negative control with one entry changed
+and a corrupted r-matrix fail a check; the series currents, which
 truncation leaves not covariant (Phi(a_-) = u^-1 a_+ + u^D A_(D+1)), and the
-gl2 matrix of `cybe` get no Phi.  All of these take the 10 entries of
-`_BUILT`, one per orbit of the flip alone: those of `_PHI_BUILT` and each
-tau image that is not also that entry's flip image.
+gl2 matrix of `cybe` get no Phi.
 
-Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)].  The built
-entries share brackets through the one relation that a B of these checks
-has among its entries, B_11 = +-B_00: -B_00 for the traceless operator
-matrices, series currents and B(u) = r(u, w) of `cybe`, +B_00 for a control
-with one diagonal entry negated.  Then the 10 built entries need 6
-brackets, and the 6 of the Phi path 4, one of them the zero [g(u), g(v)].
-`_canonical` compares B_11 with B_00 and -B_00 at run time, by exact
-comparison, so this adds no hypothesis, and any other B takes 10 brackets
-through the same code.  Each built entry starts as a copy of its shared
-bracket, scaled by Dr once per bracket and negated once where a use has sign
--1, and the two commutator sums are added into it in place, so the bracket
-is never added as a product by +-1.  The bracket is bilinear and each entry
-is reduced after its sum, so every entry is the same, term for term, as with
-one bracket per entry.
+Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)].  Entries share
+brackets through the one relation that a B of these checks has among its
+entries, B_11 = +-B_00: -B_00 for the traceless operator matrices, series
+currents and B(u) = r(u, w) of `cybe`, +B_00 for a control with one
+diagonal entry negated.  `_canonical` compares B_11 with B_00 and -B_00 at
+run time, by exact comparison, so this adds no hypothesis, and it gives
+each entry the canonical pair of its bracket.  The entries to build follow
+from one rule, which `_walk` applies: taken in order of their canonical
+pairs, each entry that is not yet reached is built, and its flip image, and
+with tau its tau image and that image's flip image, are reached as its
+mirrors, the flip first, since a renaming forms no product.  So one entry
+per orbit is built, 10 for the flip alone and 6 with tau, and the built
+entries of one bracket are adjacent.  With the relation the 10 take 6
+brackets and the 6 of the Phi path 4, one of them the zero [g(u), g(v)];
+any other B takes 10.  Each bracket is scaled by Dr once and negated at
+most once, and each entry is the same, term for term, as with one bracket
+per entry.
 
 The operator matrices take their coefficients from the tails
 t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
@@ -84,6 +84,7 @@ give the prefactor p~(U) = t_0 and the components f~_k = t_(k+1).
 
 from fractions import Fraction
 from functools import partial
+from itertools import groupby, product
 
 from .altpres import QuotientA, alt_auto, bracket_alt
 from .elements import AlgElem
@@ -288,16 +289,6 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 
-# The entries built on the Phi path: one of each orbit of the leg flip and of
-# tau, (a, b) -> (3-a, 3-b), with (2,3) rather than (1,0) so that it shares
-# the bracket [B_00(u), B_01(v)] of (0,1) when B is traceless.
-_PHI_BUILT = ((0, 0), (0, 1), (0, 3), (1, 1), (1, 2), (2, 3))
-
-# One entry of each orbit of the leg flip alone (see the module docstring).
-_BUILT = _PHI_BUILT + tuple(
-    (3 - r, 3 - c) for r, c in _PHI_BUILT if (3 - r, 3 - c) != (_FLIP[r], _FLIP[c])
-)
-
 
 def _canonical(bu) -> dict:
     """{(i, j): ((a, b), sign)} with bu[i][j] = sign * bu[a][b]: (1, 1) maps to
@@ -337,12 +328,30 @@ def _phi_covariant(bu, u, v, phi, rhats) -> bool:
     )
 
 
-def _phi_mirrors(built, phi, u, v) -> dict:
-    """{(3-a, 3-b): u^(j-i) v^(l-k) Phi(x)} for the entries (a, b): x of
-    `built`, (a, b) = (2i+k, 2j+l): the tau images of `_exchange_residual`."""
-    return {
-        (3 - a, 3 - b): phi(x).scale(_tau_factor(u, v, a, b)) for (a, b), x in built.items()
-    }
+def _tau_image(phi, u, v, a, b, x) -> AlgElem:
+    """Entry (3-a, 3-b) of C from its entry x at (a, b): u^(j-i) v^(l-k) Phi(x)."""
+    return phi(x).scale(_tau_factor(u, v, a, b))
+
+
+def _walk(pair_of: dict, with_tau: bool) -> tuple:
+    """The walk of the module docstring over the 16 entries, from the canonical
+    pair of each entry's bracket: ([built entry], [(entry, source, "flip" or
+    "tau")]), each source built or listed before the entry it gives."""
+    built, mirrors, reached = [], [], set()
+    for r, c in sorted(pair_of, key=pair_of.get):
+        if (r, c) in reached:
+            continue
+        built.append((r, c))
+        reached.add((r, c))
+        images = [((_FLIP[r], _FLIP[c]), (r, c), "flip")]
+        if with_tau:  # after the flip, so an entry that both reach is renamed
+            t = (3 - r, 3 - c)
+            images += [(t, (r, c), "tau"), ((_FLIP[t[0]], _FLIP[t[1]]), t, "flip")]
+        for image in images:
+            if image[0] not in reached:
+                reached.add(image[0])
+                mirrors.append(image)
+    return built, mirrors
 
 
 def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
@@ -365,32 +374,25 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     no matrix product is built.  Returns {(r, c): entry of C passed through
     `finish`}, in row-major order.
 
-    C(u,v) = P C(v,u) P (see the module docstring): entry (sigma r, sigma c)
-    is entry (r,c) with u and v swapped, sigma = _FLIP.  So at most the 10
-    entries of _BUILT are built, one per orbit of sigma: those of _PHI_BUILT
-    and each (3-r, 3-c) that is not also (sigma r, sigma c); the other 6 are
-    renamed mirrors.  This needs the three hypotheses of the module docstring
-    (an antisymmetric bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) =
-    -Dr(u,v)), u != v, and a `finish` that commutes with swapping u and v;
-    the callers check the names, and verify_cybe checks Dr.
+    Only the entries that `_walk` picks are built; the others are their
+    mirrors, filled after the last bracket is dropped.  The leg flip, entry
+    (sigma r, sigma c) = entry (r, c) with u and v swapped for sigma = _FLIP,
+    needs the three hypotheses of the module docstring (an antisymmetric
+    bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and
+    a `finish` that commutes with swapping u and v; the callers check the
+    names, and verify_cybe checks Dr.  tau, entry (3-a, 3-b) = `_tau_image`
+    of entry (a, b), is a mirror only when `phi` is given and
+    `_phi_covariant` holds; of its four hypotheses in the module docstring,
+    the two on `phi` and `finish` hold for the presentations of verify_frt,
+    and `_phi_covariant` checks the two on bu and the r-matrices.  Without
+    `phi` no monomial is formed.
 
-    When `phi` is given and `_phi_covariant` holds, C[tau a, tau b] =
-    u^(j-i) v^(l-k) Phi(C[a, b]) with tau(a) = 3 - a (see the module
-    docstring), so only the 6 entries of _PHI_BUILT are built, one per orbit
-    of sigma and tau; `_phi_mirrors` makes their tau images and the other 4
-    are renamed mirrors.  This needs the four hypotheses of the module
-    docstring too: the two on `phi` and `finish` hold for the presentations
-    of verify_frt, and `_phi_covariant` checks the two on bu and the
-    r-matrices.  Without `phi` no monomial is formed.
-
-    Brackets are shared through the one relation B_11 = +-B_00: with
-    bu_ij = s_x bu_x and bu_kl = s_y bu_y as `_canonical` finds them, the
-    bracket is s_x s_y [bu_x, bv_y], since bracket_fn is bilinear, so `seeds`
-    builds Dr [bu_x, bv_y] on the first use of the canonical pair (x, y),
-    negates it at most once and drops it after the last use.  A B with the
-    relation needs 6 brackets for the 10 entries, a Phi-covariant one 4 for
-    the 6, any other B 10.  `finish` runs after the sum, so every entry is
-    what the bracket of its own entries gives, term for term."""
+    With bu_ij = s_x bu_x and bu_kl = s_y bu_y as `_canonical` finds them,
+    the bracket of entry (2i+k, 2j+l) is s_x s_y [bu_x, bv_y], since
+    bracket_fn is bilinear.  So Dr [bu_x, bv_y] is formed once for the built
+    entries of the canonical pair (x, y), negated at most once, and dropped
+    before the sums of the last of them.  `finish` runs after the sum, so
+    every entry is what the bracket of its own entries gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
@@ -399,43 +401,39 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
-    plan = []  # (entry, canonical pair (x, y), sign s_x s_y) of each built entry
-    for r, c in _PHI_BUILT if mirrored else _BUILT:
-        (i, k), (j, l) = pairs[r], pairs[c]
-        (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
-        plan.append(((r, c), (x, y), s_x * s_y))
-    last = {xy: n for n, (_, xy, _) in enumerate(plan)}  # last use of each pair
-    seeds = {}  # canonical pair (x, y) -> {sign: sign Dr [bu_x, bv_y]}
-    built = {}
-    for n, ((r, c), (x, y), sign) in enumerate(plan):
-        (i, k), (j, l) = pairs[r], pairs[c]
-        if (x, y) not in seeds:
-            # An element, so its sums are frozen: an entry's first update of a
-            # coefficient copies it, and the next entry starts from it unchanged.
-            bracket_xy = bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]])
-            seeds[x, y] = {1: AlgElem(accumulate({}, bracket_xy.terms, dr))}
-        signed = seeds[x, y]
-        if sign not in signed:
-            signed[-1] = -signed[1]
-        t1, t2 = {}, {}
-        for a in range(2):
-            accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
-            accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
-            accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
-            accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
-        acc = dict(signed[sign].terms)
-        if last[x, y] == n:
-            del seeds[x, y]
-        accumulate(acc, t1, den_v)
-        accumulate(acc, t2, minus_den_u)
-        built[r, c] = finish(AlgElem(acc))
-    if mirrored:
-        built.update(_phi_mirrors(built, phi, u, v))
+    pair_of = {}  # entry (2i+k, 2j+l) -> the canonical pair (x, y) of its bracket
+    for (i, k), (j, l) in product(pairs, repeat=2):
+        pair_of[2 * i + k, 2 * j + l] = canonical[i, j][0], canonical[k, l][0]
+    built, mirrors = _walk(pair_of, mirrored)
+    values = {}
+    for (x, y), group in groupby(built, key=pair_of.get):
+        group = list(group)
+        # Only Dr [bu_x, bv_y] is kept, as an element: an entry's first update
+        # of a coefficient copies it, so the next entry starts from it unchanged.
+        x_y = bu[x[0]][x[1]], bv[y[0]][y[1]]
+        signed = {1: AlgElem(accumulate({}, bracket_fn(*x_y).terms, dr))}
+        for r, c in group:
+            (i, k), (j, l) = pairs[r], pairs[c]
+            sign = canonical[i, j][1] * canonical[k, l][1]
+            if sign not in signed:
+                signed[-1] = -signed[1]
+            t1, t2 = {}, {}
+            for a in range(2):
+                accumulate(t1, bu[a][j].terms, rhat_21[r, 2 * a + l])
+                accumulate(t1, bu[i][a].terms, -rhat_21[2 * a + k, c])
+                accumulate(t2, bv[k][a].terms, rhat_12[2 * i + a, c])
+                accumulate(t2, bv[a][l].terms, -rhat_12[r, 2 * j + a])
+            acc = dict(signed[sign].terms)
+            if (r, c) == group[-1]:
+                signed.clear()  # before the sums, so one bracket is alive at a time
+            accumulate(acc, t1, den_v)
+            accumulate(acc, t2, minus_den_u)
+            values[r, c] = finish(AlgElem(acc))
     swap = {u: v, v: u}
-    for (r, c), x in list(built.items()):
-        if (_FLIP[r], _FLIP[c]) not in built:
-            built[_FLIP[r], _FLIP[c]] = _renamed(x, swap)
-    return dict(sorted(built.items()))
+    for entry, (a, b), mirror in mirrors:
+        x = values[a, b]
+        values[entry] = _tau_image(phi, u, v, a, b, x) if mirror == "tau" else _renamed(x, swap)
+    return dict(sorted(values.items()))
 
 
 def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
@@ -443,9 +441,10 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
 
     Raises ValueError when v is B.u or a quotient coefficient uses B.u or v."""
     q = B.algebra
-    _check_spectral_names(B.u, v, q.alphas if isinstance(q, QuotientO) else q.betas)
+    coeffs, auto = (q.alphas, apply_auto) if isinstance(q, QuotientO) else (q.betas, alt_auto)
+    _check_spectral_names(B.u, v, coeffs)
     report = Report()
-    phi = partial(apply_auto if isinstance(q, QuotientO) else alt_auto, (PHI,))
+    phi = partial(auto, (PHI,))
     residual = _exchange_residual(
         B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num, phi
     )

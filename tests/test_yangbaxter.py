@@ -1,6 +1,7 @@
 """The r-matrix, the consistency equation, exchange relations, and charges."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -581,6 +582,42 @@ def test_the_series_currents_and_the_cybe_matrix_take_6_brackets(monkeypatch):
     assert counts == [6, 6, 6]
 
 
+def test_each_bracket_is_done_before_the_next_is_formed(monkeypatch):
+    """Called with a recording bracket_fn and finish, `_exchange_residual`
+    forms a bracket (B), finishes the built entries that share it (F), and
+    only then forms the next: on the Phi path of B-onsager and B-alt at
+    N = 2 the 4 brackets serve 2, 2, 1 and 1 entries, and the 6 of the
+    series currents at D = 4 serve 3, 2, 2, 1, 1 and 1."""
+    import onsaw.yangbaxter as yb
+
+    def calls(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None) -> str:
+        log = []
+
+        def recording_bracket(x, y):
+            log.append("B")
+            return bracket_fn(x, y)
+
+        def recording_finish(x):
+            log.append("F")
+            return finish(x)
+
+        yb._exchange_residual(
+            bu, den_u, u, v, recording_bracket, recording_finish, r_at, phi
+        )
+        return "".join(log)
+
+    for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
+        q = B.algebra
+        args = (B.entries, B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num)
+        assert calls(*args, phi_of(q)) == "BFFBFFBFBF"
+    recorded = []
+    build = yb._exchange_residual
+    monkeypatch.setattr(yb, "_exchange_residual", lambda *a: recorded.append(a) or build(*a))
+    verify_frt_series_onsager(4)
+    (series,) = recorded
+    assert calls(*series) == "BFFFBFFBFFBFBFBF"
+
+
 def test_canonical_relates_only_b11_to_plus_or_minus_b00(monkeypatch):
     """`_canonical` maps (1, 1) to ((0, 0), -1) for a traceless B, to
     ((0, 0), 1) when one diagonal entry is negated and to itself when one is
@@ -692,22 +729,38 @@ def test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m
 
 
 def test_each_entry_is_reached_from_exactly_one_built_representative():
-    """Through the identity, the leg flip, tau (x -> 3 - x) or the flip
-    after tau, the 6 entries of the Phi path reach all 16, each from one;
-    through the identity or the flip alone, the 10 of `_BUILT` do."""
+    """With tau, `_walk` builds 6 entries and reaches the other 10 through the
+    leg flip or tau (x -> 3 - x), each once and from an entry built or reached
+    before it; with the flip alone it builds 10 and reaches 6.  This holds for
+    the canonical pairs of a traceless B, of one with B_11 = B_00 and of one
+    whose entries are all distinct, and the built entries come in the order
+    of their canonical pairs."""
     import onsaw.yangbaxter as yb
 
     flip, tau = yb._FLIP, (3, 2, 1, 0)
-    by_flip = (lambda x: x, lambda x: flip[x])
-    by_flip_and_tau = by_flip + (lambda x: tau[x], lambda x: flip[tau[x]])
-    for table, maps in ((yb._PHI_BUILT, by_flip_and_tau), (yb._BUILT, by_flip)):
-        reached = {}
-        for r, c in table:
-            for g in maps:
-                reached.setdefault((g(r), g(c)), set()).add((r, c))
-        assert sorted(reached) == [(r, c) for r in range(4) for c in range(4)]
-        assert all(len(reps) == 1 for reps in reached.values())
-    assert len(yb._BUILT) == 10
+    maps = {"flip": lambda x: flip[x], "tau": lambda x: tau[x]}
+    entries = [(r, c) for r in range(4) for c in range(4)]
+    B = build_B_onsager(QuotientO.symbolic(2))
+    tied, untied = B.with_entry(1, 1, B.entries[0][0]), B.with_entry(1, 1, B.entries[1][1] * 3)
+    for bu in (B.entries, tied.entries, untied.entries):
+        canonical = yb._canonical(bu)
+        pair_of = {
+            (2 * i + k, 2 * j + l): (canonical[i, j][0], canonical[k, l][0])
+            for i, j, k, l in product(range(2), repeat=4)
+        }
+        for with_tau, n_built in ((True, 6), (False, 10)):
+            built, mirrors = yb._walk(pair_of, with_tau)
+            assert len(built) == n_built
+            assert [pair_of[e] for e in built] == sorted(pair_of[e] for e in built)
+            reached = list(built)
+            for entry, (a, b), mirror in mirrors:
+                assert (a, b) in reached
+                assert entry == (maps[mirror](a), maps[mirror](b))
+                # the flip wins where both reach: tau never gives a flip image
+                assert mirror == "flip" or entry != (flip[a], flip[b])
+                reached.append(entry)
+            assert sorted(reached) == entries
+            assert with_tau or {m for _, _, m in mirrors} == {"flip"}
 
 
 def phi_covariant_corruptions(N):
@@ -765,14 +818,15 @@ def test_the_phi_path_equals_the_full_residual_term_for_term(monkeypatch):
 
 
 def test_the_phi_path_comparison_sees_a_dropped_factor(monkeypatch):
-    """A mutant of `_phi_mirrors` that takes Phi(entry (a, b)) for entry
-    (3-a, 3-b) without u^(j-i) v^(l-k) fails the differential test."""
+    """A mutant of `_tau_image` that takes Phi(entry (a, b)) for entry
+    (3-a, 3-b) without u^(j-i) v^(l-k) fails the differential test, while
+    `_phi_covariant` still checks the r-matrices with the factor."""
     import onsaw.yangbaxter as yb
 
-    def without_the_factor(built, phi, u, v):
-        return {(3 - a, 3 - b): phi(x) for (a, b), x in built.items()}
+    def without_the_factor(phi, u, v, a, b, x):
+        return phi(x)
 
-    monkeypatch.setattr(yb, "_phi_mirrors", without_the_factor)
+    monkeypatch.setattr(yb, "_tau_image", without_the_factor)
     assert phi_path_mismatches(monkeypatch)
 
 
@@ -794,7 +848,7 @@ def test_the_series_and_cybe_form_no_monomial_of_the_phi_mirror(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Phi mirror ran without a Phi")
 
-    for name in ("_phi_covariant", "_tau_factor", "_phi_mirrors"):
+    for name in ("_phi_covariant", "_tau_factor", "_tau_image"):
         monkeypatch.setattr(yb, name, refuse)
     monkeypatch.setattr(LaurentPoly, "monomial", refuse)
     assert verify_frt_series_onsager(4).status == "pass"
@@ -816,10 +870,10 @@ def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
 
 def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
     """`_exchange_residual` as it was before each entry started from its
-    bracket: entries equal up to sign found through y * sign, and each built
-    entry summed as den_v t1 - den_u t2, its shared Dr-scaled bracket added
-    last as a product by +-1.  The reference of the seeded sum."""
-    import onsaw.yangbaxter as yb
+    bracket, and with no mirror: entries equal up to sign found through
+    y * sign, and each of the 16 entries summed as den_v t1 - den_u t2, its
+    shared Dr-scaled bracket added last as a product by +-1.  The reference
+    of the seeded sum."""
     from onsaw.scalars import accumulate
 
     canonical = {}
@@ -840,7 +894,7 @@ def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
     rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]
     built = {}
-    for r, c in yb._BUILT:
+    for r, c in product(range(4), repeat=2):
         (i, k), (j, l) = pairs[r], pairs[c]
         (x, s_x), (y, s_y) = canonical[i, j], canonical[k, l]
         scaled = accumulate({}, bracket_fn(bu[x[0]][x[1]], bv[y[0]][y[1]]).terms, dr)
@@ -854,10 +908,7 @@ def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
         accumulate(acc, t2, -den_u)
         accumulate(acc, AlgElem(scaled).terms, None if s_x * s_y == 1 else -1)
         built[r, c] = finish(AlgElem(acc))
-    swap, flip = {u: v, v: u}, yb._FLIP
-    mirrors = {(flip[r], flip[c]): _renamed(x, swap) for (r, c), x in built.items()}
-    entries = {**mirrors, **built}
-    return {(r, c): entries[r, c] for r in range(4) for c in range(4)}
+    return built
 
 
 def exchange_inputs(monkeypatch):
