@@ -30,7 +30,7 @@ of aw(3N) in its alphas as the Chebyshev-T expansion of P (t^n + t^-n is
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial, lcm
 
 from .elements import ZERO, AlgElem, accumulate, linear_extension
@@ -50,22 +50,15 @@ from .reports import InputError, Report
 from .scalars import LaurentPoly, as_coeff, coeff_div, lvar, sum_terms, unit_inverse
 
 
-def Wm(k: int, coeff=1) -> AlgElem:
+def _family(kind: str, k: int, coeff=1) -> AlgElem:
     if k < 0:
-        raise InputError("Wm index must be >= 0")
-    return AlgElem({("Wm", int(k)): coeff})
+        raise InputError(f"{kind} index must be >= 0")
+    return AlgElem({(kind, int(k)): coeff})
 
 
-def Wp(k: int, coeff=1) -> AlgElem:
-    if k < 0:
-        raise InputError("Wp index must be >= 0")
-    return AlgElem({("Wp", int(k)): coeff})
-
-
-def Gt(k: int, coeff=1) -> AlgElem:
-    if k < 0:
-        raise InputError("Gt index must be >= 0")
-    return AlgElem({("Gt", int(k)): coeff})
+Wm = partial(_family, "Wm")
+Wp = partial(_family, "Wp")
+Gt = partial(_family, "Gt")
 
 
 def alt_sym_bracket(s: tuple, t: tuple) -> AlgElem:
@@ -289,8 +282,8 @@ def beta_from_alpha(q: QuotientO) -> QuotientA:
     alone; its coefficients are the betas.  The companion Wp relation is
     checked to carry the same vector.
     """
-    alt_m = convert_to_alt(q.relation(A, 0))  # alpha is symmetric: n -> -n
-    alt_p = convert_to_alt(q.relation(A, 1))
+    alt_m = convert_to_alt(q.relation("A", 0))  # alpha is symmetric: n -> -n
+    alt_p = convert_to_alt(q.relation("A", 1))
     betas = [alt_m.coeff(("Wm", k)) for k in range(q.N + 1)]
     for kind, alt in (("Wm", alt_m), ("Wp", alt_p)):
         if alt != AlgElem({(kind, k): b for k, b in enumerate(betas)}):
@@ -330,15 +323,17 @@ def beta_alpha_report(q: QuotientO) -> Report:
     return report
 
 
+def _onsager_syms(k: int) -> list:
+    """A_n for |n| <= k, then G_m for 1 <= m <= k."""
+    return [("A", n) for n in range(-k, k + 1)] + [("G", m) for m in range(1, k + 1)]
+
+
 def reduction_diagram_report(q: QuotientO) -> Report:
     """convert_to_alt then reduce_alt equals reduce then convert_to_alt."""
     qa = beta_from_alpha(q)
     kmax = q.N + 4
     report = Report()
-    syms = [("A", n) for n in range(-kmax, kmax + 1)] + [
-        ("G", m) for m in range(1, kmax + 1)
-    ]
-    for sym in syms:
+    for sym in _onsager_syms(kmax):
         x = AlgElem.basis(sym)
         left = qa.reduce(convert_to_alt(x))
         right = qa.reduce(convert_to_alt(q.reduce(x)))
@@ -358,24 +353,15 @@ def verify_iso(kmax_bracket: int = 8, kmax_round: int = 20) -> Report:
     extension over img t of a table, local to the call, that maps each symbol
     b of the images to [img s, b]."""
     report = Report()
-    ons_syms = [("A", n) for n in range(-kmax_round, kmax_round + 1)] + [
-        ("G", m) for m in range(1, kmax_round + 1)
-    ]
-    alt_syms = [
-        (kind, k)
-        for kind in ("Wm", "Wp", "Gt")
-        for k in range(kmax_round + 1)
-    ]
+    alt_syms = [(kind, k) for kind in ("Wm", "Wp", "Gt") for k in range(kmax_round + 1)]
     for label, syms, there, back in (
-        ("onsager", ons_syms, convert_to_alt, convert_to_ons),
+        ("onsager", _onsager_syms(kmax_round), convert_to_alt, convert_to_ons),
         ("alt", alt_syms, convert_to_ons, convert_to_alt),
     ):
         bad = [s for s in syms if back(there(AlgElem.basis(s))) != AlgElem.basis(s)]
         report.add(f"iso:round-trip-{label}", bad and f"failing symbols {bad}")
 
-    pairs_syms = [("A", n) for n in range(-kmax_bracket, kmax_bracket + 1)] + [
-        ("G", m) for m in range(1, kmax_bracket + 1)
-    ]
+    pairs_syms = _onsager_syms(kmax_bracket)
     images = [convert_to_alt(AlgElem.basis(s)) for s in pairs_syms]
     support = dict.fromkeys(b for img in images for b in img.terms)
     bad = []

@@ -38,7 +38,8 @@ def linear_extension(f, x):
 
 class SparseCombination:
     """A finite combination of keys with nonzero coefficients.  Immutable by
-    convention; subclasses fix the keys and define `+` through `accumulate`."""
+    convention; subclasses fix the keys, define `+` through `accumulate` and
+    may define a `str`, which `repr` wraps in the class name."""
 
     __slots__ = ("terms",)
 
@@ -71,14 +72,18 @@ class SparseCombination:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[s] == c for s, c in self.terms.items())
+        return self.terms == other.terms
 
     __hash__ = None
 
     def coeff(self, key):
         return self.terms.get(tuple(key), 0)
+
+    def __str__(self):
+        return str(self.terms)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 class AlgElem(SparseCombination):
@@ -123,9 +128,6 @@ class AlgElem(SparseCombination):
             else:
                 parts.append(f"{cs}*{name}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"AlgElem({self})"
 
 
 ZERO = AlgElem()

@@ -47,9 +47,6 @@ class EnvElem(SparseCombination):
             parts.append(f"({coeff})*{name}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        return f"EnvElem({self})"
-
 
 class PBW:
     """Normal-ordering context for the enveloping algebra of one quotient."""

@@ -13,6 +13,7 @@ an index: on n legs, bit n - k of an index is the state of leg k.
 `embed_leg` and `partial_trace` read and write indices this way.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -43,22 +44,18 @@ class Matrix:
         return self.entries[i][j]
 
     def __add__(self, other):
-        self._conform(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._conform(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other, op):
+        if not isinstance(other, Matrix):
+            raise TypeError("expected a Matrix")
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix dimensions do not match")
+        rows = zip(self.entries, other.entries)
+        return Matrix([list(map(op, r1, r2)) for r1, r2 in rows])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -90,13 +87,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(
-            a == b
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
-        )
+        return self.entries == other.entries
 
     __hash__ = None
 
@@ -117,12 +108,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _conform(self, other):
-        if not isinstance(other, Matrix):
-            raise TypeError("expected a Matrix")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix dimensions do not match")
-
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
     return x * y - y * x
@@ -142,15 +127,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def flip_matrix() -> Matrix:
     """Permutation matrix exchanging the two tensor factors of dimension 2."""
-    d = 2
-    n = d * d
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = [0] * n
-            row[j * d + i] = 1
-            rows.append(row)
-    return Matrix(rows)
+    return Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def embed_leg(m: Matrix, legs, total: int) -> Matrix:

@@ -96,21 +96,22 @@ class QuotientO:
         """The relation instance led by sym, at its top or bottom end."""
         kind, idx = sym
         p = idx - self.N if idx > self.N else idx + self.N
-        return self.relation(A if kind == "A" else G, p)
+        return self.relation(kind, p)
 
     def bracket_reduced(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return self.reduce(bracket(x, y))
 
-    def relation(self, make, p: int) -> AlgElem:
-        """The quotient relation sum(alpha_|n| X_{n+p}, n = -N..N), for make
-        A or G, read off the stored (n, alpha_|n|) pairs.  For G, G_0 = 0 and
-        G_{-m} = -G_m: a term at a negative index is added, negated, at the
-        positive one, so where the instance spans 0 its two halves fold.
-        TypeError for any other make."""
-        if make is A:
+    def relation(self, kind: str, p: int) -> AlgElem:
+        """The quotient relation sum(alpha_|n| X_{n+p}, n = -N..N), for the
+        symbol kind X = "A" or "G", read off the stored (n, alpha_|n|) pairs.
+        For G, G_0 = 0 and G_{-m} = -G_m: a term at a negative index is added,
+        negated, at the positive one, so where the instance spans 0 its two
+        halves fold.  TypeError for any other kind, the constructors A and G
+        included."""
+        if kind == "A":
             return AlgElem({("A", n + p): a for n, a in self._pairs})
-        if make is not G:
-            raise TypeError(f"relation instances are of A or G, not {make!r}")
+        if kind != "G":
+            raise TypeError(f"relation instances are of A or G, not {kind!r}")
         combo = {("G", n + p): a for n, a in self._pairs if n + p > 0}
         folded = {("G", -n - p): -a for n, a in self._pairs if n + p < 0}
         return AlgElem(accumulate(combo, folded))
@@ -205,8 +206,8 @@ def implied_relations_report(q: QuotientO, pmax: int = 6) -> Report:
     """All shifted relation instances must reduce to zero, |p| <= pmax."""
     report = Report()
     for p in range(-pmax, pmax + 1):
-        report.add(f"dav2:A:N{q.N}:p{p}", q.reduce(q.relation(A, p)))
-        report.add(f"dav2:G:N{q.N}:p{p}", q.reduce(q.relation(G, p)))
+        for kind in ("A", "G"):
+            report.add(f"dav2:{kind}:N{q.N}:p{p}", q.reduce(q.relation(kind, p)))
     return report
 
 
@@ -221,6 +222,6 @@ def defining_relations(q: QuotientO) -> list:
     for b in range(len(syms)):
         for a in range(b):
             lhs = (syms[b], syms[a])
-            rhs = q.reduce(bracket(AlgElem.basis(syms[b]), AlgElem.basis(syms[a])))
+            rhs = q.bracket_reduced(AlgElem.basis(syms[b]), AlgElem.basis(syms[a]))
             out.append((lhs, rhs))
     return out

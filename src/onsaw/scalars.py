@@ -337,10 +337,7 @@ class LaurentPoly:
         return LaurentPoly(accumulate(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
-        other = _as_poly_or_none(other)
-        if other is None:
-            return NotImplemented
-        return LaurentPoly(accumulate(dict(other.terms), self.terms, -1))
+        return (-self).__add__(other)
 
     def __neg__(self):
         return LaurentPoly({m: -c for m, c in self.terms.items()})

@@ -125,6 +125,13 @@ def _unit_bracket(s: tuple, t: tuple) -> AlgElem:
     return AlgElem({("E", (a, d)): int(b == c)}) - AlgElem({("E", (c, b)): int(d == a)})
 
 
+def _disagreement(numeric: Matrix, bad):
+    """A spot check's residual: set when `numeric` is zero and `bad` is not empty,
+    or the other way round."""
+    verdict = "numeric evaluation disagrees with the symbolic verdict"
+    return numeric.is_zero() == bool(bad) and verdict
+
+
 def verify_cybe(r: tuple | None = None) -> Report:
     """The non-standard classical Yang-Baxter equation for a candidate r-matrix:
 
@@ -186,11 +193,7 @@ def verify_cybe(r: tuple | None = None) -> Report:
         - commutator(n21, n13).scale(d23 * d12)
         - commutator(n23, n12).scale(d13 * d21)
     )
-    report.add(
-        "cybe:numeric-agrees",
-        numeric.is_zero() == bool(bad)
-        and "numeric evaluation disagrees with the symbolic verdict",
-    )
+    report.add("cybe:numeric-agrees", _disagreement(numeric, bad))
     return report
 
 
@@ -504,9 +507,11 @@ def verify_frt_series_alt(D: int) -> Report:
         (U-V)[w+(u), w-(v)] = g(v) - g(u)
         (U-V)[g(u), w+/-(v)] +/- 16 (U w+/-(u) - V w+/-(v) - w-/+(u) + w-/+(v)) = 0
         [w+/-(u), w+/-(v)] = 0,  [g(u), g(v)] = 0
+
+    Raises InputError for D < 2.
     """
     if D < 2:
-        raise ValueError("need truncation degree D >= 2")
+        raise InputError("need truncation degree D >= 2")
     report = Report()
     U, V = "U", "V"
 
@@ -655,10 +660,6 @@ def verify_reD(c: ChargeParams | None = None) -> Report:
         "mu": Fraction(5),
     }
     numeric = identity_lhs(*(m.evaluate(bindings) for m in matrices))
-    report.add(
-        "reD:r12:numeric-agrees",
-        numeric.is_zero() == bool(bad)
-        and "numeric evaluation disagrees with the symbolic verdict",
-    )
+    report.add("reD:r12:numeric-agrees", _disagreement(numeric, bad))
     return report
 

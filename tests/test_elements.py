@@ -16,7 +16,7 @@ from onsaw.altpres import (
     convert_to_alt,
     convert_to_ons,
 )
-from onsaw.elements import ZERO, AlgElem, accumulate
+from onsaw.elements import ZERO, AlgElem, SparseCombination, accumulate
 from onsaw.envelope import PBW, EnvElem
 from onsaw.onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from onsaw.quotient import QuotientO
@@ -189,7 +189,7 @@ def test_sums_leave_shared_elements_and_caches_unchanged():
         shared = [e for row in B.entries for e in row] + [B.den, P_ONE, ZERO]
         shared += list(q.alphas if isinstance(q, QuotientO) else q.betas)
         if isinstance(q, QuotientO):
-            shared += [q.relation(A, p) for p in range(-4, 5)]
+            shared += [q.relation("A", p) for p in range(-4, 5)]
             # A(1), A(2), G(1) lie in the window: reduce seeds its sum with them
             x = A(6) * t + A(-4) * s + A(1) * (t + 1) + A(2) * s + G(1) * t + G(5)
         else:
@@ -202,3 +202,32 @@ def test_sums_leave_shared_elements_and_caches_unchanged():
         assert verify_frt(B).status == "pass"
         q.reduce(bracket(A(4), A(-3)) * t if isinstance(q, QuotientO) else Wm(3) * t)
         assert [term_maps(y) for y in shared] == before
+
+
+def test_equality_compares_coefficient_values_across_their_types():
+    """An int, a Fraction and a constant LaurentPoly of one value are equal
+    coefficients, in either operand order, for both kinds of combination."""
+    values = (2, Fraction(2), LaurentPoly.const(2))
+    for make in (AlgElem, EnvElem):
+        for key in (("A", 1), (("A", 1), ("G", 1))):
+            for c in values:
+                for d in values:
+                    assert make({key: c}) == make({key: d})
+                    assert not make({key: c}) != make({key: d})
+                assert make({key: c}) != make({key: 3})
+                assert make({key: c}) != make({key: c, ("G", 2): 1})
+
+
+def test_an_algebra_element_never_equals_an_enveloping_one():
+    terms = {("A", 1): 1}
+    assert AlgElem(terms) != EnvElem(terms)
+    assert EnvElem(terms) != AlgElem(terms)
+    assert AlgElem() != EnvElem()
+
+
+def test_repr_wraps_the_str_of_each_kind_of_combination():
+    """The one `repr` wraps `str` in the class name; a bare combination, as
+    `reps.rep_apply` builds to freeze its sums, shows its term dict."""
+    assert repr(AlgElem({("A", 1): 2})) == "AlgElem(2*A(1))"
+    assert repr(EnvElem({(("A", 1),): 2})) == "EnvElem((2)*A(1))"
+    assert repr(SparseCombination({(0, 1): 3})) == "SparseCombination({(0, 1): 3})"

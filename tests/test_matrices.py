@@ -134,6 +134,30 @@ def test_commutator_and_product_shapes():
         frac_matrix([[1, 2]]) * frac_matrix([[1, 2]])
 
 
+def test_equality_is_false_across_shapes_and_against_other_types():
+    m = frac_matrix([[1, 2], [3, 4]])
+    assert m == frac_matrix([[1, 2], [3, 4]])
+    assert m != frac_matrix([[1, 2, 0], [3, 4, 0]])
+    assert frac_matrix([[1, 2, 0], [3, 4, 0]]) != m
+    assert m != frac_matrix([[1, 2]])
+    assert m != m.entries
+    assert m != 0
+
+
+def test_sums_and_differences_refuse_other_types_and_shapes():
+    m = frac_matrix([[1, 2], [3, 4]])
+    assert m + m - m == m
+    for op in (Matrix.__add__, Matrix.__sub__):
+        with pytest.raises(TypeError):
+            op(m, 1)
+        with pytest.raises(TypeError):
+            op(m, m.entries)
+        with pytest.raises(ValueError):
+            op(m, frac_matrix([[1, 2, 0], [3, 4, 0]]))
+        with pytest.raises(ValueError):
+            op(m, frac_matrix([[1, 2]]))
+
+
 def test_scalars_multiply_through_scale_only():
     m = frac_matrix([[1, 2], [3, 4]])
     assert m.scale(3) == frac_matrix([[3, 6], [9, 12]])

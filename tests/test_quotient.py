@@ -223,19 +223,21 @@ def same_term_maps(x, y) -> bool:
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_relation_equals_the_sum_of_its_terms(N):
-    """The relation instance read off the stored pairs is the sum of
-    make(n + p, alpha_|n|) over n = -N..N, so G_0 = 0 and G_{-m} = -G_m hold,
+    """The relation instance of kind X read off the stored pairs is the sum
+    of X(n + p, alpha_|n|) over n = -N..N, so G_0 = 0 and G_{-m} = -G_m hold,
     and the G instances fold where they span 0."""
     rational = QuotientO([Fraction(k + 1, 3) for k in range(N)] + [1])
     for q in (QuotientO.symbolic(N), rational):
-        for make in (A, G):
+        for kind, make in (("A", A), ("G", G)):
             for p in range(-3 * N, 3 * N + 1):
                 terms = [make(n + p, q.alpha(n)) for n in range(-N, N + 1)]
                 expected = AlgElem(sum_terms(terms))
-                assert same_term_maps(q.relation(make, p), expected), (make, p)
-        assert q.relation(G, 0).is_zero()  # alpha is symmetric: the halves cancel
+                assert same_term_maps(q.relation(kind, p), expected), (kind, p)
+        assert q.relation("G", 0).is_zero()  # alpha is symmetric: the halves cancel
 
 
-def test_relation_rejects_a_make_other_than_A_or_G():
-    with pytest.raises(TypeError):
-        QuotientO.symbolic(1).relation(lambda n, c: A(n, c), 0)
+def test_relation_rejects_a_kind_other_than_A_or_G():
+    q = QuotientO.symbolic(1)
+    for kind in ("Wm", A, G, lambda n, c: A(n, c)):
+        with pytest.raises(TypeError):
+            q.relation(kind, 0)

@@ -127,6 +127,12 @@ def test_a_polynomial_has_no_division_operator():
         1 / lvar("u")
 
 
+def test_a_subtraction_from_an_unsupported_operand_is_refused():
+    assert lvar("u").__rsub__("a") is NotImplemented
+    with pytest.raises(TypeError):
+        "a" - lvar("u")
+
+
 def test_as_coeff_stores_integral_rationals_as_int():
     half = Fraction(-3, 2)
     for value, expected in ((3, 3), (Fraction(6, 2), 3), (half, half)):

@@ -10,7 +10,7 @@ from onsaw.elements import ZERO, AlgElem, accumulate
 from onsaw.matrices import Matrix, commutator, embed_leg, kron
 from onsaw.onsager import PHI, A, G, apply_auto, bracket
 from onsaw.quotient import QuotientO
-from onsaw.reports import FAIL
+from onsaw.reports import FAIL, InputError
 from onsaw.scalars import LaurentPoly, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
@@ -394,6 +394,12 @@ def test_frt_series_low_order():
         verify_frt_series_onsager(1)
     with pytest.raises(ValueError):
         verify_frt_series_alt(0)
+
+
+def test_both_series_checks_refuse_degree_below_2_as_input_errors():
+    for check in (verify_frt_series_onsager, verify_frt_series_alt):
+        with pytest.raises(InputError, match="need truncation degree D >= 2"):
+            check(1)
 
 
 def test_frt_series_detects_corrupted_bracket():
