@@ -180,7 +180,7 @@ def _charges(opts) -> Report:
 
 
 def _charge_params(opts) -> ChargeParams:
-    return ChargeParams(*_coeffs(opts, ("kappa", "kappas", "mu")))
+    return ChargeParams(*_coeffs(opts, ChargeParams._fields))
 
 
 def _quartic(opts) -> Report:

@@ -21,11 +21,12 @@ works.
 Polynomial coefficients are summed in place as well: `accumulate` updates a
 polynomial it built in the caller's dict without copying it, and copies any
 other (a coefficient of an existing element) on its first update.  The
-constructor, `SparseCombination.__init__`, freezes each such sum into a plain
-LaurentPoly, so an element never changes after it is built.
+constructor, `SparseCombination.__init__`, keeps `scalars.frozen` of the map
+it is given, which drops zeros and ends every such sum, so an element never
+changes after it is built.
 """
 
-from .scalars import LaurentPoly, _Sum, accumulate
+from .scalars import accumulate, frozen
 
 
 def linear_extension(f, x):
@@ -38,25 +39,24 @@ def linear_extension(f, x):
 
 class SparseCombination:
     """A finite combination of keys with nonzero coefficients.  Immutable by
-    convention; subclasses fix the keys, define `+` through `accumulate` and
-    may define a `str`, which `repr` wraps in the class name."""
+    convention; `+` and `-` combine two of one class, and subclasses fix the
+    keys and may define a `str`, which `repr` wraps in the class name."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = out = {}
-        if terms:
-            for s, c in terms.items():
-                if c:
-                    if type(c) is _Sum:
-                        c.__class__ = LaurentPoly  # freeze a sum accumulate built
-                    out[s] = c
+        self.terms = frozen(terms) if terms else {}
 
     def __bool__(self):
         return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -95,10 +95,8 @@ class AlgElem(SparseCombination):
     def basis(cls, sym: tuple) -> "AlgElem":
         return cls({sym: 1})
 
-    def __add__(self, other):
-        if not isinstance(other, AlgElem):
-            return NotImplemented
-        return AlgElem(accumulate(dict(self.terms), other.terms, None))
+    # Bound here too: `benchmarks/layers.py` wraps `vars(AlgElem)["__add__"]`.
+    __add__ = SparseCombination.__add__
 
     def __mul__(self, coeff):
         if isinstance(coeff, AlgElem):

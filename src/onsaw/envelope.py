@@ -33,11 +33,6 @@ class EnvElem(SparseCombination):
     def from_alg(cls, x: AlgElem) -> "EnvElem":
         return cls({(sym,): c for sym, c in x.terms.items()})
 
-    def __add__(self, other):
-        if not isinstance(other, EnvElem):
-            return NotImplemented
-        return EnvElem(accumulate(dict(self.terms), other.terms, None))
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -18,6 +18,9 @@ a negative power needs a unit (a nonzero rational or a monomial), |e| stays
 below 2**31, and a rational power has at most MAX_POWER_BITS bits in its
 numerator or denominator, so no input builds a huge integer.  Each of these
 faults, and a "^" after anything but a symbol, is an `ExprError` at the "^".
+A numeral longer than the interpreter's limit on int-string conversion
+(`sys.set_int_max_str_digits`, 4,300 digits by default) is an `ExprError` at
+the numeral.
 
 Atoms use paper-style labels: A(n) and G(m) are the Onsager basis, W(n) is
 the alternative family with its printed integer label (n <= 0 lowering,
@@ -132,9 +135,10 @@ class _Parser:
         return value
 
     def operand(self):
-        kind, value, pos = self.take()
+        kind, value, pos = self.peek()
         if kind == "int":
-            return self.rational(value)
+            return self.rational()
+        self.take()
         if kind == "name":
             if self.peek()[0] == "(" and any(value in t for t in _ATOMS.values()):
                 self.take("(")
@@ -165,13 +169,19 @@ class _Parser:
         self.depth -= 1
         return out
 
+    def numeral(self) -> int:
+        _, digits, pos = self.take("int")
+        try:
+            return int(digits)
+        except ValueError:  # longer than the int-string limit
+            raise ExprError(f"numeral of {len(digits)} digits is too long", pos) from None
+
     def integer(self):
         sign = 1
         if self.peek()[0] == "-":
             self.take()
             sign = -1
-        tok = self.take("int")
-        return sign * int(tok[1])
+        return sign * self.numeral()
 
     def power(self, base):
         """base ^ ["-"] integer, for the value `base` of a symbol; every
@@ -198,16 +208,18 @@ class _Parser:
         except ValueError as exc:
             raise ExprError(str(exc), pos) from None
 
-    def rational(self, digits: str):
-        """The literal `digits`, over a denominator if "/" follows: an int
-        when integral, else a Fraction."""
+    def rational(self):
+        """The next numeral, over a denominator if "/" follows: an int when
+        integral, else a Fraction."""
+        num = self.numeral()
         if self.peek()[0] != "/":
-            return int(digits)
+            return num
         self.take()
-        den = self.take("int")
-        if int(den[1]) == 0:
-            raise ExprError("zero denominator", den[2])
-        return as_coeff(Fraction(int(digits), int(den[1])))
+        pos = self.peek()[2]
+        den = self.numeral()
+        if den == 0:
+            raise ExprError("zero denominator", pos)
+        return as_coeff(Fraction(num, den))
 
     def atom(self, kind: str, index: int, pos: int) -> AlgElem:
         make = _ATOMS[self.presentation].get(kind)

@@ -28,11 +28,11 @@ points w1, w2, w3 are symbols.
 
 from math import prod
 
-from .elements import AlgElem, SparseCombination, accumulate
+from .elements import AlgElem, accumulate
 from .matrices import Matrix, commutator, embed_leg
 from .quotient import QuotientO, defining_relations
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, as_coeff, as_poly, lvar, unit_inverse
+from .scalars import P_ONE, LaurentPoly, as_coeff, as_poly, frozen, lvar, unit_inverse
 from .yangbaxter import build_B_onsager, r_matrix_num
 
 
@@ -97,12 +97,12 @@ def rep_apply(rep: dict, x: AlgElem) -> Matrix:
     """The matrix of x, the sum of c rep[sym] over its terms c sym.  One dict
     keyed by (row, column) holds every entry: `accumulate` adds c times each
     nonzero entry of rep[sym] into it in place, so no scaled or summed matrix
-    is built, and `SparseCombination` freezes the sums."""
+    is built, and `frozen` ends the sums."""
     dim = next(iter(rep.values())).rows
     out = {}
     for sym, c in x.terms.items():
         accumulate(out, _entries(rep[sym]), c)
-    sums, zero = SparseCombination(out).terms, LaurentPoly()
+    sums, zero = frozen(out), LaurentPoly()
     return Matrix([[sums.get((i, j), zero) for j in range(dim)] for i in range(dim)])
 
 

@@ -24,9 +24,10 @@ two polynomials, in ``LaurentPoly.__mul__``, inside ``accumulate`` and in
 the bracket's sum), goes through one multiply-add loop, ``_add_product``
 (``out += k*a*b`` in place for a rational ``k``), so no product is built
 only to be added.  ``accumulate`` changes in place only a polynomial that it
-(or ``accumulate_product``) built itself; an element constructor freezes
-such a sum, and any other polynomial is copied on its first update, so
-shared polynomials never change.  Two ``int``s are
+(or ``accumulate_product``) built itself, and any other polynomial is copied
+on its first update, so shared polynomials never change; ``frozen`` ends the
+in-place sums of a finished term map (an element constructor and
+``reps.rep_apply`` call it).  Two ``int``s are
 never divided (that gives a ``float``); division goes through the
 ``Fraction`` inverse.  Values that leave the kernel, ``const_value`` and
 ``evaluate``, are always ``Fraction``.
@@ -134,8 +135,8 @@ def accumulate(acc: dict, terms: dict, k=None) -> dict:
     place when accumulate built that polynomial in `acc`, else into a copy,
     so a value of `terms`, `k`, or a shared polynomial that `dict(x.terms)`
     put in `acc` never changes.  Such a sum reads and prints as a polynomial
-    until `SparseCombination.__init__` freezes it; before that, `acc` must
-    not be copied into a second map that is summed into too.  `k`, and a
+    until `frozen` ends it; before that, `acc` must not be copied into a
+    second map that is summed into too.  `k`, and a
     value at its own key, may be one of those sums: they are read as they
     were before the call.
 
@@ -201,6 +202,19 @@ def accumulate_product(acc: dict, terms: dict, x, y) -> dict:
     for key, c in terms.items():
         _add_at(acc, key, xt, yt, c)
     return acc
+
+
+def frozen(terms: dict) -> dict:
+    """A copy of the term map `terms` without its zero values, in which each
+    sum that `accumulate` built in place is a plain LaurentPoly: no later
+    `accumulate` changes it."""
+    out = {}
+    for key, c in terms.items():
+        if c:
+            if type(c) is _Sum:
+                c.__class__ = LaurentPoly
+            out[key] = c
+    return out
 
 
 def sum_terms(parts) -> dict:
@@ -417,23 +431,13 @@ class LaurentPoly:
             out[m] = coeff
         return LaurentPoly(out)
 
-    def truncate(self, bounds: dict) -> "LaurentPoly":
-        """Drop monomials whose exponent of a listed variable v lies outside
-        bounds[v] = (lo, hi); a bound of None leaves that side open."""
-        named = {str(v): b for v, b in bounds.items()}
+    def truncate(self, names, degree: int) -> "LaurentPoly":
+        """The monomials whose exponent of each variable in `names` has
+        absolute value at most `degree`."""
+        named = {str(v) for v in names}
         out = {}
         for mono, coeff in self.terms.items():
-            exps = dict(_decode(mono))
-            keep = True
-            for name, (lo, hi) in named.items():
-                e = exps.get(name, 0)
-                if hi is not None and e > hi:
-                    keep = False
-                    break
-                if lo is not None and e < lo:
-                    keep = False
-                    break
-            if keep:
+            if all(abs(e) <= degree for name, e in _decode(mono) if name in named):
                 out[mono] = coeff
         return LaurentPoly(out)
 
@@ -494,8 +498,7 @@ P_ONE = LaurentPoly.const(1)
 
 class _Sum(LaurentPoly):
     """A polynomial that `accumulate` built and is still summing in place;
-    `SparseCombination.__init__` freezes it into a plain LaurentPoly (see
-    `accumulate`)."""
+    `frozen` turns it into a plain LaurentPoly."""
 
     __slots__ = ()
 

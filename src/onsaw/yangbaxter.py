@@ -82,6 +82,7 @@ and the charge factors f_p(u) - f_p(1/u); the betas at x = U = (u + 1/u)/2
 give the prefactor p~(U) = t_0 and the components f~_k = t_(k+1).
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import groupby, product
@@ -208,28 +209,19 @@ def corrupted_r_matrix() -> tuple:
 # --- operator matrices -----------------------------------------------------------
 
 
-class OperatorMatrix:
+class OperatorMatrix(namedtuple("OperatorMatrix", "entries den u algebra label")):
     """A 2x2 matrix of algebra elements with a common scalar denominator.
 
     The represented matrix is entries/den.  `algebra` is the ambient quotient
     (QuotientO or QuotientA); verify_frt uses its bracket_reduced and reduce.
     """
 
-    def __init__(
-        self, entries: tuple, den: LaurentPoly, u: str, algebra, label: str
-    ):
-        self.entries = entries
-        self.den = den
-        self.u = u
-        self.algebra = algebra
-        self.label = label
+    __slots__ = ()
 
     def with_entry(self, i: int, j: int, value: AlgElem) -> "OperatorMatrix":
         rows = [list(row) for row in self.entries]
         rows[i][j] = value
-        return OperatorMatrix(
-            tuple(tuple(row) for row in rows), self.den, self.u, self.algebra, self.label
-        )
+        return self._replace(entries=tuple(map(tuple, rows)))
 
 
 def _renamed(x: AlgElem, mapping: dict) -> AlgElem:
@@ -472,9 +464,10 @@ def _check_spectral_names(u: str, v: str, coeffs=()) -> None:
 def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     """Exchange relation for the full algebra with currents truncated at degree D.
 
-    All residual coefficients of total u-degree <= D and v-degree <= D are
-    exact and must vanish; higher monomials are truncation artefacts and are
-    dropped.  Raises InputError for D < 2 and ValueError for u == v.
+    All residual coefficients of u-degree <= D and v-degree <= D are exact
+    and must vanish; higher monomials, the only ones `truncate` to D drops
+    (no exponent is negative), are truncation artefacts.  Raises InputError
+    for D < 2 and ValueError for u == v.
     """
     if D < 2:
         raise InputError("need truncation degree D >= 2")
@@ -485,14 +478,13 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
     g = AlgElem({("G", n): powers[n] for n in range(1, D + 1)})
     a_minus = AlgElem({("A", -n): powers[n] for n in range(D + 1)})
     a_plus = AlgElem({("A", n): powers[n] for n in range(1, D + 1)})
-    bounds = {u: (None, D), v: (None, D)}
     residual = _exchange_residual(
         ((g, a_minus), (a_plus, -g)),
         P_ONE,
         u,
         v,
         bracket,
-        lambda x: x.map_coeffs(lambda c: c.truncate(bounds)),
+        lambda x: x.map_coeffs(lambda c: c.truncate((u, v), D)),
         r_matrix_num,
     )
     for (r, c), entry in residual.items():
@@ -508,7 +500,8 @@ def verify_frt_series_alt(D: int) -> Report:
         (U-V)[g(u), w+/-(v)] +/- 16 (U w+/-(u) - V w+/-(v) - w-/+(u) + w-/+(v)) = 0
         [w+/-(u), w+/-(v)] = 0,  [g(u), g(v)] = 0
 
-    Raises InputError for D < 2.
+    No exponent of U or V is positive, so `truncate` to D keeps U^-k V^-l,
+    k, l <= D.  Raises InputError for D < 2.
     """
     if D < 2:
         raise InputError("need truncation degree D >= 2")
@@ -536,9 +529,8 @@ def verify_frt_series_alt(D: int) -> Report:
         "w-w-": bracket_alt(wm_u, wm_v),
         "gg": bracket_alt(g_u, g_v),
     }
-    bounds = {U: (-D, None), V: (-D, None)}
     for name, residual in relations.items():
-        entry = residual.map_coeffs(lambda c: c.truncate(bounds))
+        entry = residual.map_coeffs(lambda c: c.truncate((U, V), D))
         report.add(f"frt-series-alt:{name}:D{D}", entry)
     return report
 
@@ -546,17 +538,14 @@ def verify_frt_series_alt(D: int) -> Report:
 # --- commuting charges ----------------------------------------------------------------
 
 
-class ChargeParams:
+class ChargeParams(namedtuple("ChargeParams", "kappa kappas mu")):
     """The coefficients kappa, kappas and mu of M(x) and of the charges."""
 
-    def __init__(self, kappa, kappas, mu):
-        self.kappa = kappa
-        self.kappas = kappas
-        self.mu = mu
+    __slots__ = ()
 
     @classmethod
     def symbolic(cls) -> "ChargeParams":
-        return cls(lvar("kappa"), lvar("kappas"), lvar("mu"))
+        return cls(*map(lvar, cls._fields))
 
 
 def m_matrix(c: ChargeParams, x: str = "x") -> Matrix:

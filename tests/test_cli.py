@@ -252,6 +252,25 @@ def test_scalar_expression_is_an_input_error(capsys, argv):
     assert err.startswith("error: ") and "scalar" in err
 
 
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (("reduce", "--N", "1", "--expr", "9" * 5000 + "*A(0)"), 1),
+        (("reduce", "--N", "1", "--expr", "A(" + "9" * 5000 + ")"), 3),
+        (("convert", "--dir", "to-alt", "--expr", "1/" + "9" * 5000 + "*A(1)"), 3),
+    ],
+)
+def test_a_numeral_past_the_int_string_limit_is_an_input_error(capsys, argv, column):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err == f"error: numeral of 5000 digits is too long (column {column})\n"
+
+
 def _fake_clock(monkeypatch, step=Fraction(7, 1000)):
     """Make every perf_counter call advance the clock by exactly `step` s."""
     ticks = itertools.count()

@@ -3,7 +3,9 @@ read themselves, and the guarantee that no shared element, cache entry or
 polynomial is ever changed."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 from onsaw.altpres import (
     Gt,
@@ -231,3 +233,21 @@ def test_repr_wraps_the_str_of_each_kind_of_combination():
     assert repr(AlgElem({("A", 1): 2})) == "AlgElem(2*A(1))"
     assert repr(EnvElem({(("A", 1),): 2})) == "EnvElem((2)*A(1))"
     assert repr(SparseCombination({(0, 1): 3})) == "SparseCombination({(0, 1): 3})"
+
+
+def test_only_scalars_names_the_in_place_sum():
+    """Other modules end `accumulate`'s in-place sums through `frozen`."""
+    naming = [
+        path.name
+        for path in sorted(Path(scalars.__file__).parent.glob("*.py"))
+        if re.search(r"\b_Sum\b", path.read_text(encoding="utf-8"))
+    ]
+    assert naming == ["scalars.py"]
+
+
+def test_every_combination_shares_one_add():
+    assert AlgElem.__add__ is SparseCombination.__add__
+    assert "__add__" not in vars(EnvElem)
+    x, y = EnvElem.from_alg(A(0)), EnvElem.from_alg(A(1) * lvar("x"))
+    assert type(x + y) is EnvElem and (x + y) - y == x
+    assert x.__add__(A(0)) is NotImplemented and A(0).__add__(x) is NotImplemented

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation while parsing, and error reporting."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,36 @@ def test_the_first_error_in_reading_order_is_reported():
     # first.
     with pytest.raises(ExprError, match=r"^expected '\]', found '' \(column 9\)$"):
         eval_expr("[A(0), 2")
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """The interpreter's default int-string limit, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (f"{LONG}*A(0)", 1),
+        (f"A(0) + 2/{LONG}*A(1)", 10),
+        (f"A(-{LONG})", 4),
+        (f"x^{LONG}*A(0)", 3),
+        (f"x^-{LONG}*A(0)", 4),
+    ],
+    ids=["coefficient", "denominator", "atom index", "exponent", "negative exponent"],
+)
+def test_a_numeral_past_the_int_string_limit_is_an_error_at_it(
+    default_int_digit_limit, text, column
+):
+    with pytest.raises(ExprError, match=rf"5000 digits is too long \(column {column}\)$"):
+        eval_expr(text)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from onsaw.scalars import (
     coeff_div,
     decode_monomial,
     encode_monomial,
+    frozen,
     lvar,
     ratfunc_equal,
     unit_inverse,
@@ -106,9 +107,16 @@ def test_rename_and_invert():
 
 
 def test_truncate_bounds():
-    p = lvar("u", 3) + lvar("u") + lvar("u", -2)
-    assert p.truncate({"u": (None, 2)}) == lvar("u") + lvar("u", -2)
-    assert p.truncate({"u": (-1, None)}) == lvar("u", 3) + lvar("u")
+    """`truncate(names, degree)` keeps a monomial iff |e| <= degree for the
+    exponent e of each named variable, on either sign; others are free."""
+    p = lvar("u", 3) + lvar("u") + lvar("u", -2) + lvar("u", -3) * lvar("w", 9)
+    assert p.truncate(("u",), 2) == lvar("u") + lvar("u", -2)
+    assert p.truncate(("u",), 1) == lvar("u")
+    assert p.truncate(("u",), 3) == p
+    q = lvar("u", 2) * lvar("v", -2) + lvar("u", -1) * lvar("v", 3) + 5
+    assert q.truncate(("u", "v"), 2) == lvar("u", 2) * lvar("v", -2) + 5
+    assert q.truncate(("v",), 0) == LaurentPoly.const(5)
+    assert q.truncate((), 0) == q
 
 
 def test_monomial_division_stays_polynomial():
@@ -301,6 +309,16 @@ def test_accumulate_product_equals_accumulate_by_the_built_product():
     frozen = LaurentPoly(dict(acc["a"].terms))
     accumulate_product(acc, {"a": 2, "b": -1}, acc["a"], acc["a"])
     assert acc == {"a": frozen + frozen * frozen * 2, "b": frozen * frozen * -1}
+
+
+def test_frozen_drops_zeros_and_ends_the_in_place_sums():
+    x = lvar("x")
+    acc = accumulate({}, {"a": x, "b": 2}, x + 1)  # "a" is a sum built in place
+    got = frozen({**acc, "z": 0, "p": LaurentPoly()})
+    assert got == {"a": x * x + x, "b": x * 2 + 2} and got["a"] is acc["a"]
+    assert all(type(c) is LaurentPoly for c in got.values())
+    accumulate(acc, {"a": x}, x)  # a frozen sum is copied, not changed
+    assert got["a"] == x * x + x and acc["a"] == x * x * 2 + x
 
 
 def test_mixed_int_and_fraction_coefficients_combine_exactly():

@@ -11,7 +11,7 @@ from onsaw.matrices import Matrix, commutator, embed_leg, kron
 from onsaw.onsager import PHI, A, G, apply_auto, bracket
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL, InputError
-from onsaw.scalars import LaurentPoly, lvar
+from onsaw.scalars import LaurentPoly, decode_monomial, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
     OperatorMatrix,
@@ -396,6 +396,30 @@ def test_frt_series_low_order():
         verify_frt_series_alt(0)
 
 
+@pytest.mark.parametrize("D", range(2, 9))
+def test_series_residuals_have_one_sign_of_exponent_before_truncation(D, monkeypatch):
+    """No exponent of u or v in the Onsager series residual is negative, and
+    none of U or V in the alternative one is positive, so `truncate` to
+    |e| <= D keeps exactly what a bound on one side would keep."""
+    seen = []
+    truncate = LaurentPoly.truncate
+
+    def spy(self, names, degree):
+        seen.append((tuple(names), degree, self))
+        return truncate(self, names, degree)
+
+    monkeypatch.setattr(LaurentPoly, "truncate", spy)
+    assert verify_frt_series_onsager(D).status == "pass"
+    assert verify_frt_series_alt(D).status == "pass"
+    sign = {("u", "v"): 1, ("U", "V"): -1}
+    assert {names for names, _, _ in seen} == set(sign)
+    for names, degree, poly in seen:
+        assert degree == D
+        for key in poly.terms:
+            exps = decode_monomial(key)
+            assert all(sign[names] * exps.get(name, 0) >= 0 for name in names)
+
+
 def test_both_series_checks_refuse_degree_below_2_as_input_errors():
     for check in (verify_frt_series_onsager, verify_frt_series_alt):
         with pytest.raises(InputError, match="need truncation degree D >= 2"):
@@ -459,10 +483,9 @@ def series_reference(D, bracket_fn, u="u", v="v"):
         return ((g, a_minus), (a_plus, -g))
 
     one = LaurentPoly.const(1)
-    bounds = {u: (None, D), v: (None, D)}
 
     def finish(x):
-        return AlgElem({s: c.truncate(bounds) for s, c in x.terms.items()})
+        return AlgElem({s: c.truncate((u, v), D) for s, c in x.terms.items()})
 
     return full_residual(currents(u), currents(v), one, one, u, v, bracket_fn, finish)
 
