@@ -40,10 +40,11 @@ monomial is ``0``, multiplying two monomials is one integer addition and
 dividing by one is a subtraction (Monagan & Pearce, "Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors", 2007).  Every
 entry point that makes exponents (``lvar``, ``monomial``,
-``encode_monomial``, ``**`` and the re-encodings in ``rename`` and
-``coefficients_in``) raises ``ValueError`` for an
+``encode_monomial``, ``**`` and the re-encodings in ``rename``,
+``inverted`` and ``coefficients_in``) raises ``ValueError`` for an
 exponent with ``|e| >= 2**31``, so a field can overflow only after more
-than ``2**32`` successive products.  Code that needs names or their order
+than ``2**32`` successive products; ``inverted`` negates exponents, and
+``|-e| = |e|``, so it never raises.  Code that needs names or their order
 decodes a key to the sorted ``(name, exp)`` tuple first (memoised), so
 rendering does not depend on the order in which names were registered.
 Only this module builds or reads keys; the public pair
@@ -421,10 +422,21 @@ class LaurentPoly:
 
         Raises ValueError on a collision, or when a re-encoded exponent has
         |e| >= 2**31."""
-        named = {str(a): str(b) for a, b in mapping.items()}
+        return self._recoded({str(a): (str(b), 1) for a, b in mapping.items()})
+
+    def inverted(self, names) -> "LaurentPoly":
+        """Substitute 1/v for each variable v of `names` (negate its exponents)."""
+        return self._recoded({str(v): (str(v), -1) for v in names})
+
+    def _recoded(self, to: dict) -> "LaurentPoly":
+        """Each variable `name` of `to`, with to[name] = (new name, sign),
+        renamed and its exponent multiplied by the sign."""
         out: dict = {}
         for mono, coeff in self.terms.items():
-            pairs = [(named.get(name, name), e) for name, e in _decode(mono)]
+            pairs = [
+                (name, e) if (t := to.get(name)) is None else (t[0], t[1] * e)
+                for name, e in _decode(mono)
+            ]
             m = _encode(pairs)
             if m in out or len({name for name, _ in pairs}) < len(pairs):
                 raise ValueError("rename collides with an existing variable")

@@ -56,6 +56,29 @@ and a corrupted r-matrix fail a check; the series currents, which
 truncation leaves not covariant (Phi(a_-) = u^-1 a_+ + u^D A_(D+1)), and the
 gl2 matrix of `cybe` get no Phi.
 
+A third mirror transposes.  With iota the inversion u, v -> 1/u, 1/v,
+J = diag(1, -1) and J_a = (-1)^(i+k) at a = 2i+k, entry (b, a) of C is
+J_a J_b u^2 v^2 iota(C[a, b]).  Its hypotheses:
+
+- the bracket commutes with iota, as it is bilinear over the polynomial
+  coefficients, and
+- `finish` commutes with iota: q.reduce is linear over the coefficients and
+  `_check_spectral_names` keeps u and v out of the quotient coefficients;
+  test_reduce_and_the_bracket_commute_with_the_inversion checks both for
+  both presentations, and test_the_cleared_residual_is_its_own_inversion_mirror
+  checks the mirror on the full residual;
+- B(1/u) = J B(u)^T J and den(1/u) = den(u), and
+- u^2 v^2 r(1/u, 1/v)[a, b] = -J_a J_b r[b, a] for r12 and r21:
+  `_inversion_covariant` checks both at run time by exact comparison, and
+  test_the_r_matrix_and_not_its_corruption_is_covariant_under_inversion
+  checks the second by matrix products.
+
+verify_frt tries it beside Phi, and it holds for the operator matrices of
+both presentations and for a control that changes only diagonal entries;
+an off-diagonal one-entry control, den (1 + u) and a corrupted r-matrix
+fail the check.  The series currents (no negative power of u) and the
+matrix of `cybe` (w is not inverted) could not pass it, and are not tried.
+
 Entry (2i+k, 2j+l) of C has the bracket [B_ij(u), B_kl(v)].  Entries share
 brackets through the one relation that a B of these checks has among its
 entries, B_11 = +-B_00: -B_00 for the traceless operator matrices, series
@@ -64,15 +87,16 @@ diagonal entry negated.  `_canonical` compares B_11 with B_00 and -B_00 at
 run time, by exact comparison, so this adds no hypothesis, and it gives
 each entry the canonical pair of its bracket.  The entries to build follow
 from one rule, which `_walk` applies: taken in order of their canonical
-pairs, each entry that is not yet reached is built, and its flip image, and
-with tau its tau image and that image's flip image, are reached as its
-mirrors, the flip first, since a renaming forms no product.  So one entry
-per orbit is built, 10 for the flip alone and 6 with tau, and the built
-entries of one bracket are adjacent.  With the relation the 10 take 6
-brackets and the 6 of the Phi path 4, one of them the zero [g(u), g(v)];
-any other B takes 10.  Each bracket is scaled by Dr once and negated at
-most once, and each entry is the same, term for term, as with one bracket
-per entry.
+pairs, each entry that is not yet reached is built, and its orbit under the
+mirrors that hold is reached from it, the flip first at every entry, since
+a renaming forms no product.  So one entry per orbit is built: 10 for the
+flip alone, 7 with the inversion, 6 with tau and 5 with both, (0,0),
+(1,1), (0,1), (0,3) and (1,2); the built entries of one bracket are
+adjacent.  With the relation the 10 take 6 brackets, and the 6 of tau and
+the 5 of both mirrors take 4, one of them the zero [g(u), g(v)]; a B
+without it takes one bracket per built entry.  Each bracket is scaled by Dr
+once and negated at most once, and each entry is the same, term for term,
+as with one bracket per entry.
 
 The operator matrices take their coefficients from the tails
 t_k = sum(c_j x^(j-k), j = k..N) of (c_0, ..., c_N), which `_tails` computes
@@ -226,9 +250,16 @@ class OperatorMatrix(namedtuple("OperatorMatrix", "entries den u algebra label")
 
 def _renamed(x: AlgElem, mapping: dict) -> AlgElem:
     """x with the variables of its polynomial coefficients renamed."""
-    return x.map_coeffs(
-        lambda c: c.rename(mapping) if isinstance(c, LaurentPoly) else c
-    )
+    return _recoded(x, LaurentPoly.rename, mapping)
+
+
+def _inverted(x: AlgElem, names) -> AlgElem:
+    """x with the variables `names` of its polynomial coefficients inverted."""
+    return _recoded(x, LaurentPoly.inverted, names)
+
+
+def _recoded(x: AlgElem, recode, arg) -> AlgElem:
+    return x.map_coeffs(lambda c: recode(c, arg) if isinstance(c, LaurentPoly) else c)
 
 
 def _tails(coeffs, x) -> list:
@@ -283,6 +314,12 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 
 
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
+_J = (1, -1, -1, 1)  # J_a = (-1)^(i+k) at a = 2i+k, the diagonal of J (x) J
+_IMAGE = {  # the entry that each mirror gives from entry (r, c)
+    "flip": lambda r, c: (_FLIP[r], _FLIP[c]),
+    "tau": lambda r, c: (3 - r, 3 - c),
+    "inv": lambda r, c: (c, r),
+}
 
 
 def _canonical(bu) -> dict:
@@ -308,7 +345,9 @@ def _phi_covariant(bu, u, v, phi, rhats) -> bool:
     and sigma the row swap, and each r-matrix of `rhats` equals its conjugate
     by M = D(u) sigma (x) D(v) sigma, by exact comparison.  Entrywise, the
     first is Phi(B_00) = B_11, Phi(B_11) = B_00, u Phi(B_01) = B_10 and
-    Phi(B_10) = u B_01, the second r[3-a, 3-b] = u^(j-i) v^(l-k) r[a, b]."""
+    Phi(B_10) = u B_01, the second r[3-a, 3-b] = u^(j-i) v^(l-k) r[a, b].
+    The factor at (3-a, 3-b) is the inverse of the one at (a, b), so the
+    relation at (a, b) is the one at (3-a, 3-b), and a < 2 covers all 16."""
     (b00, b01), (b10, b11) = bu
     uu = lvar(u)
     if not (
@@ -318,7 +357,7 @@ def _phi_covariant(bu, u, v, phi, rhats) -> bool:
     return all(
         rhat[3 - a, 3 - b] == _tau_factor(u, v, a, b) * rhat[a, b]
         for rhat in rhats
-        for a in range(4)
+        for a in range(2)
         for b in range(4)
     )
 
@@ -328,24 +367,59 @@ def _tau_image(phi, u, v, a, b, x) -> AlgElem:
     return phi(x).scale(_tau_factor(u, v, a, b))
 
 
-def _walk(pair_of: dict, with_tau: bool) -> tuple:
+def _inversion_covariant(bu, den_u, u, v, rhats) -> bool:
+    """Whether B(1/u) = J B(u)^T J with J = diag(1, -1), den(1/u) = den(u),
+    and u^2 v^2 r(1/u, 1/v)[a, b] = -J_a J_b r[b, a] for each r-matrix of
+    `rhats`, by exact comparison.  With iota the inversion u, v -> 1/u, 1/v,
+    the first is iota(B_00) = B_00, iota(B_11) = B_11 and iota(B_01) = -B_10.
+    iota is an involution, so iota(B_10) = -B_01 follows, and so does the
+    r-matrix relation at (b, a) from the one at (a, b), read as
+    iota(r[a, b]) = -J_a J_b u^-2 v^-2 r[b, a]: a <= b covers all 32."""
+    (b00, b01), (b10, b11) = bu
+    names = (u, v)
+    if not (
+        _inverted(b00, names) == b00
+        and _inverted(b11, names) == b11
+        and _inverted(b01, names) == -b10
+        and den_u.inverted(names) == den_u
+    ):
+        return False
+    factor = {j: LaurentPoly.monomial(-j, {u: -2, v: -2}) for j in (1, -1)}
+    return all(
+        rhat[a, b].inverted(names) == rhat[b, a] * factor[_J[a] * _J[b]]
+        for rhat in rhats
+        for a in range(4)
+        for b in range(a, 4)
+    )
+
+
+def _inv_image(u, v, a, b, x) -> AlgElem:
+    """Entry (b, a) of C from its entry x at (a, b): J_a J_b u^2 v^2 iota(x)."""
+    factor = LaurentPoly.monomial(_J[a] * _J[b], {u: 2, v: 2})
+    return _inverted(x, (u, v)).scale(factor)
+
+
+def _walk(pair_of: dict, held: tuple) -> tuple:
     """The walk of the module docstring over the 16 entries, from the canonical
-    pair of each entry's bracket: ([built entry], [(entry, source, "flip" or
-    "tau")]), each source built or listed before the entry it gives."""
+    pair of each entry's bracket and the mirrors `held` besides the flip
+    ("tau", "inv" or both): ([built entry], [(entry, source, mirror)]), each
+    source built or listed before the entry it gives."""
     built, mirrors, reached = [], [], set()
-    for r, c in sorted(pair_of, key=pair_of.get):
-        if (r, c) in reached:
+    for entry in sorted(pair_of, key=pair_of.get):
+        if entry in reached:
             continue
-        built.append((r, c))
-        reached.add((r, c))
-        images = [((_FLIP[r], _FLIP[c]), (r, c), "flip")]
-        if with_tau:  # after the flip, so an entry that both reach is renamed
-            t = (3 - r, 3 - c)
-            images += [(t, (r, c), "tau"), ((_FLIP[t[0]], _FLIP[t[1]]), t, "flip")]
-        for image in images:
-            if image[0] not in reached:
-                reached.add(image[0])
-                mirrors.append(image)
+        built.append(entry)
+        reached.add(entry)
+        sources = [entry]  # the entries not reached by a flip; grows below
+        for source in sources:
+            # the flip first, so an entry that it and another mirror reach is renamed
+            for mirror in ("flip", *held):
+                image = _IMAGE[mirror](*source)
+                if image not in reached:
+                    reached.add(image)
+                    mirrors.append((image, source, mirror))
+                    if mirror != "flip":
+                        sources.append(image)
     return built, mirrors
 
 
@@ -379,8 +453,11 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     of entry (a, b), is a mirror only when `phi` is given and
     `_phi_covariant` holds; of its four hypotheses in the module docstring,
     the two on `phi` and `finish` hold for the presentations of verify_frt,
-    and `_phi_covariant` checks the two on bu and the r-matrices.  Without
-    `phi` no monomial is formed.
+    and `_phi_covariant` checks the two on bu and the r-matrices.  The
+    inversion, entry (b, a) = `_inv_image` of entry (a, b), is a mirror
+    only when `phi` is given and `_inversion_covariant` holds, which checks
+    its hypotheses on bu, den_u and the r-matrices.  Without `phi` no
+    monomial is formed and nothing is inverted.
 
     With bu_ij = s_x bu_x and bu_kl = s_y bu_y as `_canonical` finds them,
     the bracket of entry (2i+k, 2j+l) is s_x s_y [bu_x, bv_y], since
@@ -392,14 +469,18 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     den_v = den_u.rename({u: v})
     rhat_12, dr = r_at(u, v)
     rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
-    mirrored = phi is not None and _phi_covariant(bu, u, v, phi, (rhat_12, rhat_21))
+    held = ()
+    if phi is not None:
+        rhats = (rhat_12, rhat_21)
+        held += ("tau",) * _phi_covariant(bu, u, v, phi, rhats)
+        held += ("inv",) * _inversion_covariant(bu, den_u, u, v, rhats)
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
     pair_of = {}  # entry (2i+k, 2j+l) -> the canonical pair (x, y) of its bracket
     for (i, k), (j, l) in product(pairs, repeat=2):
         pair_of[2 * i + k, 2 * j + l] = canonical[i, j][0], canonical[k, l][0]
-    built, mirrors = _walk(pair_of, mirrored)
+    built, mirrors = _walk(pair_of, held)
     values = {}
     for (x, y), group in groupby(built, key=pair_of.get):
         group = list(group)
@@ -425,9 +506,13 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
             accumulate(acc, t2, minus_den_u)
             values[r, c] = finish(AlgElem(acc))
     swap = {u: v, v: u}
+    image = {
+        "flip": lambda a, b, x: _renamed(x, swap),
+        "tau": partial(_tau_image, phi, u, v),
+        "inv": partial(_inv_image, u, v),
+    }
     for entry, (a, b), mirror in mirrors:
-        x = values[a, b]
-        values[entry] = _tau_image(phi, u, v, a, b, x) if mirror == "tau" else _renamed(x, swap)
+        values[entry] = image[mirror](a, b, values[a, b])
     return dict(sorted(values.items()))
 
 

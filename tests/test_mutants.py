@@ -32,10 +32,13 @@ Rows so far:
   and both verdicts of `cybe`, must see it.  The series builds 10 entries
   and fails at 13, 23, 31 and 32: the entries (2,3) and (3,2) whose brackets
   are the negated ones of (0,1) and (1,0), and their leg-flip mirrors.  The
-  operator matrices take the Phi path and fail at 10, 13, 20 and 23: the
-  built (2,3), whose bracket is the negated one of (0,1), its leg-flip
-  mirror (1,3), its tau image (1,0) and that one's mirror (2,0).  Entries 11
-  and 22 pass: their bracket [g(u), g(v)] is zero, so its sign does not show.
+  operator matrices hold tau and the inversion, and their 5 built entries
+  reuse no nonzero bracket with sign -1, so they pass; the row checks them
+  on the path of tau alone (`_inversion_covariant` patched to False), where
+  they fail at 10, 13, 20 and 23: the built (2,3), whose bracket is the
+  negated one of (0,1), its leg-flip mirror (1,3), its tau image (1,0) and
+  that one's mirror (2,0).  On either path entries 11 and 22 pass: their
+  bracket [g(u), g(v)] is zero, so its sign does not show.
 - A coefficient of the memoised change of basis, in either direction: the
   1/4 at A(2) in the image of Wm(2) becomes 1/2, or the Gt(0) coefficient of
   the image of G(3) gains 1/3 (an odd denominator).  The round trips of `iso`
@@ -374,16 +377,18 @@ def drops_the_sign(canonical):
 
 def test_a_shared_bracket_reused_without_its_sign_fails(monkeypatch):
     """`cybe:numeric-agrees` fails too: the numeric verdict shares no bracket
-    and still finds the r-matrix a solution, so the two verdicts disagree."""
+    and still finds the r-matrix a solution, so the two verdicts disagree.
+    The operator matrices fail on the path of tau alone and pass on the path
+    of both mirrors, which reuses only the zero bracket with sign -1."""
     matrices = []
     for N in (1, 2, 3):
         matrices += [yb.build_B_onsager(QuotientO.symbolic(N))]
         matrices += [yb.build_B_alt(QuotientA.symbolic(N))]
     failing = {"cybe:symbolic", "cybe:numeric-agrees"}
     failing.update(f"frt-series-onsager:entry{rc}:D4" for rc in ("13", "23", "31", "32"))
-    failing.update(
+    failing_on_tau = {
         f"frt:{B.label}:entry{rc}" for B in matrices for rc in ("10", "13", "20", "23")
-    )
+    }
 
     def statuses():
         report = yb.verify_cybe().extend(yb.verify_frt_series_onsager(4))
@@ -392,9 +397,12 @@ def test_a_shared_bracket_reused_without_its_sign_fails(monkeypatch):
         return check_statuses(report)
 
     before = statuses()
-    assert set(before.values()) == {"pass"} and failing <= before.keys()
+    assert set(before.values()) == {"pass"} and failing | failing_on_tau <= before.keys()
     monkeypatch.setattr(yb, "_canonical", drops_the_sign(yb._canonical))
     assert statuses() == {c: "fail" if c in failing else "pass" for c in before}
+    monkeypatch.setattr(yb, "_inversion_covariant", lambda *args: False)
+    expected = {c: "fail" if c in failing | failing_on_tau else "pass" for c in before}
+    assert statuses() == expected
 
 
 def verify_all_statuses():

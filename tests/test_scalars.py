@@ -104,6 +104,11 @@ def test_rename_and_invert():
     assert q == lvar("u1", 2) + lvar("u3")
     with pytest.raises(ValueError):
         (lvar("u") + lvar("v")).rename({"u": "v"})
+    # inverted negates the exponents of the named variables only
+    r = p * lvar("w", -3) + 5
+    assert r.inverted(("u", "v")) == (lvar("u", -2) + lvar("v", -1)) * lvar("w", -3) + 5
+    assert r.inverted(["w"]).inverted(["w"]) == r
+    assert r.inverted(()) == r
 
 
 def test_truncate_bounds():
@@ -394,6 +399,7 @@ def test_exponents_at_the_bound_raise(e):
     big = lvar("x", inside) * lvar("x", 1 if e > 0 else -1) * lvar("y")
     for reencode in (
         lambda: big.rename({"x": "z"}),
+        lambda: big.inverted(("x",)),
         lambda: big.coefficients_in("y"),
     ):
         with pytest.raises(ValueError):

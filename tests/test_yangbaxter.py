@@ -591,13 +591,14 @@ def test_a_covariant_operator_matrix_takes_4_brackets(N, monkeypatch):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_a_traceless_operator_matrix_takes_6_brackets(N, monkeypatch):
-    """B_01 times 3 leaves B traceless but not Phi-covariant, so its 10
-    built entries share 6 brackets; one diagonal entry times 3 breaks the
-    sharing, and its 10 entries take 10 brackets."""
+    """B_01 times 3 leaves B traceless but neither Phi- nor
+    inversion-covariant, so its 10 built entries share 6 brackets; one
+    diagonal entry times 3 breaks the sharing and keeps B
+    inversion-covariant, and its 7 built entries take 7 brackets."""
     counts = counting_brackets(monkeypatch)
     for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
         runs = [(B.with_entry(0, 1, B.entries[0][1] * 3), FAIL, 6)]
-        runs += [(B.with_entry(i, i, B.entries[i][i] * 3), FAIL, 10) for i in range(2)]
+        runs += [(B.with_entry(i, i, B.entries[i][i] * 3), FAIL, 7) for i in range(2)]
         for target, status, brackets in runs:
             assert verify_frt(target).status == status
             assert counts[-1] == brackets
@@ -614,9 +615,9 @@ def test_the_series_currents_and_the_cybe_matrix_take_6_brackets(monkeypatch):
 def test_each_bracket_is_done_before_the_next_is_formed(monkeypatch):
     """Called with a recording bracket_fn and finish, `_exchange_residual`
     forms a bracket (B), finishes the built entries that share it (F), and
-    only then forms the next: on the Phi path of B-onsager and B-alt at
-    N = 2 the 4 brackets serve 2, 2, 1 and 1 entries, and the 6 of the
-    series currents at D = 4 serve 3, 2, 2, 1, 1 and 1."""
+    only then forms the next: on the path of both mirrors of B-onsager and
+    B-alt at N = 2 the 4 brackets serve 2, 1, 1 and 1 entries, and the 6 of
+    the series currents at D = 4 serve 3, 2, 2, 1, 1 and 1."""
     import onsaw.yangbaxter as yb
 
     def calls(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None) -> str:
@@ -638,7 +639,7 @@ def test_each_bracket_is_done_before_the_next_is_formed(monkeypatch):
     for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
         q = B.algebra
         args = (B.entries, B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num)
-        assert calls(*args, phi_of(q)) == "BFFBFFBFBF"
+        assert calls(*args, phi_of(q)) == "BFFBFBFBF"
     recorded = []
     build = yb._exchange_residual
     monkeypatch.setattr(yb, "_exchange_residual", lambda *a: recorded.append(a) or build(*a))
@@ -758,16 +759,23 @@ def test_the_r_matrix_and_not_its_corruption_is_invariant_under_conjugation_by_m
 
 
 def test_each_entry_is_reached_from_exactly_one_built_representative():
-    """With tau, `_walk` builds 6 entries and reaches the other 10 through the
-    leg flip or tau (x -> 3 - x), each once and from an entry built or reached
-    before it; with the flip alone it builds 10 and reaches 6.  This holds for
-    the canonical pairs of a traceless B, of one with B_11 = B_00 and of one
-    whose entries are all distinct, and the built entries come in the order
-    of their canonical pairs."""
+    """`_walk` builds one entry per orbit of the mirrors it holds: 5 with the
+    flip, tau (x -> 3 - x) and the inversion (a transposition), 6 with the
+    flip and tau, 7 with the flip and the inversion, and 10 with the flip
+    alone, and it reaches each other entry once through one mirror, from an
+    entry built or reached before it.  This holds for the canonical pairs of
+    a traceless B, of one with B_11 = B_00 and of one whose entries are all
+    distinct, and the built entries come in the order of their canonical
+    pairs; with all three mirrors a traceless B builds (0, 0), (1, 1),
+    (0, 1), (0, 3) and (1, 2)."""
     import onsaw.yangbaxter as yb
 
     flip, tau = yb._FLIP, (3, 2, 1, 0)
-    maps = {"flip": lambda x: flip[x], "tau": lambda x: tau[x]}
+    maps = {
+        "flip": lambda a, b: (flip[a], flip[b]),
+        "tau": lambda a, b: (tau[a], tau[b]),
+        "inv": lambda a, b: (b, a),
+    }
     entries = [(r, c) for r in range(4) for c in range(4)]
     B = build_B_onsager(QuotientO.symbolic(2))
     tied, untied = B.with_entry(1, 1, B.entries[0][0]), B.with_entry(1, 1, B.entries[1][1] * 3)
@@ -777,19 +785,22 @@ def test_each_entry_is_reached_from_exactly_one_built_representative():
             (2 * i + k, 2 * j + l): (canonical[i, j][0], canonical[k, l][0])
             for i, j, k, l in product(range(2), repeat=4)
         }
-        for with_tau, n_built in ((True, 6), (False, 10)):
-            built, mirrors = yb._walk(pair_of, with_tau)
+        runs = ((("tau", "inv"), 5), (("tau",), 6), (("inv",), 7), ((), 10))
+        for held, n_built in runs:
+            built, mirrors = yb._walk(pair_of, held)
             assert len(built) == n_built
             assert [pair_of[e] for e in built] == sorted(pair_of[e] for e in built)
             reached = list(built)
             for entry, (a, b), mirror in mirrors:
                 assert (a, b) in reached
-                assert entry == (maps[mirror](a), maps[mirror](b))
-                # the flip wins where both reach: tau never gives a flip image
-                assert mirror == "flip" or entry != (flip[a], flip[b])
+                assert entry == maps[mirror](a, b)
+                # the flip wins where two reach: no other mirror gives a flip image
+                assert mirror == "flip" or entry != maps["flip"](a, b)
                 reached.append(entry)
             assert sorted(reached) == entries
-            assert with_tau or {m for _, _, m in mirrors} == {"flip"}
+            assert {m for _, _, m in mirrors} == {"flip", *held}
+            if bu is B.entries and len(held) == 2:
+                assert built == [(0, 0), (1, 1), (0, 1), (0, 3), (1, 2)]
 
 
 def phi_covariant_corruptions(N):
@@ -801,45 +812,73 @@ def phi_covariant_corruptions(N):
         yield OperatorMatrix(B.entries, B.den * 3, B.u, B.algebra, B.label)
 
 
-def spy_on_the_phi_path(monkeypatch) -> tuple:
-    """Two lists that fill as checks run: the verdict of each
-    `_phi_covariant` call and the residual of each `_exchange_residual` call."""
+def spy_on_the_mirrors(monkeypatch) -> tuple:
+    """Three lists that fill as checks run: the verdicts of the
+    `_phi_covariant` and `_inversion_covariant` calls, and the residual of
+    each `_exchange_residual` call."""
     import onsaw.yangbaxter as yb
 
-    verdicts, residuals = [], []
-    covariant, build = yb._phi_covariant, yb._exchange_residual
+    tau, inv, residuals = [], [], []
 
-    def spying(*args):
-        verdicts.append(covariant(*args))
-        return verdicts[-1]
+    def spying(verdicts, check):
+        def spy(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        return spy
+
+    build = yb._exchange_residual
 
     def recording(*args):
         residuals.append(build(*args))
         return residuals[-1]
 
-    monkeypatch.setattr(yb, "_phi_covariant", spying)
+    monkeypatch.setattr(yb, "_phi_covariant", spying(tau, yb._phi_covariant))
+    monkeypatch.setattr(yb, "_inversion_covariant", spying(inv, yb._inversion_covariant))
     monkeypatch.setattr(yb, "_exchange_residual", recording)
-    return verdicts, residuals
+    return tau, inv, residuals
+
+
+def mirror_path_mismatches(monkeypatch, cases) -> list:
+    """(label, entry) for each entry where verify_frt's residual differs from
+    `frt_reference`, term for term, over `cases`, pairs (B, the mirrors that
+    B must hold); each B must fail."""
+    tau, inv, residuals = spy_on_the_mirrors(monkeypatch)
+    bad, held = [], []
+    for B, mirrors in cases:
+        assert verify_frt(B).status == FAIL
+        expected = frt_reference(B)
+        got = residuals[-1]
+        bad += [
+            (B.label, key)
+            for (key, x), e in zip(got.items(), expected)
+            if not same_term_maps(x, e)
+        ]
+        held.append(mirrors)
+    assert [("tau",) * t + ("inv",) * i for t, i in zip(tau, inv)] == held
+    return bad
 
 
 def phi_path_mismatches(monkeypatch) -> list:
-    """(label, entry) for each entry of a Phi-covariant corruption at N = 1..3
-    where verify_frt's residual differs from `frt_reference`, term for term;
-    each corruption must take the Phi path and fail."""
-    verdicts, residuals = spy_on_the_phi_path(monkeypatch)
-    bad = []
+    """The mismatches of the Phi-covariant corruptions at N = 1..3, which are
+    inversion-covariant too and take the path of both mirrors."""
+    cases = [(B, ("tau", "inv")) for N in (1, 2, 3) for B in phi_covariant_corruptions(N)]
+    assert len(cases) == 18
+    return mirror_path_mismatches(monkeypatch, cases)
+
+
+def one_entry_mismatches(monkeypatch) -> list:
+    """The mismatches of the 48 one-entry corruptions at N = 1..3, times 3 or
+    negated: none is Phi-covariant, and the 24 diagonal ones are
+    inversion-covariant and take the 7-entry path."""
+    cases = []
     for N in (1, 2, 3):
-        for B in phi_covariant_corruptions(N):
-            assert verify_frt(B).status == FAIL
-            expected = frt_reference(B)
-            got = residuals[-1]
-            bad += [
-                (B.label, key)
-                for (key, x), e in zip(got.items(), expected)
-                if not same_term_maps(x, e)
-            ]
-    assert verdicts == [True] * 18
-    return bad
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            for i, j, k in product(range(2), range(2), (3, -1)):
+                held = ("inv",) if i == j else ()
+                cases.append((B.with_entry(i, j, B.entries[i][j] * k), held))
+    assert len(cases) == 48
+    return mirror_path_mismatches(monkeypatch, cases)
 
 
 def test_the_phi_path_equals_the_full_residual_term_for_term(monkeypatch):
@@ -859,30 +898,135 @@ def test_the_phi_path_comparison_sees_a_dropped_factor(monkeypatch):
     assert phi_path_mismatches(monkeypatch)
 
 
-def test_one_entry_corruptions_take_the_10_entry_path(monkeypatch):
-    """B with one entry times 3 or negated is not Phi-covariant."""
-    verdicts, _ = spy_on_the_phi_path(monkeypatch)
-    for N in (1, 2, 3):
-        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
-            for i in range(2):
-                for j in range(2):
-                    for k in (3, -1):
-                        assert verify_frt(B.with_entry(i, j, B.entries[i][j] * k)).status == FAIL
-    assert verdicts == [False] * 48
+def test_one_entry_corruptions_take_the_7_or_10_entry_path(monkeypatch):
+    """B with one entry times 3 or negated is not Phi-covariant; it is
+    inversion-covariant when the entry is diagonal, and either path equals
+    the full residual term for term."""
+    assert one_entry_mismatches(monkeypatch) == []
+
+
+@pytest.mark.parametrize("dropped", ["u^2 v^2", "J_a J_b"])
+def test_the_inversion_path_comparisons_see_a_dropped_factor(dropped, monkeypatch):
+    """A mutant of `_inv_image` without u^2 v^2, or without the sign
+    J_a J_b, fails both differential tests of the inversion, while
+    `_inversion_covariant` still checks the r-matrices with both."""
+    import onsaw.yangbaxter as yb
+
+    def mutant(u, v, a, b, x):
+        sign = 1 if dropped == "J_a J_b" else yb._J[a] * yb._J[b]
+        exps = {} if dropped == "u^2 v^2" else {u: 2, v: 2}
+        return yb._inverted(x, (u, v)).scale(LaurentPoly.monomial(sign, exps))
+
+    monkeypatch.setattr(yb, "_inv_image", mutant)
+    assert phi_path_mismatches(monkeypatch)
+    assert one_entry_mismatches(monkeypatch)
 
 
 def test_the_series_and_cybe_form_no_monomial_of_the_phi_mirror(monkeypatch):
+    """Nor do they try the inversion mirror: neither could pass its check."""
     import onsaw.yangbaxter as yb
 
     def refuse(*args):
-        raise AssertionError("the Phi mirror ran without a Phi")
+        raise AssertionError("a mirror of the operator matrices ran without a Phi")
 
     for name in ("_phi_covariant", "_tau_factor", "_tau_image"):
         monkeypatch.setattr(yb, name, refuse)
+    for name in ("_inversion_covariant", "_inv_image", "_inverted"):
+        monkeypatch.setattr(yb, name, refuse)
     monkeypatch.setattr(LaurentPoly, "monomial", refuse)
+    monkeypatch.setattr(LaurentPoly, "inverted", refuse)
     assert verify_frt_series_onsager(4).status == "pass"
     assert verify_cybe().status == "pass"
     assert verify_cybe(corrupted_r_matrix()).status == FAIL
+
+
+# --- the inversion mirror ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_reduce_and_the_bracket_commute_with_the_inversion(N):
+    """q.reduce(iota x) = iota(q.reduce(x)) and the reduced bracket of
+    iota x and iota y is iota of that of x and y, for iota the inversion of u
+    and v, the two equivariances the inversion mirror needs, in both
+    presentations."""
+    import onsaw.yangbaxter as yb
+
+    def iota(x):
+        return yb._inverted(x, ("u", "v"))
+
+    for q in (QuotientO.symbolic(N), QuotientA.symbolic(N)):
+        xs = far_elements(q)
+        for x in xs:
+            assert same_term_maps(q.reduce(iota(x)), iota(q.reduce(x))), (q, x)
+        mixed = xs[-1].map_coeffs(lambda c: c * lvar("v", -1) + lvar("u", 3))
+        for x in xs[:: max(1, len(xs) // 6)]:
+            got = q.bracket_reduced(iota(mixed), iota(x))
+            assert same_term_maps(got, iota(q.bracket_reduced(mixed, x))), (q, x)
+
+
+def test_the_r_matrix_and_not_its_corruption_is_covariant_under_inversion():
+    """u^2 v^2 r(1/u, 1/v) = -J r^T J for J = diag(1, -1) (x) diag(1, -1), by
+    matrix products, and `_inversion_covariant` agrees for r12 and r21 and
+    for the corrupted r-matrix."""
+    import onsaw.yangbaxter as yb
+
+    one = LaurentPoly.const(1)
+    zero = LaurentPoly()
+    j = kron(*[Matrix([[one, zero], [zero, -one]])] * 2)
+    uv2 = LaurentPoly.monomial(1, {"u": 2, "v": 2})
+
+    def covariant(r):
+        transposed = Matrix(zip(*r.entries))
+        return r.map(lambda e: e.inverted(("u", "v")) * uv2) == (j * transposed * j).scale(-1)
+
+    r12 = r_matrix_num()[0]
+    r21 = embed_leg(r_matrix_num("v", "u")[0], (2, 1), 2)
+    bad = corrupted_r_matrix()[0]
+    assert covariant(r12) and covariant(r21)
+    assert not covariant(bad)
+    for N in (1, 2, 3):
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            assert yb._inversion_covariant(B.entries, B.den, "u", "v", (r12, r21))
+            assert not yb._inversion_covariant(B.entries, B.den, "u", "v", (r12, bad))
+
+
+def test_inversion_covariance_of_the_operator_matrices_and_their_corruptions():
+    """`_inversion_covariant` holds for both presentations at N = 1..3 and for
+    the 18 Phi-covariant corruptions, and fails for den (1 + u) and for each
+    off-diagonal entry times 3 or negated."""
+    import onsaw.yangbaxter as yb
+
+    rhats = (r_matrix_num()[0], embed_leg(r_matrix_num("v", "u")[0], (2, 1), 2))
+
+    def covariant(B):
+        return yb._inversion_covariant(B.entries, B.den, "u", "v", rhats)
+
+    for N in (1, 2, 3):
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            assert covariant(B)
+            assert not covariant(B._replace(den=B.den * (lvar("u") + 1)))
+            for i, k in product(range(2), (3, -1)):
+                assert not covariant(B.with_entry(i, 1 - i, B.entries[i][1 - i] * k))
+        assert all(covariant(B) for B in phi_covariant_corruptions(N))
+
+
+def test_the_cleared_residual_is_its_own_inversion_mirror():
+    """Entry (b, a) of the full residual is J_a J_b u^2 v^2 times entry
+    (a, b) with u and v inverted, for B-onsager, B-alt and their corruptions
+    that change only diagonal entries, at N = 1..3."""
+    j = (1, -1, -1, 1)  # J_a = (-1)^(i+k) at a = 2i+k
+    nonzero = 0
+    for N in (1, 2, 3):
+        for B in (build_B_onsager(QuotientO.symbolic(N)), build_B_alt(QuotientA.symbolic(N))):
+            corruptions = [B.with_entry(i, i, B.entries[i][i] * 3) for i in range(2)]
+            for target in (B, *corruptions, both_diagonal_entries_times_3(B)):
+                entries = frt_reference(target)
+                nonzero += any(entries)
+                for a, b in product(range(4), repeat=2):
+                    factor = LaurentPoly.monomial(j[a] * j[b], {"u": 2, "v": 2})
+                    image = entries[4 * a + b].map_coeffs(lambda c: c.inverted(("u", "v")))
+                    assert entries[4 * b + a] == image.scale(factor)
+    assert nonzero > 0
 
 
 def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
@@ -1004,8 +1148,8 @@ def term_products(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "run, budget",
     [
-        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 4_390),
-        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 5_987),
+        (lambda: verify_frt(build_B_onsager(QuotientO.symbolic(3))), 3_840),
+        (lambda: verify_frt(build_B_alt(QuotientA.symbolic(3))), 5_035),
         (lambda: verify_frt_series_onsager(8), 3_350),
     ],
     ids=["frt-onsager-N3", "frt-alt-N3", "frt-series-D8"],
@@ -1013,7 +1157,7 @@ def term_products(monkeypatch) -> list:
 def test_the_exchange_checks_multiply_no_more_term_products(run, budget, monkeypatch):
     """A ratchet on the term products of the multiply-add loop: the shared
     bracket seeds each entry instead of being added as a product, the
-    operator matrices build 6 entries and take the other 10 from mirrors, and
+    operator matrices build 5 entries and take the other 11 from mirrors, and
     a change that adds products fails here."""
     count = term_products(monkeypatch)
     assert run().status == "pass"
