@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, lcm
 
-from .elements import ZERO, AlgElem, accumulate, linear_extension
+from .elements import ZERO, AlgElem, linear_extension
 from .onsager import (
     PHI,
     TAU0,
@@ -47,7 +47,7 @@ from .onsager import (
 )
 from .quotient import QuotientO, divide
 from .reports import InputError, Report
-from .scalars import LaurentPoly, as_coeff, coeff_div, lvar, sum_terms, unit_inverse
+from .scalars import LaurentPoly, accumulate, as_coeff, coeff_div, lvar, sum_terms, unit_inverse
 
 
 def _family(kind: str, k: int, coeff=1) -> AlgElem:
@@ -162,15 +162,15 @@ def _to_alt_sym(sym: tuple) -> AlgElem:
 
 # kind -> (maker, index offset, index sign, factor): the image of kind(k) is
 # sum_p factor C(k, p)/2^k maker(sign (k - 2p + offset)).
-_ONS_IMAGE = {"Wm": (A, 0, 1, 1), "Wp": (A, 1, 1, 1), "Gt": (G, 1, -1, 4)}
+_ONS_FORMULA = {"Wm": (A, 0, 1, 1), "Wp": (A, 1, 1, 1), "Gt": (G, 1, -1, 4)}
 
 
 @cache
 def _to_ons_sym(sym: tuple) -> AlgElem:
     kind, k = sym
-    if kind not in _ONS_IMAGE:
+    if kind not in _ONS_FORMULA:
         raise TypeError(f"not an alternative-presentation symbol: {sym}")
-    make, offset, sign, factor = _ONS_IMAGE[kind]
+    make, offset, sign, factor = _ONS_FORMULA[kind]
     scale = Fraction(factor, 2**k)
     parts = [
         make(sign * (k - 2 * p + offset), as_coeff(scale * comb(k, p)))

@@ -17,11 +17,11 @@ three-generator presentation fit of the N = 1 quotient.
 
 from fractions import Fraction
 
-from .elements import AlgElem, SparseCombination, accumulate, linear_extension
+from .elements import AlgElem, SparseCombination, linear_extension
 from .onsager import A, bracket
 from .quotient import QuotientO
 from .reports import InputError, Report
-from .scalars import RatFunc, coeff_div, lvar
+from .scalars import RatFunc, accumulate, coeff_div, lvar
 
 
 class EnvElem(SparseCombination):

@@ -22,9 +22,9 @@ cubic formulas on A_0, A_1; the defining formulas are kept as test oracles.
 
 from functools import partial
 
-from .elements import ZERO, AlgElem, accumulate, linear_extension
+from .elements import ZERO, AlgElem, linear_extension
 from .reports import Report
-from .scalars import accumulate_product
+from .scalars import accumulate, accumulate_product
 
 
 def A(n: int, coeff=1) -> AlgElem:

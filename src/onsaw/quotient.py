@@ -17,10 +17,10 @@ u_poly_report and any mismatch is a documented discrepancy (the reduction
 oracle wins).
 """
 
-from .elements import AlgElem, accumulate
+from .elements import AlgElem
 from .onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from .reports import InputError, Report
-from .scalars import lvar
+from .scalars import accumulate, lvar
 
 
 def divide(x: AlgElem, excess, divisor) -> AlgElem:

@@ -28,11 +28,11 @@ points w1, w2, w3 are symbols.
 
 from math import prod
 
-from .elements import AlgElem, accumulate
+from .elements import AlgElem
 from .matrices import Matrix, commutator, embed_leg
 from .quotient import QuotientO, defining_relations
 from .reports import InputError, Report
-from .scalars import P_ONE, LaurentPoly, as_coeff, as_poly, frozen, lvar, unit_inverse
+from .scalars import P_ONE, LaurentPoly, accumulate, as_coeff, as_poly, frozen, lvar, unit_inverse
 from .yangbaxter import build_B_onsager, r_matrix_num
 
 

@@ -21,9 +21,10 @@ The identity rests on three hypotheses, each checked elsewhere:
   test_structure_constant_tables_are_antisymmetric and, for the gl2 bracket
   of `cybe`, test_unit_bracket_is_antisymmetric_and_satisfies_jacobi check
   it, and the `dg` suite checks the structure constants of the Onsager one;
-- r21(v,u) = P r12(v,u) P: r21 is r12 embedded on the legs (2, 1), which
-  test_swapped_legs_equal_flip_conjugation checks is conjugation by P, and
-  the `cybe` suite checks the r-matrix itself;
+- r21(v,u) = P r12(v,u) P: the checks take the r-matrix once, as the value
+  (r12, Dr) at (u, v), and r21 is r12 with u and v swapped, embedded on the
+  legs (2, 1), which test_swapped_legs_equal_flip_conjugation checks is
+  conjugation by P, and the `cybe` suite checks the r-matrix itself;
 - Dr(v,u) = -Dr(u,v): Dr = (u-v)(uv-1) is the denominator of r_matrix_num,
   which test_r_matrix_entries pins, and verify_cybe checks it of a candidate.
 
@@ -89,10 +90,12 @@ each entry the canonical pair of its bracket.  The entries to build follow
 from one rule, which `_walk` applies: taken in order of their canonical
 pairs, each entry that is not yet reached is built, and its orbit under the
 mirrors that hold is reached from it, the flip first at every entry, since
-a renaming forms no product.  So one entry per orbit is built: 10 for the
-flip alone, 7 with the inversion, 6 with tau and 5 with both, (0,0),
-(1,1), (0,1), (0,3) and (1,2); the built entries of one bracket are
-adjacent.  With the relation the 10 take 6 brackets, and the 6 of tau and
+a renaming forms no product.  Each mirror is one row (index map, value
+map) of one table, built where its gate is decided: the flip always, tau
+and the inversion when their checks hold.  So one entry per orbit is
+built: 10 for the flip alone, 7 with the inversion, 6 with tau and 5 with
+both, (0,0), (1,1), (0,1), (0,3) and (1,2); the built entries of one
+bracket are adjacent.  With the relation the 10 take 6 brackets, and the 6 of tau and
 the 5 of both mirrors take 4, one of them the zero [g(u), g(v)]; a B
 without it takes one bracket per built entry.  Each bracket is scaled by Dr
 once and negated at most once, and each entry is the same, term for term,
@@ -182,21 +185,18 @@ def verify_cybe(r: tuple | None = None) -> Report:
     if den.rename({"u": "v", "v": "u"}) != -den:
         raise ValueError(f"r-matrix denominator {den} is not odd under u <-> v")
 
-    def r_at(x, y):  # the candidate at the spectral names (x, y)
-        names = {"u": x, "v": y}
-        return num.map(lambda e: e.rename(names)), den.rename(names)
-
     def gl2(x, y):
         return bracket(x, y, sym_bracket=_unit_bracket)
 
-    n_uw, d_uw = r_at("u", "w")
+    to_w = {"v": "w"}
+    n_uw, d_uw = num.map(lambda e: e.rename(to_w)), den.rename(to_w)
     units = [(a, b) for a in range(2) for b in range(2)]
 
     def b_entry(i, j):  # sum_ab N[2i+a, 2j+b](u, w) E_ab
         return AlgElem({("E", (a, b)): n_uw[2 * i + a, 2 * j + b] for a, b in units})
 
     bu = [[b_entry(i, j) for j in range(2)] for i in range(2)]
-    residual = _exchange_residual(bu, d_uw, "u", "v", gl2, lambda x: x, r_at)
+    residual = _exchange_residual(bu, d_uw, "u", "v", gl2, lambda x: x, (num, den))
     bad = sorted(
         (2 * r + a, 2 * c + b) for (r, c), x in residual.items() for _, (a, b) in x.terms
     )
@@ -315,11 +315,6 @@ def build_B_alt(qa: QuotientA, u: str = "u") -> OperatorMatrix:
 
 _FLIP = (0, 2, 1, 3)  # the leg flip P on tensor indices: 2i+k -> 2k+i
 _J = (1, -1, -1, 1)  # J_a = (-1)^(i+k) at a = 2i+k, the diagonal of J (x) J
-_IMAGE = {  # the entry that each mirror gives from entry (r, c)
-    "flip": lambda r, c: (_FLIP[r], _FLIP[c]),
-    "tau": lambda r, c: (3 - r, 3 - c),
-    "inv": lambda r, c: (c, r),
-}
 
 
 def _canonical(bu) -> dict:
@@ -399,11 +394,11 @@ def _inv_image(u, v, a, b, x) -> AlgElem:
     return _inverted(x, (u, v)).scale(factor)
 
 
-def _walk(pair_of: dict, held: tuple) -> tuple:
+def _walk(pair_of: dict, rows: list) -> tuple:
     """The walk of the module docstring over the 16 entries, from the canonical
-    pair of each entry's bracket and the mirrors `held` besides the flip
-    ("tau", "inv" or both): ([built entry], [(entry, source, mirror)]), each
-    source built or listed before the entry it gives."""
+    pair of each entry's bracket and the mirrors that hold, rows (index map,
+    value map) with the flip first: ([built entry], [(entry, source, value
+    map)]), each source built or listed before the entry it gives."""
     built, mirrors, reached = [], [], set()
     for entry in sorted(pair_of, key=pair_of.get):
         if entry in reached:
@@ -413,25 +408,26 @@ def _walk(pair_of: dict, held: tuple) -> tuple:
         sources = [entry]  # the entries not reached by a flip; grows below
         for source in sources:
             # the flip first, so an entry that it and another mirror reach is renamed
-            for mirror in ("flip", *held):
-                image = _IMAGE[mirror](*source)
+            for n, (index_map, value_map) in enumerate(rows):
+                image = index_map(*source)
                 if image not in reached:
                     reached.add(image)
-                    mirrors.append((image, source, mirror))
-                    if mirror != "flip":
+                    mirrors.append((image, source, value_map))
+                    if n:
                         sources.append(image)
     return built, mirrors
 
 
-def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
+def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r, phi=None):
     """All denominators cleared, the exchange relation for B(u) = bu/den_u reads
 
         C(u,v) = Dr [Bu_ij, Bv_kl] + [r21(v,u), B1(u)] den_v - [B2(v), r12(u,v)] den_u = 0
 
-    with (rhat_12, Dr) = r_at(u, v) and rhat_21 = r_at(v, u)[0] on legs (2, 1).
-    B(v) = bv/den_v is B(u) with u renamed to v.  At row (i,k) and column
-    (j,l), index 2i+k and 2j+l, B1 = B(u) (x) I and B2 = I (x) B(v) vanish off
-    i = j and k = l, so the two commutator entries are the sums over a in {0, 1}
+    with r = (rhat_12, Dr) at (u, v), given once: rhat_21 is rhat_12 with u
+    and v swapped, on legs (2, 1).  B(v) = bv/den_v is B(u) with u renamed
+    to v.  At row (i,k) and column (j,l), index 2i+k and 2j+l, B1 = B(u) (x) I
+    and B2 = I (x) B(v) vanish off i = j and k = l, so the two commutator
+    entries are the sums over a in {0, 1}
 
         [r21, B1] = r21[(i,k),(a,l)] bu_aj - bu_ia r21[(a,k),(j,l)]
         [B2, r12] = bv_ka r12[(i,a),(j,l)] - r12[(i,k),(j,a)] bv_al
@@ -444,7 +440,10 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     `finish`}, in row-major order.
 
     Only the entries that `_walk` picks are built; the others are their
-    mirrors, filled after the last bracket is dropped.  The leg flip, entry
+    mirrors, filled after the last bracket is dropped.  Each mirror is one
+    row (index map, value map) of `rows`, which holds the flip and the
+    mirrors whose gates pass, and `_walk` returns the value map of each
+    mirrored entry.  The leg flip, entry
     (sigma r, sigma c) = entry (r, c) with u and v swapped for sigma = _FLIP,
     needs the three hypotheses of the module docstring (an antisymmetric
     bracket_fn, r21(v,u) = P r12(v,u) P and Dr(v,u) = -Dr(u,v)), u != v, and
@@ -467,20 +466,23 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
     every entry is what the bracket of its own entries gives, term for term."""
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
-    rhat_12, dr = r_at(u, v)
-    rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
-    held = ()
+    swap = {u: v, v: u}
+    rhat_12, dr = r
+    rhat_21 = embed_leg(rhat_12.map(lambda e: e.rename(swap)), (2, 1), 2)
+    rows = [(lambda a, b: (_FLIP[a], _FLIP[b]), lambda a, b, x: _renamed(x, swap))]
     if phi is not None:
         rhats = (rhat_12, rhat_21)
-        held += ("tau",) * _phi_covariant(bu, u, v, phi, rhats)
-        held += ("inv",) * _inversion_covariant(bu, den_u, u, v, rhats)
+        if _phi_covariant(bu, u, v, phi, rhats):
+            rows.append((lambda a, b: (3 - a, 3 - b), partial(_tau_image, phi, u, v)))
+        if _inversion_covariant(bu, den_u, u, v, rhats):
+            rows.append((lambda a, b: (b, a), partial(_inv_image, u, v)))
     pairs = [(i, k) for i in range(2) for k in range(2)]  # (i, k) is index 2i+k
     minus_den_u = -den_u
     canonical = _canonical(bu)
     pair_of = {}  # entry (2i+k, 2j+l) -> the canonical pair (x, y) of its bracket
     for (i, k), (j, l) in product(pairs, repeat=2):
         pair_of[2 * i + k, 2 * j + l] = canonical[i, j][0], canonical[k, l][0]
-    built, mirrors = _walk(pair_of, held)
+    built, mirrors = _walk(pair_of, rows)
     values = {}
     for (x, y), group in groupby(built, key=pair_of.get):
         group = list(group)
@@ -505,14 +507,8 @@ def _exchange_residual(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None):
             accumulate(acc, t1, den_v)
             accumulate(acc, t2, minus_den_u)
             values[r, c] = finish(AlgElem(acc))
-    swap = {u: v, v: u}
-    image = {
-        "flip": lambda a, b, x: _renamed(x, swap),
-        "tau": partial(_tau_image, phi, u, v),
-        "inv": partial(_inv_image, u, v),
-    }
-    for entry, (a, b), mirror in mirrors:
-        values[entry] = image[mirror](a, b, values[a, b])
+    for entry, (a, b), value_map in mirrors:
+        values[entry] = value_map(a, b, values[a, b])
     return dict(sorted(values.items()))
 
 
@@ -526,7 +522,7 @@ def verify_frt(B: OperatorMatrix, v: str = "v") -> Report:
     report = Report()
     phi = partial(auto, (PHI,))
     residual = _exchange_residual(
-        B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num, phi
+        B.entries, B.den, B.u, v, q.bracket_reduced, q.reduce, r_matrix_num(B.u, v), phi
     )
     for (r, c), entry in residual.items():
         report.add(f"frt:{B.label}:entry{r}{c}", entry)
@@ -570,7 +566,7 @@ def verify_frt_series_onsager(D: int, u: str = "u", v: str = "v") -> Report:
         v,
         bracket,
         lambda x: x.map_coeffs(lambda c: c.truncate((u, v), D)),
-        r_matrix_num,
+        r_matrix_num(u, v),
     )
     for (r, c), entry in residual.items():
         report.add(f"frt-series-onsager:entry{r}{c}:D{D}", entry)

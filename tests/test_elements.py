@@ -18,12 +18,12 @@ from onsaw.altpres import (
     convert_to_alt,
     convert_to_ons,
 )
-from onsaw.elements import ZERO, AlgElem, SparseCombination, accumulate
+from onsaw.elements import ZERO, AlgElem, SparseCombination
 from onsaw.envelope import PBW, EnvElem
 from onsaw.onsager import A, G, apply_autopoly, bracket, s_n_autopoly
 from onsaw.quotient import QuotientO
 from onsaw import scalars
-from onsaw.scalars import P_ONE, LaurentPoly, lvar
+from onsaw.scalars import P_ONE, LaurentPoly, accumulate, lvar
 from onsaw.yangbaxter import build_B_alt, build_B_onsager, verify_frt
 
 CASES = 500

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from onsaw.altpres import alt_sym_bracket
-from onsaw.elements import AlgElem, accumulate
+from onsaw.elements import AlgElem
 from onsaw.onsager import (
     A,
     G,
@@ -21,7 +21,7 @@ from onsaw.onsager import (
     sym_bracket,
     verify_dolan_grady,
 )
-from onsaw.scalars import LaurentPoly, as_coeff, encode_monomial, lvar
+from onsaw.scalars import LaurentPoly, accumulate, as_coeff, encode_monomial, lvar
 
 
 def test_basic_brackets():

@@ -6,12 +6,12 @@ from itertools import product
 import pytest
 
 from onsaw.altpres import Gt, QuotientA, Wm, Wp, alt_auto, beta_from_alpha
-from onsaw.elements import ZERO, AlgElem, accumulate
+from onsaw.elements import ZERO, AlgElem
 from onsaw.matrices import Matrix, commutator, embed_leg, kron
 from onsaw.onsager import PHI, A, G, apply_auto, bracket
 from onsaw.quotient import QuotientO
 from onsaw.reports import FAIL, InputError
-from onsaw.scalars import LaurentPoly, decode_monomial, lvar
+from onsaw.scalars import LaurentPoly, accumulate, decode_monomial, lvar
 from onsaw.yangbaxter import (
     ChargeParams,
     OperatorMatrix,
@@ -620,7 +620,7 @@ def test_each_bracket_is_done_before_the_next_is_formed(monkeypatch):
     the series currents at D = 4 serve 3, 2, 2, 1, 1 and 1."""
     import onsaw.yangbaxter as yb
 
-    def calls(bu, den_u, u, v, bracket_fn, finish, r_at, phi=None) -> str:
+    def calls(bu, den_u, u, v, bracket_fn, finish, r, phi=None) -> str:
         log = []
 
         def recording_bracket(x, y):
@@ -632,13 +632,13 @@ def test_each_bracket_is_done_before_the_next_is_formed(monkeypatch):
             return finish(x)
 
         yb._exchange_residual(
-            bu, den_u, u, v, recording_bracket, recording_finish, r_at, phi
+            bu, den_u, u, v, recording_bracket, recording_finish, r, phi
         )
         return "".join(log)
 
     for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
         q = B.algebra
-        args = (B.entries, B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num)
+        args = (B.entries, B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num(B.u, "v"))
         assert calls(*args, phi_of(q)) == "BFFBFBFBF"
     recorded = []
     build = yb._exchange_residual
@@ -787,7 +787,8 @@ def test_each_entry_is_reached_from_exactly_one_built_representative():
         }
         runs = ((("tau", "inv"), 5), (("tau",), 6), (("inv",), 7), ((), 10))
         for held, n_built in runs:
-            built, mirrors = yb._walk(pair_of, held)
+            rows = [(maps[name], name) for name in ("flip", *held)]
+            built, mirrors = yb._walk(pair_of, rows)
             assert len(built) == n_built
             assert [pair_of[e] for e in built] == sorted(pair_of[e] for e in built)
             reached = list(built)
@@ -1041,14 +1042,53 @@ def test_the_exchange_checks_multiply_no_matrices(monkeypatch):
         commutator(Matrix.identity(2), Matrix.identity(2))
 
 
-def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
+def test_the_exchange_checks_build_the_r_matrix_once(monkeypatch):
+    """verify_frt and verify_frt_series_onsager each call r_matrix_num once,
+    at (u, v): r21 is r12 with u and v swapped, not a second r-matrix."""
+    import onsaw.yangbaxter as yb
+
+    calls = []
+    build = yb.r_matrix_num
+    monkeypatch.setattr(yb, "r_matrix_num", lambda *a: calls.append(a) or build(*a))
+    for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
+        assert verify_frt(B).status == "pass"
+        assert calls == [("u", "v")]
+        calls.clear()
+    assert verify_frt_series_onsager(4, "x", "y").status == "pass"
+    assert calls == [("x", "y")]
+
+
+@pytest.mark.parametrize("u, v", [("u", "v"), ("x", "y")])
+def test_r21_is_the_swapped_r_matrix_on_legs_2_1(u, v, monkeypatch):
+    """The rhat_21 that `_phi_covariant` receives from verify_frt equals
+    embed_leg(r_matrix_num(v, u)[0], (2, 1), 2), the r-matrix built at
+    (v, u), term for term, and rhat_12 is r_matrix_num(u, v)[0]."""
+    import onsaw.yangbaxter as yb
+
+    received = []
+    check = yb._phi_covariant
+
+    def spy(bu, u_, v_, phi, rhats):
+        received.append(rhats)
+        return check(bu, u_, v_, phi, rhats)
+
+    monkeypatch.setattr(yb, "_phi_covariant", spy)
+    assert verify_frt(build_B_onsager(QuotientO.symbolic(2), u), v).status == "pass"
+    assert verify_frt(build_B_alt(QuotientA.symbolic(2), u), v).status == "pass"
+    expected = (r_matrix_num(u, v)[0], embed_leg(r_matrix_num(v, u)[0], (2, 1), 2))
+    assert len(received) == 2
+    for rhats in received:
+        for got, want in zip(rhats, expected):
+            for a, b in product(range(4), repeat=2):
+                assert same_term_maps(got[a, b], want[a, b]), (a, b)
+
+
+def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r):
     """`_exchange_residual` as it was before each entry started from its
     bracket, and with no mirror: entries equal up to sign found through
     y * sign, and each of the 16 entries summed as den_v t1 - den_u t2, its
     shared Dr-scaled bracket added last as a product by +-1.  The reference
     of the seeded sum."""
-    from onsaw.scalars import accumulate
-
     canonical = {}
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         x = bu[i][j]
@@ -1063,8 +1103,8 @@ def summed_bracket_last(bu, den_u, u, v, bracket_fn, finish, r_at):
         )
     bv = tuple(tuple(_renamed(e, {u: v}) for e in row) for row in bu)
     den_v = den_u.rename({u: v})
-    rhat_12, dr = r_at(u, v)
-    rhat_21 = embed_leg(r_at(v, u)[0], (2, 1), 2)
+    rhat_12, dr = r
+    rhat_21 = embed_leg(rhat_12.map(lambda e: e.rename({u: v, v: u})), (2, 1), 2)
     pairs = [(i, k) for i in range(2) for k in range(2)]
     built = {}
     for r, c in product(range(4), repeat=2):
@@ -1093,7 +1133,7 @@ def exchange_inputs(monkeypatch):
     out = []
     for B in (build_B_onsager(QuotientO.symbolic(2)), build_B_alt(QuotientA.symbolic(2))):
         q = B.algebra
-        rest = (B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num)
+        rest = (B.den, B.u, "v", q.bracket_reduced, q.reduce, r_matrix_num(B.u, "v"))
         for i in range(2):
             for j in range(2):
                 out.append((B.with_entry(i, j, -B.entries[i][j]).entries, *rest))
